@@ -38,14 +38,13 @@ class Tensor:
 
 
 class Record:
-    __slots__ = ("op", "inputs", "out", "vjp", "fwd")
+    __slots__ = ("op", "inputs", "out", "vjp")
 
-    def __init__(self, op, inputs, out, vjp, fwd):
+    def __init__(self, op, inputs, out, vjp):
         self.op = op
         self.inputs = inputs
         self.out = out
         self.vjp = vjp
-        self.fwd = fwd
 
 
 _tls = threading.local()
@@ -83,13 +82,6 @@ class Tape:
         _stack().pop()
         return False
 
-    def replay(self):
-        """Recompute every recorded op from its inputs.
-
-        Returns True iff all recorded outputs are reproduced bit-exactly.
-        """
-        return all(np.array_equal(r.fwd(), r.out.data) for r in self.records)
-
 
 @contextmanager
 def no_record():
@@ -101,18 +93,18 @@ def no_record():
         s.pop()
 
 
-def _out(data, op, inputs, vjp, fwd):
+def _out(data, op, inputs, vjp):
     t = Tensor.__new__(Tensor)
     t.data = data
     tape = _active()
     if tape is not None:
-        tape.records.append(Record(op, inputs, t, vjp, fwd))
+        tape.records.append(Record(op, inputs, t, vjp))
     return t
 
 
-def primitive(op, data, inputs, vjp, fwd):
+def primitive(op, data, inputs, vjp):
     """Extension hook: record a custom op with a hand-written vjp."""
-    return _out(np.asarray(data, dtype=np.float64), op, inputs, vjp, fwd)
+    return _out(np.asarray(data, dtype=np.float64), op, inputs, vjp)
 
 
 def tensor(data):
@@ -138,32 +130,27 @@ def _check_same(a, b, op):
 
 def add(a, b):
     _check_same(a, b, "add")
-    return _out(a.data + b.data, "add", (a, b),
-                lambda g: (g, g), lambda: a.data + b.data)
+    return _out(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def sub(a, b):
     _check_same(a, b, "sub")
-    return _out(a.data - b.data, "sub", (a, b),
-                lambda g: (g, scale(g, -1.0)), lambda: a.data - b.data)
+    return _out(a.data - b.data, "sub", (a, b), lambda g: (g, scale(g, -1.0)))
 
 
 def mul(a, b):
     _check_same(a, b, "mul")
-    return _out(a.data * b.data, "mul", (a, b),
-                lambda g: (mul(g, b), mul(g, a)), lambda: a.data * b.data)
+    return _out(a.data * b.data, "mul", (a, b), lambda g: (mul(g, b), mul(g, a)))
 
 
 def scale(x, c):
     c = float(c)
-    return _out(x.data * c, "scale", (x,),
-                lambda g: (scale(g, c),), lambda: x.data * c)
+    return _out(x.data * c, "scale", (x,), lambda g: (scale(g, c),))
 
 
 def add_scalar(x, c):
     c = float(c)
-    return _out(x.data + c, "add_scalar", (x,),
-                lambda g: (g,), lambda: x.data + c)
+    return _out(x.data + c, "add_scalar", (x,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +167,7 @@ def matmul(a, b):
         def vjp(g):
             return (matmul(g, transpose(b)), matmul(transpose(a), g))
 
-        return _out(a.data @ b.data, "matmul", (a, b), vjp, lambda: a.data @ b.data)
+        return _out(a.data @ b.data, "matmul", (a, b), vjp)
     if b.data.ndim == 1:
         if a.data.shape[1] != b.data.shape[0]:
             raise ValueError(f"matmul: shape mismatch {a.data.shape} vs {b.data.shape}")
@@ -190,7 +177,7 @@ def matmul(a, b):
             return (matmul(reshape(g, (m, 1)), reshape(b, (1, k))),
                     matmul(transpose(a), g))
 
-        return _out(a.data @ b.data, "matmul", (a, b), vjp, lambda: a.data @ b.data)
+        return _out(a.data @ b.data, "matmul", (a, b), vjp)
     raise ValueError(f"matmul: right operand must be 1-d or 2-d, got {b.data.shape}")
 
 
@@ -198,7 +185,7 @@ def transpose(x):
     if x.data.ndim != 2:
         raise ValueError(f"transpose: need 2-d tensor, got {x.data.shape}")
     return _out(np.ascontiguousarray(x.data.T), "transpose", (x,),
-                lambda g: (transpose(g),), lambda: np.ascontiguousarray(x.data.T))
+                lambda g: (transpose(g),))
 
 
 def reshape(x, shape):
@@ -207,7 +194,7 @@ def reshape(x, shape):
         raise ValueError(f"reshape: cannot reshape {x.data.shape} to {shape}")
     old = x.data.shape
     return _out(x.data.reshape(shape), "reshape", (x,),
-                lambda g: (reshape(g, old),), lambda: x.data.reshape(shape))
+                lambda g: (reshape(g, old),))
 
 
 def expand(x, shape):
@@ -223,7 +210,7 @@ def expand(x, shape):
         return (sum(g, axis=axes, keepdims=True) if axes else g,)
 
     return _out(np.ascontiguousarray(np.broadcast_to(x.data, shape)), "expand", (x,),
-                vjp, lambda: np.ascontiguousarray(np.broadcast_to(x.data, shape)))
+                vjp)
 
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
@@ -240,10 +227,7 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
             g2 = reshape(g2, kshape)
         return (expand(g2, in_shape) if in_shape else g2,)
 
-    data = np.sum(x.data, axis=axis, keepdims=keepdims)
-
-    return _out(data, "sum", (x,), vjp,
-                lambda: np.sum(x.data, axis=axis, keepdims=keepdims))
+    return _out(np.sum(x.data, axis=axis, keepdims=keepdims), "sum", (x,), vjp)
 
 
 def mean(x, axis=None, keepdims=False):
@@ -266,9 +250,8 @@ def concat(tensors, axis):
         return tuple(slice_axis(g, axis, offsets[i], offsets[i + 1])
                      for i in range(len(tensors)))
 
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _out(data, "concat", tensors, vjp,
-                lambda: np.concatenate([t.data for t in tensors], axis=axis))
+    return _out(np.concatenate([t.data for t in tensors], axis=axis), "concat",
+                tensors, vjp)
 
 
 def slice_axis(x, axis, start, stop):
@@ -292,8 +275,7 @@ def slice_axis(x, axis, start, stop):
             parts.append(Tensor(np.zeros(shape)))
         return (concat(parts, axis) if len(parts) > 1 else g,)
 
-    return _out(x.data[index].copy(), "slice_axis", (x,), vjp,
-                lambda: x.data[index].copy())
+    return _out(x.data[index].copy(), "slice_axis", (x,), vjp)
 
 
 def gather(table, indices):
@@ -309,22 +291,20 @@ def gather(table, indices):
     def vjp(g):
         return (scatter_rows(g, idx, n),)
 
-    return _out(table.data[idx], "gather", (table,), vjp, lambda: table.data[idx])
+    return _out(table.data[idx], "gather", (table,), vjp)
 
 
 def scatter_rows(src, indices, num_rows):
     idx = np.asarray(indices, dtype=np.int64)
     num_rows = int(num_rows)
 
-    def fwd():
-        out = np.zeros((num_rows, src.data.shape[1]))
-        np.add.at(out, idx, src.data)
-        return out
+    out = np.zeros((num_rows, src.data.shape[1]))
+    np.add.at(out, idx, src.data)
 
     def vjp(g):
         return (gather(g, idx),)
 
-    return _out(fwd(), "scatter_rows", (src,), vjp, fwd)
+    return _out(out, "scatter_rows", (src,), vjp)
 
 
 def take_per_row(x, indices):
@@ -341,8 +321,7 @@ def take_per_row(x, indices):
     def vjp(g):
         return (scatter_per_row(g, idx, cols),)
 
-    return _out(x.data[rng, idx].copy(), "take_per_row", (x,), vjp,
-                lambda: x.data[rng, idx].copy())
+    return _out(x.data[rng, idx].copy(), "take_per_row", (x,), vjp)
 
 
 def scatter_per_row(src, indices, num_cols):
@@ -351,15 +330,13 @@ def scatter_per_row(src, indices, num_cols):
     rows = src.data.shape[0]
     rng = np.arange(rows)
 
-    def fwd():
-        out = np.zeros((rows, num_cols))
-        out[rng, idx] = src.data
-        return out
+    out = np.zeros((rows, num_cols))
+    out[rng, idx] = src.data
 
     def vjp(g):
         return (take_per_row(g, idx),)
 
-    return _out(fwd(), "scatter_per_row", (src,), vjp, fwd)
+    return _out(out, "scatter_per_row", (src,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +344,13 @@ def scatter_per_row(src, indices, num_cols):
 
 
 def sigmoid(x):
-    out = _out(expit(x.data), "sigmoid", (x,), None, lambda: expit(x.data))
+    out = _out(expit(x.data), "sigmoid", (x,), None)
     _set_vjp(out, lambda g: (mul(g, mul(out, add_scalar(scale(out, -1.0), 1.0))),))
     return out
 
 
 def tanh(x):
-    y = np.tanh(x.data)
-    out = _out(y, "tanh", (x,), None, lambda: np.tanh(x.data))
+    out = _out(np.tanh(x.data), "tanh", (x,), None)
     _set_vjp(out, lambda g: (mul(g, add_scalar(scale(square(out), -1.0), 1.0)),))
     return out
 
@@ -382,34 +358,31 @@ def tanh(x):
 def relu(x):
     mask = (x.data > 0).astype(np.float64)
     mask_t = Tensor(mask)
-    return _out(x.data * mask, "relu", (x,),
-                lambda g: (mul(g, mask_t),), lambda: x.data * (x.data > 0))
+    return _out(x.data * mask, "relu", (x,), lambda g: (mul(g, mask_t),))
 
 
 def log(x):
-    return _out(np.log(x.data), "log", (x,),
-                lambda g: (mul(g, reciprocal(x)),), lambda: np.log(x.data))
+    return _out(np.log(x.data), "log", (x,), lambda g: (mul(g, reciprocal(x)),))
 
 
 def exp(x):
-    out = _out(np.exp(x.data), "exp", (x,), None, lambda: np.exp(x.data))
+    out = _out(np.exp(x.data), "exp", (x,), None)
     _set_vjp(out, lambda g: (mul(g, out),))
     return out
 
 
 def square(x):
-    return _out(x.data * x.data, "square", (x,),
-                lambda g: (scale(mul(g, x), 2.0),), lambda: x.data * x.data)
+    return _out(x.data * x.data, "square", (x,), lambda g: (scale(mul(g, x), 2.0),))
 
 
 def sqrt(x):
-    out = _out(np.sqrt(x.data), "sqrt", (x,), None, lambda: np.sqrt(x.data))
+    out = _out(np.sqrt(x.data), "sqrt", (x,), None)
     _set_vjp(out, lambda g: (mul(g, scale(reciprocal(out), 0.5)),))
     return out
 
 
 def reciprocal(x):
-    out = _out(1.0 / x.data, "reciprocal", (x,), None, lambda: 1.0 / x.data)
+    out = _out(1.0 / x.data, "reciprocal", (x,), None)
     _set_vjp(out, lambda g: (scale(mul(g, square(out)), -1.0),))
     return out
 
@@ -417,8 +390,7 @@ def reciprocal(x):
 def clip_min(x, c):
     c = float(c)
     mask_t = Tensor((x.data > c).astype(np.float64))
-    return _out(np.maximum(x.data, c), "clip_min", (x,),
-                lambda g: (mul(g, mask_t),), lambda: np.maximum(x.data, c))
+    return _out(np.maximum(x.data, c), "clip_min", (x,), lambda g: (mul(g, mask_t),))
 
 
 def _set_vjp(out, vjp):
@@ -463,7 +435,7 @@ def cosine_similarity(a, b, eps=1e-12):
 
 
 def stop_gradient(x):
-    return _out(x.data.copy(), "stop_gradient", (x,), None, lambda: x.data.copy())
+    return _out(x.data.copy(), "stop_gradient", (x,), None)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +448,16 @@ def grad(output, wrt, create_graph=False):
     Tensors unreachable from ``output`` on the active tape get zero gradients of
     matching shape. With ``create_graph`` the returned gradients are themselves
     recorded, so a later ``grad`` call differentiates through them.
+
+    The reverse sweep visits only the records that lie forward of ``wrt``: a
+    forward pass over the tape marks a record as on the path when any of its
+    inputs is in ``wrt`` or is the output of a record on the path. Records not
+    backward of ``output`` are skipped as before, because no gradient reaches
+    them. A pruned record feeds no tensor that ``wrt`` flows into, so every
+    returned gradient is built from the same terms, added in the same order, as
+    in a sweep over the whole tape: pruning is bit-identical. With
+    ``create_graph`` nothing is recorded for ops upstream of ``wrt``, so k
+    unrolled update steps put O(k) records on the tape, not O(k^2).
     """
     if output.size != 1:
         raise ValueError(f"grad: output must be scalar, got shape {output.data.shape}")
@@ -484,18 +466,23 @@ def grad(output, wrt, create_graph=False):
         raise RuntimeError("grad: no active tape")
     if create_graph and not tape.retain_graph:
         raise RuntimeError("grad: create_graph requires a retain_graph tape")
-    records = tape.records
-    stop = len(records)
+    live = {id(w) for w in wrt}
+    path = []
+    for rec in tape.records:
+        for t in rec.inputs:
+            if id(t) in live:
+                live.add(id(rec.out))
+                path.append(rec)
+                break
     grads = {id(output): ones_like(output)}
     ctx = nullcontext() if create_graph else no_record()
     with ctx:
-        for i in range(stop - 1, -1, -1):
-            rec = records[i]
+        for rec in reversed(path):
             g = grads.get(id(rec.out))
             if g is None or rec.vjp is None:
                 continue
             for t, gi in zip(rec.inputs, rec.vjp(g)):
-                if gi is None:
+                if gi is None or id(t) not in live:
                     continue
                 prev = grads.get(id(t))
                 grads[id(t)] = gi if prev is None else add(prev, gi)

@@ -37,32 +37,62 @@ class TrainResult:
 
 
 def load_manifest(path):
-    """Manifest rows (domain, role, tsv path); paths resolve against the manifest."""
+    """Manifest rows (domain, role, tsv path); paths resolve against the manifest.
+
+    Each row is ``domain<TAB>role<TAB>path`` with role ``source`` or
+    ``target``; exactly one row is the target and no domain is listed twice.
+    Errors name ``path:lineno``.
+    """
     base = os.path.dirname(os.path.abspath(path))
     rows = []
+    seen = {}
+    target_line = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            domain, role, rel = line.split("\t")
+            where = f"{path}:{lineno}"
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{where}: expected 3 tab-separated fields, "
+                                 f"got {len(fields)}")
+            domain, role, rel = fields
+            if role not in ("source", "target"):
+                raise ValueError(f"{where}: role must be 'source' or 'target', "
+                                 f"got {role!r}")
+            if domain in seen:
+                raise ValueError(f"{where}: domain {domain!r} already listed "
+                                 f"on line {seen[domain]}")
+            seen[domain] = lineno
+            if role == "target":
+                if target_line is not None:
+                    raise ValueError(f"{where}: second target row, the first "
+                                     f"is on line {target_line}")
+                target_line = lineno
             rows.append((domain, role, os.path.join(base, rel)))
+    if target_line is None:
+        raise ValueError(f"{path}: no row has role 'target'")
     return rows
 
 
 def build_datasets(cfg):
-    """(source datasets, target dataset) from manifest files or inline synthesis."""
+    """(source datasets, target dataset) from manifest files or inline synthesis.
+
+    A manifest domain that k-core filtering leaves without users is rejected.
+    """
     if cfg.data.manifest:
         sources, target = [], None
         for domain, role, path in load_manifest(cfg.data.manifest):
             events = load_interactions(path).get(domain, [])
             ds = build_domain_dataset(domain, events, cfg.k_core)
+            if ds.num_users == 0:
+                raise ValueError(f"{path}: domain {domain!r} has no users left "
+                                 f"after k-core filtering with k_core={cfg.k_core}")
             if role == "target":
                 target = ds
             else:
                 sources.append(ds)
-        if target is None:
-            raise ValueError(f"manifest {cfg.data.manifest} has no target domain")
         return sources, target
     result = generate_synthetic(cfg.synthetic)
     return result.datasets[:-1], result.datasets[-1]

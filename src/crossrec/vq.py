@@ -102,7 +102,7 @@ def straight_through(z_e, z_q):
         raise ValueError(f"straight_through: shape mismatch "
                          f"{z_e.data.shape} vs {z_q.data.shape}")
     return ad.primitive("straight_through", z_q.data.copy(), (z_e, z_q),
-                        lambda g: (g, None), lambda: z_q.data.copy())
+                        lambda g: (g, None))
 
 
 def quantize_domain_matrix(params, domain, book):

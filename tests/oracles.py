@@ -1,5 +1,9 @@
 """Independent numerical oracles shared across the test suite."""
+from contextlib import nullcontext
+
 import numpy as np
+
+from crossrec import autodiff as ad
 
 
 def fd_grad(f, arrays, step=1e-6):
@@ -73,3 +77,20 @@ def nearest_codes_exhaustive(z, book_rows, heads):
                 best, best_sim = j, sim
         codes.append(best)
     return codes
+
+
+def full_sweep_grad(output, wrt, create_graph=False):
+    """Reference without pruning: the reverse sweep visits every record."""
+    tape = ad._active()
+    records = list(tape.records)
+    grads = {id(output): ad.ones_like(output)}
+    with nullcontext() if create_graph else ad.no_record():
+        for rec in reversed(records):
+            g = grads.get(id(rec.out))
+            if g is None or rec.vjp is None:
+                continue
+            for t, gi in zip(rec.inputs, rec.vjp(g)):
+                if gi is not None:
+                    prev = grads.get(id(t))
+                    grads[id(t)] = gi if prev is None else ad.add(prev, gi)
+    return [grads[id(w)] if id(w) in grads else ad.zeros_like(w) for w in wrt]

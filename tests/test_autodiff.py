@@ -5,7 +5,7 @@ import pytest
 
 from crossrec import autodiff as ad
 
-from oracles import fd_grad, rel_err
+from oracles import fd_grad, full_sweep_grad, rel_err
 
 
 def run_grad(build, arrays):
@@ -173,6 +173,45 @@ def test_unreachable_wrt_gets_zeros():
         (gx, gz) = ad.grad(ad.sum(x), [x, z])
         assert np.array_equal(gx.data, [1.0, 1.0])
         assert np.array_equal(gz.data, np.zeros((2, 2)))
+    with ad.Tape() as tape:
+        # on the tape and forward of x, but not backward of the output
+        x = ad.tensor([1.0, 2.0])
+        side = ad.square(x)
+        n = len(tape.records)
+        (gx, gs) = ad.grad(ad.sum(ad.scale(x, 3.0)), [x, side], create_graph=True)
+        assert np.array_equal(gx.data, [3.0, 3.0])
+        assert np.array_equal(gs.data, np.zeros(2))
+        assert all(r.op != "square" for r in tape.records[n:])
+
+
+def test_grad_records_nothing_upstream_of_wrt():
+    rng = np.random.default_rng(3)
+    w0, x0 = rng.standard_normal((3, 3)), rng.standard_normal(3)
+
+    def downstream(h):
+        return ad.sum(ad.square(ad.mul(h, ad.sigmoid(h))))
+
+    def run(grad_fn):
+        with ad.Tape() as tape:
+            h = ad.tanh(ad.matmul(ad.tensor(w0), ad.tensor(x0)))
+            y = downstream(h)
+            n = len(tape.records)
+            (g,) = grad_fn(y, [h], create_graph=True)
+        return g.data.tobytes(), [r.op for r in tape.records[n:]]
+
+    pruned, pruned_ops = run(ad.grad)
+    unpruned, unpruned_ops = run(full_sweep_grad)
+    assert pruned == unpruned
+    # the upstream matmul/tanh vjps are recorded only without pruning
+    assert "transpose" in unpruned_ops and "transpose" not in pruned_ops
+    # with h as a leaf the tape holds no upstream ops: same records exactly
+    with ad.Tape() as tape:
+        h = ad.tensor(np.tanh(w0 @ x0))
+        y = downstream(h)
+        n = len(tape.records)
+        ad.grad(y, [h], create_graph=True)
+        leaf_ops = [r.op for r in tape.records[n:]]
+    assert pruned_ops == leaf_ops
 
 
 def test_tape_determinism_and_replay():
@@ -181,11 +220,14 @@ def test_tape_determinism_and_replay():
             x = ad.tensor([0.3, -0.7, 1.1])
             w = ad.tensor(np.arange(9, dtype=float).reshape(3, 3) / 10)
             y = ad.sum(ad.square(ad.tanh(ad.matmul(w, x))))
-            gs = ad.grad(y, [x, w])
-            assert tape.replay()
-        return [g.data.tobytes() for g in gs]
+            gs = ad.grad(y, [x, w], create_graph=True)
+            (g2,) = ad.grad(ad.sum(ad.square(gs[1])), [x])
+        return ([(r.op, r.out.data.tobytes()) for r in tape.records],
+                [g.data.tobytes() for g in gs + [g2]])
 
-    assert run() == run()
+    first, second = run(), run()
+    assert len(first[0]) > 10
+    assert first == second
 
 
 def test_detached_tensor_contributes_zero():

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from crossrec import cli
 from crossrec.checkpoint import load_checkpoint
 from crossrec.data import SyntheticSpec, load_interactions, leave_one_out_split
-from crossrec.runconfig import (RunConfig, VARIANTS, load_config, parse_config,
+from crossrec.runconfig import (DataConfig, RunConfig, VARIANTS, load_config,
+                                parse_config,
                                 serialize_config)
 from crossrec.train import build_datasets, load_manifest, run_training
 
@@ -244,3 +246,45 @@ def test_train_from_generated_manifest(tmp_path):
                    "--out", out])
     assert rc == 0
     assert os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+SOURCE_ROW = "src0\tsource\tsrc0.tsv\n"
+TARGET_ROW = "target\ttarget\ttarget.tsv\n"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("# comment\n" + SOURCE_ROW + "target\ttarget\n", 3, "expected 3 tab-separated"),
+    (SOURCE_ROW + "target\ttarget\ttarget.tsv\textra\n", 2, "expected 3 tab-separated"),
+    ("src0\tsorce\tsrc0.tsv\n" + TARGET_ROW, 1, "role must be 'source' or 'target'"),
+    (SOURCE_ROW + TARGET_ROW + "src0\tsource\tother.tsv\n", 3,
+     "domain 'src0' already listed on line 1"),
+    (TARGET_ROW + SOURCE_ROW + "t2\ttarget\tt2.tsv\n", 3,
+     "second target row, the first is on line 1"),
+], ids=["too_few_fields", "too_many_fields", "bad_role", "duplicate_domain",
+        "two_targets"])
+def test_manifest_bad_row_rejected_with_line(tmp_path, text, line, message):
+    path = tmp_path / "manifest.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+        load_manifest(str(path))
+
+
+def test_manifest_without_target_rejected(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    path.write_text(SOURCE_ROW + "src1\tsource\tsrc1.tsv\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no row has role 'target'")):
+        load_manifest(str(path))
+
+
+def test_domain_emptied_by_k_core_rejected_at_load(tmp_path):
+    src = [f"src0\tu{u}\ti{i}\t{u * 10 + i}" for u in range(2) for i in range(4)]
+    (tmp_path / "src0.tsv").write_text("\n".join(src) + "\n")
+    # every target user has fewer than k_core interactions
+    (tmp_path / "target.tsv").write_text("target\tu0\ti0\t1\ntarget\tu1\ti1\t2\n")
+    (tmp_path / "manifest.tsv").write_text(SOURCE_ROW + TARGET_ROW)
+    cfg = small_cfg(data=DataConfig(manifest=str(tmp_path / "manifest.tsv")), k_core=2)
+    target_tsv = os.path.join(str(tmp_path), "target.tsv")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{target_tsv}: domain 'target' has no users left after k-core "
+            f"filtering with k_core=2")):
+        build_datasets(cfg)

@@ -8,12 +8,12 @@ from crossrec import autodiff as ad
 from crossrec import meta
 from crossrec.autodiff import Tensor
 from crossrec.backbone import EncoderConfig, init_parameters
-from crossrec.data import DomainDataset
+from crossrec.data import DomainDataset, sample_batch
 from crossrec.meta import (MetaConfig, inner_adapt, joint_train_iteration,
                            meta_gradient, rescale_and_update, train_iteration)
 from crossrec.objective import ModelConfig, VQConfig, batch_loss
 
-from oracles import rel_err
+from oracles import full_sweep_grad, rel_err
 
 CFG = MetaConfig(inner_lr=0.1, outer_lr=0.1, inner_steps=1)
 
@@ -140,7 +140,8 @@ def pipeline_value(theta_arrays, names, step_fns, meta_fn, cfg):
         return float(meta_fn(adapted.phi).data)
 
 
-@pytest.mark.parametrize("seed,steps", [(s, 1 + s % 2) for s in range(6)])
+@pytest.mark.parametrize("seed,steps", [(s, 1 + s % 2) for s in range(6)]
+                         + [(6, 3), (7, 3)])
 def test_exact_meta_gradient_matches_pipeline_fd(seed, steps):
     cfg = dataclasses.replace(CFG, inner_steps=steps)
     theta, step_fns, meta_fn = random_tiny_case(seed, steps)
@@ -162,6 +163,44 @@ def test_exact_meta_gradient_matches_pipeline_fd(seed, steps):
                                 meta_fn, cfg)
             fd[i] = (up - dn) / (2 * step)
         assert rel_err(grads[name], fd) < 1e-5, name
+
+
+def test_inner_adapt_tape_grows_linearly():
+    params, sources, _, mc = tiny_world()
+    batch = sample_batch(sources[0], "train", 4, mc.encoder.max_len,
+                         np.random.default_rng(0))
+    lengths = []
+    for steps in range(1, 5):
+        cfg = dataclasses.replace(CFG, inner_steps=steps)
+        adapted = inner_adapt(
+            params, [lambda p: batch_loss(p, batch, mc)[0]] * steps, cfg)
+        lengths.append(len(adapted.tape.records))
+    # each step adds its forward, its create_graph backward and the updates
+    assert lengths == [260, 520, 780, 1040]
+
+
+def test_pruned_meta_gradient_bit_identical_to_full_sweep(monkeypatch):
+    params, sources, target, mc = tiny_world()
+    rng = np.random.default_rng(4)
+    inner = [sample_batch(sources[1], "train", 4, mc.encoder.max_len, rng)
+             for _ in range(3)]
+    meta_b = sample_batch(target, "train", 4, mc.encoder.max_len, rng)
+    cfg = dataclasses.replace(CFG, inner_steps=3)
+    names = sorted(params)
+
+    def run():
+        adapted = inner_adapt(
+            params, [lambda p, b=b: batch_loss(p, b, mc)[0] for b in inner], cfg)
+        grads, _ = meta_gradient(params, adapted,
+                                 lambda p: batch_loss(p, meta_b, mc)[0], cfg)
+        return ([adapted.phi[k].data.tobytes() for k in names],
+                [grads[k].tobytes() for k in names], len(adapted.tape.records))
+
+    phi, grads, pruned_len = run()
+    monkeypatch.setattr(ad, "grad", full_sweep_grad)
+    ref_phi, ref_grads, full_len = run()
+    assert phi == ref_phi and grads == ref_grads
+    assert pruned_len < full_len
 
 
 # -------------------------------------------------------------- rescaling
@@ -328,7 +367,6 @@ def test_joint_single_domain_is_plain_sgd():
     new, loss = joint_train_iteration(params, [], target, mc, cfg,
                                       np.random.default_rng(11))
     # independent recomputation: one recorded step on the same sampled batch
-    from crossrec.data import sample_batch
     batch = sample_batch(target, "train", cfg.inner_batch,
                          mc.encoder.max_len, np.random.default_rng(11))
     names = sorted(params)
@@ -346,7 +384,6 @@ def test_joint_gradient_is_mean_over_domains():
     cfg = MetaConfig(inner_batch=4)
     new, _ = joint_train_iteration(params, sources, target, mc, cfg,
                                    np.random.default_rng(2))
-    from crossrec.data import sample_batch
     rng = np.random.default_rng(2)
     batches = [sample_batch(d, "train", cfg.inner_batch, mc.encoder.max_len, rng)
                for d in sources + [target]]
