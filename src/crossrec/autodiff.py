@@ -339,6 +339,46 @@ def scatter_per_row(src, indices, num_cols):
     return _out(out, "scatter_per_row", (src,), vjp)
 
 
+def linear_scan(u, gate, steps, reverse=False):
+    """Diagonal linear recurrence ``h_t = gate * h_{t-1} + u_t``, h_0 = u_0.
+
+    ``u`` is (steps * B, d) in position-major order: rows [t*B, (t+1)*B) hold
+    position t. ``gate`` is (d,). With ``reverse`` the scan runs from the last
+    position to the first, ``h_t = gate * h_{t+1} + u_t``. The loop over
+    positions runs in numpy inside one record. The vjp is a scan in the other
+    direction plus a gate term made of recorded ops, so the op is closed under
+    differentiation and ``create_graph`` works through it.
+    """
+    steps = int(steps)
+    if u.data.ndim != 2 or gate.data.shape != (u.data.shape[1],):
+        raise ValueError(f"linear_scan: need (rows, d) input and (d,) gate, "
+                         f"got {u.data.shape} and {gate.data.shape}")
+    rows, width = u.data.shape
+    if steps < 1 or rows % steps:
+        raise ValueError(f"linear_scan: {rows} rows do not split into {steps} steps")
+    batch = rows // steps
+    h = np.empty_like(u.data)
+    prev = None
+    for t in (reversed(range(steps)) if reverse else range(steps)):
+        block = slice(t * batch, (t + 1) * batch)
+        h[block] = u.data[block] if prev is None else gate.data * prev + u.data[block]
+        prev = h[block]
+    out = _out(h, "linear_scan", (u, gate), None)
+
+    def vjp(g):
+        gu = linear_scan(g, gate, steps, not reverse)
+        # row block t of ``before`` holds the state that block t's gate multiplied
+        zeros = Tensor(np.zeros((batch, width)))
+        if reverse:
+            before = concat((slice_axis(out, 0, batch, rows), zeros), 0)
+        else:
+            before = concat((zeros, slice_axis(out, 0, 0, rows - batch)), 0)
+        return (gu, sum(mul(gu, before), axis=0))
+
+    _set_vjp(out, vjp)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities
 

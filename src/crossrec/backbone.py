@@ -50,14 +50,6 @@ def init_parameters(cfg, item_counts, seed):
     return params
 
 
-def clone_detached(params):
-    return {k: Tensor(v.data.copy()) for k, v in params.items()}
-
-
-def checksum(params):
-    return tuple((k, v.data.tobytes()) for k, v in sorted(params.items()))
-
-
 def embed(params, domain, items):
     key = embed_key(domain)
     if key not in params:
@@ -73,67 +65,37 @@ def _rms_norm(y, gain):
     return ad.mul(ad.mul(y, ad.expand(r, (n, d))), g)
 
 
-def encode_steps(params, cfg, steps):
-    """Run the encoder over a list of per-position (B, d) tensors.
+def encode_steps(params, cfg, table, inputs):
+    """Encode a (B, T) matrix of row indices into ``table``; returns the
+    (B, d) output at the last position.
 
-    Per block: h_t = sig(g) * h_{t-1} + (1 - sig(g)) * (W_in x_t), then a
-    position-wise feed-forward with residual and RMS normalization. Output at
-    position t depends only on inputs at positions <= t.
+    One gather lays the windows out position-major: row t*B + b holds position
+    t of sequence b. Per block: h_t = sig(g) * h_{t-1} + (1 - sig(g)) * (W_in x_t)
+    as one ``linear_scan`` over all positions, then a position-wise feed-forward
+    with residual and RMS normalization. The last block runs the feed-forward
+    on the last position only. Output at position t depends only on inputs at
+    positions <= t.
     """
-    if len(steps) > cfg.max_len:
-        raise ValueError(f"sequence length {len(steps)} exceeds max_len {cfg.max_len}")
+    batch, length = inputs.shape
+    if length > cfg.max_len:
+        raise ValueError(f"sequence length {length} exceeds max_len {cfg.max_len}")
     d = cfg.d_model
-    x = list(steps)
-    batch = x[0].data.shape[0]
+    rows = batch * length
+    x = ad.gather(table, inputs.T.ravel())
     for b in range(cfg.num_blocks):
         gate = ad.sigmoid(params[f"block{b}.decay"])
-        gate_e = ad.expand(ad.reshape(gate, (1, d)), (batch, d))
-        inv_gate = ad.add_scalar(ad.scale(gate_e, -1.0), 1.0)
-        w_in_t = ad.transpose(params[f"block{b}.w_in"])
+        inv_gate = ad.add_scalar(ad.scale(gate, -1.0), 1.0)
+        inv_gate = ad.expand(ad.reshape(inv_gate, (1, d)), (rows, d))
+        drive = ad.mul(inv_gate, ad.matmul(x, ad.transpose(params[f"block{b}.w_in"])))
+        h = ad.linear_scan(drive, gate, length)
+        if b == cfg.num_blocks - 1:
+            h = ad.slice_axis(h, 0, rows - batch, rows)
+            x = ad.slice_axis(x, 0, rows - batch, rows)
         w1_t = ad.transpose(params[f"block{b}.ff_w1"])
         w2_t = ad.transpose(params[f"block{b}.ff_w2"])
-        h = None
-        hs = []
-        for xt in x:
-            drive = ad.mul(inv_gate, ad.matmul(xt, w_in_t))
-            h = drive if h is None else ad.add(ad.mul(gate_e, h), drive)
-            hs.append(h)
-        stacked_h = ad.concat(hs, 0) if len(hs) > 1 else hs[0]
-        stacked_x = ad.concat(x, 0) if len(x) > 1 else x[0]
-        ff = ad.matmul(ad.relu(ad.matmul(stacked_h, w1_t)), w2_t)
-        y = _rms_norm(ad.add(ff, stacked_x), params[f"block{b}.norm_gain"])
-        x = [ad.slice_axis(y, 0, t * batch, (t + 1) * batch) for t in range(len(x))]
+        ff = ad.matmul(ad.relu(ad.matmul(h, w1_t)), w2_t)
+        x = _rms_norm(ad.add(ff, x), params[f"block{b}.norm_gain"])
     return x
-
-
-def encode(params, cfg, inputs):
-    """Encode one (T, d_model) sequence; returns a (T, d_model) tensor."""
-    t_len, d = inputs.data.shape
-    if d != cfg.d_model:
-        raise ValueError(f"encode: input width {d} != d_model {cfg.d_model}")
-    steps = [ad.slice_axis(inputs, 0, t, t + 1) for t in range(t_len)]
-    outs = encode_steps(params, cfg, steps)
-    return ad.concat(outs, 0) if len(outs) > 1 else outs[0]
-
-
-def score(hidden, item_matrix):
-    """Inner-product logits of one hidden state against every candidate row."""
-    if hidden.data.ndim != 1 or item_matrix.data.ndim != 2 \
-            or item_matrix.data.shape[1] != hidden.data.shape[0]:
-        raise ValueError(f"score: width mismatch {item_matrix.data.shape} "
-                         f"vs {hidden.data.shape}")
-    return ad.matmul(item_matrix, hidden)
-
-
-def cross_entropy_loss(logits, target):
-    """-log softmax(logits)[target] via the max-shift stable form."""
-    n = logits.data.shape[0]
-    target = int(target)
-    if not 0 <= target < n:
-        raise IndexError(f"cross_entropy_loss: target {target} out of range [0, {n})")
-    z = ad.add_scalar(logits, -float(np.max(logits.data)))
-    lse = ad.log(ad.sum(ad.exp(z)))
-    return ad.sub(lse, ad.sum(ad.slice_axis(z, 0, target, target + 1)))
 
 
 def cross_entropy_batch(logits, targets):

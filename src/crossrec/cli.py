@@ -14,6 +14,19 @@ from .runconfig import RunConfig, effective_model_config, load_config, parse_con
 from .train import ablation_csv, build_datasets, run_ablation, run_training, write_outputs
 
 
+class InputError(Exception):
+    """A bad config, manifest, data file or checkpoint; ``main`` prints it as
+    one ``error:`` line and exits with code 2."""
+
+
+def _checked(fn, *args):
+    """``fn(*args)``, with the errors of reading user input as ``InputError``."""
+    try:
+        return fn(*args)
+    except (ValueError, OSError, CheckpointError) as exc:
+        raise InputError(exc) from exc
+
+
 def _resolve_config(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
@@ -24,7 +37,7 @@ def _resolve_config(args):
 
 
 def cmd_generate(args):
-    cfg = _resolve_config(args)
+    cfg = _checked(_resolve_config, args)
     out = cfg.out_dir or "."
     os.makedirs(out, exist_ok=True)
     spec = cfg.synthetic
@@ -46,9 +59,10 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
-    cfg = _resolve_config(args)
+    cfg = _checked(_resolve_config, args)
+    datasets = _checked(build_datasets, cfg)
     out = cfg.out_dir or "run"
-    result = run_training(cfg)
+    result = run_training(cfg, datasets=datasets)
     csv_path, ckpt_path = write_outputs(result, cfg, out)
     print(f"variant={cfg.variant} best val ndcg@{cfg.k}="
           f"{result.best_ndcg:.4f} at iteration {result.best_iteration}")
@@ -58,23 +72,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    try:
-        tensors, config_text = load_checkpoint(args.checkpoint)
-    except (CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cfg = parse_config(config_text)
+    tensors, config_text = _checked(load_checkpoint, args.checkpoint)
+    cfg = _checked(parse_config, config_text)
     if args.config:
-        cfg = load_config(args.config)
+        cfg = _checked(load_config, args.config)
     k = args.k if args.k is not None else cfg.k
-    sources, target = build_datasets(cfg)
+    _, target = _checked(build_datasets, cfg)
     model_cfg = effective_model_config(cfg)
     params = {name: Tensor(arr) for name, arr in tensors.items()}
     expected = f"embed.{target.domain_id}"
     if expected not in params or params[expected].data.shape[1] != cfg.encoder.d_model:
-        print(f"error: checkpoint shapes do not match config "
-              f"(d_model={cfg.encoder.d_model})", file=sys.stderr)
-        return 2
+        raise InputError(f"checkpoint shapes do not match config "
+                         f"(d_model={cfg.encoder.d_model})")
     res = evaluate(params, target, args.split, k, model_cfg)
     print(f"ndcg@{k}={res.ndcg_at_k:.6f}")
     print(f"recall@{k}={res.recall_at_k:.6f}")
@@ -88,10 +97,11 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    cfg = _resolve_config(args)
+    cfg = _checked(_resolve_config, args)
+    datasets = _checked(build_datasets, cfg)
     out = cfg.out_dir or "ablation"
     os.makedirs(out, exist_ok=True)
-    results = run_ablation(cfg)
+    results = run_ablation(cfg, datasets=datasets)
     table = ablation_csv(results, cfg)
     path = os.path.join(out, "ablation.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -125,7 +135,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

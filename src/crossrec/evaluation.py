@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import backbone
 from .data import eval_batch
 from .objective import domain_item_matrix
 
@@ -57,7 +58,8 @@ def evaluate(params, dataset, split, k, model_cfg, chunk=256):
         items = ad.slice_axis(matrix_full, 0, 0, dataset.item_count)
         for lo in range(0, batch.inputs.shape[0], chunk):
             hi = min(lo + chunk, batch.inputs.shape[0])
-            hidden = _encode_last(params, batch.inputs[lo:hi], matrix_full, model_cfg)
+            hidden = backbone.encode_steps(params, model_cfg.encoder, matrix_full,
+                                            batch.inputs[lo:hi])
             scores = ad.matmul(hidden, ad.transpose(items)).data
             for row, truth in zip(scores, batch.targets[lo:hi]):
                 ranks.append(rank_of_truth(row, truth))
@@ -74,15 +76,9 @@ def per_user_ranks(params, dataset, split, model_cfg):
     with ad.no_record():
         matrix_full = domain_item_matrix(params, dataset.domain_id, model_cfg)[0]
         items = ad.slice_axis(matrix_full, 0, 0, dataset.item_count)
-        hidden = _encode_last(params, batch.inputs, matrix_full, model_cfg)
+        hidden = backbone.encode_steps(params, model_cfg.encoder, matrix_full,
+                                        batch.inputs)
         scores = ad.matmul(hidden, ad.transpose(items)).data
         for user, (row, truth) in enumerate(zip(scores, batch.targets)):
             out.append((user, rank_of_truth(row, truth)))
     return out
-
-
-def _encode_last(params, inputs, matrix_full, model_cfg):
-    from .backbone import encode_steps
-
-    steps = [ad.gather(matrix_full, inputs[:, t]) for t in range(inputs.shape[1])]
-    return encode_steps(params, model_cfg.encoder, steps)[-1]

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import autodiff as ad
 from .backbone import EncoderConfig, cross_entropy_batch, embed_key, encode_steps
 from .vq import make_codebook, quantize_domain_matrix
@@ -48,9 +46,7 @@ def batch_loss(params, batch, model_cfg, include_vq=True):
         raise ValueError("batch_loss: empty batch")
     matrix_full, vq_term = domain_item_matrix(params, batch.domain_id, model_cfg)
     item_count = matrix_full.data.shape[0] - 1
-    steps = [ad.gather(matrix_full, batch.inputs[:, t])
-             for t in range(batch.inputs.shape[1])]
-    last = encode_steps(params, model_cfg.encoder, steps)[-1]
+    last = encode_steps(params, model_cfg.encoder, matrix_full, batch.inputs)
     items = ad.slice_axis(matrix_full, 0, 0, item_count)
     logits = ad.matmul(last, ad.transpose(items))
     ce = cross_entropy_batch(logits, batch.targets)

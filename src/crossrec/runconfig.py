@@ -111,8 +111,13 @@ def parse_config(text):
 
 
 def load_config(path):
+    """``parse_config`` of a file; errors name the path."""
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        text = fh.read()
+    try:
+        return parse_config(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def serialize_config(cfg):

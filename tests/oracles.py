@@ -4,6 +4,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from crossrec import autodiff as ad
+from crossrec.backbone import _rms_norm
 
 
 def fd_grad(f, arrays, step=1e-6):
@@ -94,3 +95,31 @@ def full_sweep_grad(output, wrt, create_graph=False):
                     prev = grads.get(id(t))
                     grads[id(t)] = gi if prev is None else ad.add(prev, gi)
     return [grads[id(w)] if id(w) in grads else ad.zeros_like(w) for w in wrt]
+
+
+def reference_encode_last(params, cfg, table, inputs):
+    """The encoder as a per-position loop: one gather and one recurrence step
+    per position, the feed-forward and norm on every position of every block.
+    Returns the (B, d) output at the last position."""
+    d = cfg.d_model
+    x = [ad.gather(table, inputs[:, t]) for t in range(inputs.shape[1])]
+    batch = x[0].data.shape[0]
+    for b in range(cfg.num_blocks):
+        gate = ad.sigmoid(params[f"block{b}.decay"])
+        gate_e = ad.expand(ad.reshape(gate, (1, d)), (batch, d))
+        inv_gate = ad.add_scalar(ad.scale(gate_e, -1.0), 1.0)
+        w_in_t = ad.transpose(params[f"block{b}.w_in"])
+        w1_t = ad.transpose(params[f"block{b}.ff_w1"])
+        w2_t = ad.transpose(params[f"block{b}.ff_w2"])
+        h = None
+        hs = []
+        for xt in x:
+            drive = ad.mul(inv_gate, ad.matmul(xt, w_in_t))
+            h = drive if h is None else ad.add(ad.mul(gate_e, h), drive)
+            hs.append(h)
+        stacked_h = ad.concat(hs, 0) if len(hs) > 1 else hs[0]
+        stacked_x = ad.concat(x, 0) if len(x) > 1 else x[0]
+        ff = ad.matmul(ad.relu(ad.matmul(stacked_h, w1_t)), w2_t)
+        y = _rms_norm(ad.add(ff, stacked_x), params[f"block{b}.norm_gain"])
+        x = [ad.slice_axis(y, 0, t * batch, (t + 1) * batch) for t in range(len(x))]
+    return x[-1]

@@ -56,6 +56,11 @@ OP_CASES = {
     "reciprocal": (lambda ts: ad.sum(ad.reciprocal(ad.add_scalar(ad.square(ts[0]), 1.0))),
                    [(5,)]),
     "clip_min": (lambda ts: ad.sum(ad.square(ad.clip_min(ts[0], 0.25))), [(8,)]),
+    "linear_scan": (lambda ts: ad.sum(ad.square(ad.linear_scan(ts[0], ts[1], 3))),
+                    [(6, 2), (2,)]),
+    "linear_scan_reverse": (
+        lambda ts: ad.sum(ad.square(ad.linear_scan(ts[0], ts[1], 3, reverse=True))),
+        [(6, 2), (2,)]),
 }
 
 
@@ -157,6 +162,38 @@ def test_second_order_matches_fd_of_first_gradient():
         vm[i] -= step
         fd[i] = (first_grad(vp).sum() - first_grad(vm).sum()) / (2 * step)
     assert rel_err(g2.data, fd) < 1e-5
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_linear_scan_second_order_matches_fd(reverse):
+    rng = np.random.default_rng(13 + reverse)
+    u0, gate0 = rng.standard_normal((8, 3)), rng.uniform(-0.9, 0.9, 3)
+    weight, cu, cg = (rng.standard_normal(s) for s in ((8, 3), (8, 3), (3,)))
+
+    def probe(u, gate, create_graph):
+        """<c, d loss / d (u, gate)> for a loss that weights every scan row."""
+        h = ad.linear_scan(u, gate, 4, reverse)
+        loss = ad.sum(ad.square(ad.mul(h, ad.tensor(weight))))
+        gu, gg = ad.grad(loss, [u, gate], create_graph=create_graph)
+        return ad.add(ad.sum(ad.mul(gu, ad.tensor(cu))), ad.sum(ad.mul(gg, ad.tensor(cg))))
+
+    def value(arrays):
+        with ad.Tape():
+            return float(probe(ad.tensor(arrays[0]), ad.tensor(arrays[1]), False).data)
+
+    with ad.Tape():
+        u, gate = ad.tensor(u0), ad.tensor(gate0)
+        got = ad.grad(probe(u, gate, True), [u, gate])
+    ref = fd_grad(value, [u0, gate0])
+    for g, r in zip(got, ref):
+        assert rel_err(g.data, r) < 1e-6
+
+
+def test_linear_scan_shape_errors():
+    with pytest.raises(ValueError, match="do not split"):
+        ad.linear_scan(ad.tensor(np.zeros((5, 2))), ad.tensor(np.zeros(2)), 2)
+    with pytest.raises(ValueError, match="gate"):
+        ad.linear_scan(ad.tensor(np.zeros((4, 2))), ad.tensor(np.zeros(3)), 2)
 
 
 def test_non_scalar_grad_rejected():

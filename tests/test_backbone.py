@@ -5,7 +5,7 @@ from crossrec import autodiff as ad
 from crossrec import backbone as bb
 from crossrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
-from oracles import fd_grad, rel_err
+from oracles import fd_grad, reference_encode_last, rel_err
 
 CFG = bb.EncoderConfig(d_model=4, num_blocks=1, max_len=6)
 
@@ -41,126 +41,192 @@ def test_embed_gradient_accumulates_occurrences():
     assert np.array_equal(counts, [0.0, 2.0, 1.0, 0.0])
 
 
+def encode(params, inputs, cfg=CFG):
+    return bb.encode_steps(params, cfg, params["embed.d0"], np.asarray(inputs))
+
+
 def test_encode_single_step_matches_closed_form():
     params = tiny_params(seed=3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 4))
+    params["embed.d0"] = ad.tensor(np.vstack([x, np.zeros((3, 4))]))
     with ad.Tape():
-        h_seq = bb.encode_steps(params, CFG, [ad.tensor(x)])
+        out = encode(params, [[0]])
     gate = 1.0 / (1.0 + np.exp(-params["block0.decay"].data))
     h1 = (1.0 - gate) * (x @ params["block0.w_in"].data.T)
     ff = np.maximum(h1 @ params["block0.ff_w1"].data.T, 0) @ params["block0.ff_w2"].data.T
     pre = ff + x
     expect = pre / np.sqrt(np.mean(pre**2, axis=1, keepdims=True) + bb.RMS_EPS)
-    assert np.allclose(h_seq[0].data, expect * params["block0.norm_gain"].data)
+    assert np.allclose(out.data, expect * params["block0.norm_gain"].data)
 
 
 def test_closed_gate_removes_recurrence():
     params = tiny_params(seed=1)
     params["block0.decay"] = ad.Tensor(np.full(4, -50.0))  # gate ~ 0
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((3, 4))
-    out_seq = bb.encode(params, CFG, ad.tensor(x)).data
-    # with the gate closed each position is a static transform of x_t only
+    windows = np.array([[0, 1, 2], [2, 2, 1], [3, 0, 1]])
+    # with the gate closed the output at t is a static transform of x_t only
     for t in range(3):
-        solo = bb.encode(params, CFG, ad.tensor(x[t:t + 1])).data
-        assert np.allclose(out_seq[t], solo[0])
+        prefix = encode(params, windows[:, :t + 1]).data
+        assert np.allclose(prefix, encode(params, windows[:, t:t + 1]).data)
 
 
 def test_causality_every_position():
-    params = tiny_params(seed=5)
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((5, 4))
-    base = bb.encode(params, CFG, ad.tensor(x)).data
-    for t in range(4):
-        pert = x.copy()
-        pert[t + 1] += rng.standard_normal(4)
-        out = bb.encode(params, CFG, ad.tensor(pert)).data
-        assert np.array_equal(out[:t + 1], base[:t + 1])
+    steps, batch = 5, 3
+    u = rng.standard_normal((steps * batch, 4))
+    gate = ad.tensor(rng.uniform(0.1, 0.9, 4))
+    for reverse in (False, True):
+        base = ad.linear_scan(ad.tensor(u), gate, steps, reverse).data
+        for t in range(steps):
+            pert = u.copy()
+            pert[t * batch:(t + 1) * batch] += rng.standard_normal((batch, 4))
+            out = ad.linear_scan(ad.tensor(pert), gate, steps, reverse).data
+            # a forward scan keeps the positions before t, a reverse one those after
+            kept = slice((t + 1) * batch, None) if reverse else slice(0, t * batch)
+            moved = slice(0, (t + 1) * batch) if reverse else slice(t * batch, None)
+            assert np.array_equal(out[kept], base[kept])
+            assert not np.any(out[moved] == base[moved])
 
 
 def test_sequence_too_long_rejected():
     params = tiny_params()
-    with pytest.raises(ValueError):
-        bb.encode(params, CFG, ad.tensor(np.zeros((7, 4))))
+    with pytest.raises(ValueError, match="exceeds max_len"):
+        encode(params, np.zeros((2, 7), dtype=np.int64))
+
+
+def scores(hidden, items):
+    """Logits the way batch_loss and evaluate compute them: (B, d) x (N, d)."""
+    return ad.matmul(ad.tensor(hidden), ad.transpose(ad.tensor(items))).data
 
 
 def test_score_examples():
     m = np.eye(4)
-    s = bb.score(ad.tensor(m[2]), ad.tensor(m))
-    assert int(np.argmax(s.data)) == 2
-    assert np.array_equal(bb.score(ad.tensor(np.zeros(4)), ad.tensor(m)).data, np.zeros(4))
+    s = scores(m[2:3], m)
+    assert int(np.argmax(s[0])) == 2
+    assert np.array_equal(scores(np.zeros((2, 4)), m), np.zeros((2, 4)))
     with pytest.raises(ValueError):
-        bb.score(ad.tensor(np.zeros(3)), ad.tensor(m))
+        scores(np.zeros((1, 3)), m)
 
 
 def test_score_matches_loop_oracle():
     rng = np.random.default_rng(9)
-    h = rng.standard_normal(4)
+    h = rng.standard_normal((3, 4))
     m = rng.standard_normal((6, 4))
-    got = bb.score(ad.tensor(h), ad.tensor(m)).data
-    ref = np.array([row @ h for row in m])
-    # BLAS gemv and per-row ddot may differ in the last ulp
+    got = scores(h, m)
+    ref = np.array([[row @ hb for row in m] for hb in h])
+    # BLAS gemm and per-row ddot may differ in the last ulp
     assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
 
 def test_score_argmax_stable_under_dominated_row():
     rng = np.random.default_rng(10)
-    h = rng.standard_normal(4)
+    h = rng.standard_normal((1, 4))
     m = rng.standard_normal((6, 4))
-    base = bb.score(ad.tensor(h), ad.tensor(m)).data
-    weak = h * (base.max() - 1.0) / (h @ h)  # row with logit strictly below max
-    m2 = np.vstack([m, weak])
-    out = bb.score(ad.tensor(h), ad.tensor(m2)).data
+    base = scores(h, m)[0]
+    weak = h[0] * (base.max() - 1.0) / (h[0] @ h[0])  # logit strictly below max
+    out = scores(h, np.vstack([m, weak]))[0]
     assert int(np.argmax(out)) == int(np.argmax(base))
 
 
 def test_cross_entropy_values():
-    assert bb.cross_entropy_loss(ad.tensor([0.0, 0.0]), 0).item() == pytest.approx(np.log(2))
-    big = bb.cross_entropy_loss(ad.tensor([1000.0, 0.0]), 0).item()
+    ce = bb.cross_entropy_batch
+    assert ce(ad.tensor([[0.0, 0.0]]), [0]).item() == pytest.approx(np.log(2))
+    big = ce(ad.tensor([[1000.0, 0.0]]), [0]).item()
     assert 0.0 <= big < 1e-10
+    # the mean over rows
+    pair = ce(ad.tensor([[0.0, 0.0], [1000.0, 0.0]]), [1, 0]).item()
+    assert pair == pytest.approx(np.log(2) / 2)
     with pytest.raises(IndexError):
-        bb.cross_entropy_loss(ad.tensor([0.0, 0.0]), 2)
+        ce(ad.tensor([[0.0, 0.0]]), [2])
 
 
 def test_cross_entropy_gradient():
     rng = np.random.default_rng(12)
-    logits = rng.standard_normal(5)
+    logits = rng.standard_normal((3, 5))
+    targets = [3, 0, 4]
     with ad.Tape():
         t = ad.tensor(logits)
-        (g,) = ad.grad(bb.cross_entropy_loss(t, 3), [t])
-    (ref,) = fd_grad(lambda a: float(bb.cross_entropy_loss(ad.tensor(a[0]), 3).data),
-                     [logits])
+        (g,) = ad.grad(bb.cross_entropy_batch(t, targets), [t])
+    (ref,) = fd_grad(
+        lambda a: float(bb.cross_entropy_batch(ad.tensor(a[0]), targets).data), [logits])
     assert rel_err(g.data, ref) < 1e-6
+
+
+def batch_ce(encoder, params, cfg, inputs, targets):
+    """Mean cross entropy of next-item logits over the table's item rows."""
+    table = params["embed.d0"]
+    last = encoder(params, cfg, table, inputs)
+    items = ad.slice_axis(table, 0, 0, table.data.shape[0] - 1)
+    return bb.cross_entropy_batch(ad.matmul(last, ad.transpose(items)), targets)
 
 
 def test_end_to_end_gradients_vs_fd():
     cfg = bb.EncoderConfig(d_model=4, num_blocks=1, max_len=5)
     params = bb.init_parameters(cfg, {"d0": 3}, seed=21)
-    items = [0, 2, 1]
+    inputs = np.array([[3, 0, 2], [0, 2, 1]])
+    targets = [1, 2]
     names = sorted(params)
 
     def loss_from(arrays):
         p = {k: ad.tensor(a) for k, a in zip(names, arrays)}
-        emb = bb.embed(p, "d0", items)
-        hid = bb.encode(p, cfg, emb)
-        last = ad.reshape(ad.slice_axis(hid, 0, 2, 3), (4,))
-        logits = bb.score(last, ad.slice_axis(p["embed.d0"], 0, 0, 3))
-        return bb.cross_entropy_loss(logits, 1)
+        return batch_ce(bb.encode_steps, p, cfg, inputs, targets)
 
     arrays = [params[k].data for k in names]
     with ad.Tape():
         ts = [ad.tensor(a) for a in arrays]
-        p = {k: t for k, t in zip(names, ts)}
-        emb = bb.embed(p, "d0", items)
-        hid = bb.encode(p, cfg, emb)
-        last = ad.reshape(ad.slice_axis(hid, 0, 2, 3), (4,))
-        logits = bb.score(last, ad.slice_axis(p["embed.d0"], 0, 0, 3))
-        loss = bb.cross_entropy_loss(logits, 1)
+        loss = batch_ce(bb.encode_steps, dict(zip(names, ts)), cfg, inputs, targets)
         grads = ad.grad(loss, ts)
     ref = fd_grad(lambda arrs: float(loss_from(arrs).data), arrays)
     for name, g, r in zip(names, grads, ref):
         assert rel_err(g.data, r) < 1e-5, name
+
+
+ENCODER_CASES = [(blocks, batch, decay) for blocks in (1, 2) for batch in (1, 8)
+                 for decay in (None, 50.0, -50.0)]
+
+
+@pytest.mark.parametrize("blocks,batch,decay", ENCODER_CASES)
+def test_encoder_forward_matches_per_position_loop(blocks, batch, decay):
+    cfg = bb.EncoderConfig(d_model=16, num_blocks=blocks, max_len=12)
+    params = bb.init_parameters(cfg, {"d0": 9}, seed=10 * blocks + batch)
+    if decay is not None:  # saturated gates: fully open or fully closed
+        for b in range(blocks):
+            params[f"block{b}.decay"] = ad.Tensor(np.full(16, decay))
+    inputs = np.random.default_rng(batch).integers(0, 10, (batch, 12))
+    got = bb.encode_steps(params, cfg, params["embed.d0"], inputs).data
+    ref = reference_encode_last(params, cfg, params["embed.d0"], inputs).data
+    if batch > 1:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        # numpy sends single-row products to BLAS gemv, whose sums round
+        # differently from the gemm rows of a stacked product
+        assert rel_err(got, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("blocks,batch", [(1, 1), (1, 8), (2, 1), (2, 8)])
+def test_encoder_gradients_match_per_position_loop(blocks, batch):
+    cfg = bb.EncoderConfig(d_model=4, num_blocks=blocks, max_len=6)
+    params = bb.init_parameters(cfg, {"d0": 7}, seed=3)
+    rng = np.random.default_rng(blocks + batch)
+    inputs = rng.integers(0, 8, (batch, 6))
+    targets = rng.integers(0, 7, batch)
+    names = sorted(params)
+
+    def first_and_second(encoder):
+        with ad.Tape():
+            loss = batch_ce(encoder, params, cfg, inputs, targets)
+            g1 = ad.grad(loss, [params[k] for k in names], create_graph=True)
+            total = ad.sum(ad.square(g1[0]))
+            for g in g1[1:]:
+                total = ad.add(total, ad.sum(ad.square(g)))
+            g2 = ad.grad(total, [params[k] for k in names])
+        return g1, g2
+
+    got, ref = first_and_second(bb.encode_steps), first_and_second(reference_encode_last)
+    # same terms, summed in another order (one scatter instead of one per position)
+    for order in range(2):
+        for name, g, r in zip(names, got[order], ref[order]):
+            assert rel_err(g.data, r.data) <= 1e-12, (order, name)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossrec import cli
-from crossrec.checkpoint import load_checkpoint
+from crossrec.checkpoint import load_checkpoint, save_checkpoint
 from crossrec.data import SyntheticSpec, load_interactions, leave_one_out_split
 from crossrec.runconfig import (DataConfig, RunConfig, VARIANTS, load_config,
                                 parse_config,
@@ -288,3 +288,28 @@ def test_domain_emptied_by_k_core_rejected_at_load(tmp_path):
             f"{target_tsv}: domain 'target' has no users left after k-core "
             f"filtering with k_core=2")):
         build_datasets(cfg)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_bad_input_is_one_line_error(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("src0\tsorce\tsrc0.tsv\n" + TARGET_ROW)
+    cfg_path = write_config(tmp_path, SMALL_CONFIG + f"data.manifest={manifest}\n")
+    argv = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+    if command == "eval":
+        ckpt = str(tmp_path / "any.ckpt")
+        save_checkpoint(ckpt, {"w": np.ones(2)}, serialize_config(small_cfg()))
+        argv += ["--checkpoint", ckpt]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {manifest}:1: role must be 'source' or 'target', "
+                   f"got 'sorce'\n")
+    # a bad config line and a missing config file are reported the same way
+    argv[2] = write_config(tmp_path, "seed=1\nbogus line\n", "bad.cfg")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {argv[2]}: config line 2: "
+                                       f"expected key=value, got 'bogus line'\n")
+    argv[2] = str(tmp_path / "missing.cfg")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err and err.count("\n") == 1

@@ -176,7 +176,7 @@ def test_inner_adapt_tape_grows_linearly():
             params, [lambda p: batch_loss(p, batch, mc)[0]] * steps, cfg)
         lengths.append(len(adapted.tape.records))
     # each step adds its forward, its create_graph backward and the updates
-    assert lengths == [260, 520, 780, 1040]
+    assert lengths == [173, 346, 519, 692]
 
 
 def test_pruned_meta_gradient_bit_identical_to_full_sweep(monkeypatch):
