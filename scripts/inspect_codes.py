@@ -16,6 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from crossrec.autodiff import Tensor
 from crossrec.checkpoint import load_checkpoint
 from crossrec.runconfig import parse_config, effective_model_config
+from crossrec.train import load_manifest
 from crossrec.vq import make_codebook, quantize_domain_matrix, write_code_dump
 
 
@@ -27,7 +28,11 @@ def main():
 
     tensors, config_text = load_checkpoint(args.checkpoint)
     cfg = parse_config(config_text)
-    model_cfg = effective_model_config(cfg)
+    target = "target"  # the domain name the synthetic generator gives the target
+    if cfg.data.manifest:
+        target = next(d for d, role, _ in load_manifest(cfg.data.manifest)
+                      if role == "target")
+    model_cfg = effective_model_config(cfg, target)
     params = {name: Tensor(arr) for name, arr in tensors.items()}
     book = make_codebook(params, model_cfg.target_domain, model_cfg.vq.heads)
     fh = sys.stdout if args.out == "-" else open(args.out, "w")

@@ -23,10 +23,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def size(self):
         return self.data.size
 
@@ -64,15 +60,10 @@ def _active():
 
 
 class Tape:
-    """Ordered op records for one forward/backward pass.
+    """Ordered op records for one forward/backward pass."""
 
-    ``retain_graph`` controls whether gradient computations may themselves be
-    recorded (required for second-order differentiation).
-    """
-
-    def __init__(self, retain_graph=True):
+    def __init__(self):
         self.records = []
-        self.retain_graph = retain_graph
 
     def __enter__(self):
         _stack().append(self)
@@ -158,27 +149,15 @@ def add_scalar(x, c):
 
 
 def matmul(a, b):
-    if a.data.ndim != 2:
-        raise ValueError(f"matmul: left operand must be 2-d, got {a.data.shape}")
-    if b.data.ndim == 2:
-        if a.data.shape[1] != b.data.shape[0]:
-            raise ValueError(f"matmul: shape mismatch {a.data.shape} vs {b.data.shape}")
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul: need 2-d operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"matmul: shape mismatch {a.data.shape} vs {b.data.shape}")
 
-        def vjp(g):
-            return (matmul(g, transpose(b)), matmul(transpose(a), g))
+    def vjp(g):
+        return (matmul(g, transpose(b)), matmul(transpose(a), g))
 
-        return _out(a.data @ b.data, "matmul", (a, b), vjp)
-    if b.data.ndim == 1:
-        if a.data.shape[1] != b.data.shape[0]:
-            raise ValueError(f"matmul: shape mismatch {a.data.shape} vs {b.data.shape}")
-        m, k = a.data.shape
-
-        def vjp(g):
-            return (matmul(reshape(g, (m, 1)), reshape(b, (1, k))),
-                    matmul(transpose(a), g))
-
-        return _out(a.data @ b.data, "matmul", (a, b), vjp)
-    raise ValueError(f"matmul: right operand must be 1-d or 2-d, got {b.data.shape}")
+    return _out(a.data @ b.data, "matmul", (a, b), vjp)
 
 
 def transpose(x):
@@ -389,12 +368,6 @@ def sigmoid(x):
     return out
 
 
-def tanh(x):
-    out = _out(np.tanh(x.data), "tanh", (x,), None)
-    _set_vjp(out, lambda g: (mul(g, add_scalar(scale(square(out), -1.0), 1.0)),))
-    return out
-
-
 def relu(x):
     mask = (x.data > 0).astype(np.float64)
     mask_t = Tensor(mask)
@@ -427,51 +400,10 @@ def reciprocal(x):
     return out
 
 
-def clip_min(x, c):
-    c = float(c)
-    mask_t = Tensor((x.data > c).astype(np.float64))
-    return _out(np.maximum(x.data, c), "clip_min", (x,), lambda g: (mul(g, mask_t),))
-
-
 def _set_vjp(out, vjp):
     tape = _active()
     if tape is not None and tape.records and tape.records[-1].out is out:
         tape.records[-1].vjp = vjp
-
-
-# ---------------------------------------------------------------------------
-# composed ops
-
-
-def softmax(x, axis=None):
-    if axis is None:
-        axis = x.data.ndim - 1
-    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    z = sub(x, expand(shift, x.data.shape))
-    e = exp(z)
-    total = sum(e, axis=axis, keepdims=True)
-    return mul(e, expand(reciprocal(total), x.data.shape))
-
-
-def l2_norm(x, axis=None, keepdims=False):
-    return sqrt(sum(square(x), axis=axis, keepdims=keepdims))
-
-
-def dot(a, b):
-    _check_same(a, b, "dot")
-    return sum(mul(a, b))
-
-
-def cosine_similarity(a, b, eps=1e-12):
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ValueError(f"cosine_similarity: need equal-length vectors, "
-                         f"got {a.data.shape} and {b.data.shape}")
-    if eps <= 0:
-        raise ValueError("cosine_similarity: eps must be positive")
-    num = dot(a, b)
-    na = clip_min(l2_norm(a), eps)
-    nb = clip_min(l2_norm(b), eps)
-    return mul(num, mul(reciprocal(na), reciprocal(nb)))
 
 
 def stop_gradient(x):
@@ -504,8 +436,6 @@ def grad(output, wrt, create_graph=False):
     tape = _active()
     if tape is None:
         raise RuntimeError("grad: no active tape")
-    if create_graph and not tape.retain_graph:
-        raise RuntimeError("grad: create_graph requires a retain_graph tape")
     live = {id(w) for w in wrt}
     path = []
     for rec in tape.records:

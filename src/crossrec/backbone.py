@@ -50,13 +50,6 @@ def init_parameters(cfg, item_counts, seed):
     return params
 
 
-def embed(params, domain, items):
-    key = embed_key(domain)
-    if key not in params:
-        raise KeyError(f"unknown domain {domain!r}")
-    return ad.gather(params[key], np.asarray(items, dtype=np.int64))
-
-
 def _rms_norm(y, gain):
     n, d = y.data.shape
     ms = ad.mean(ad.square(y), axis=1, keepdims=True)

@@ -35,12 +35,16 @@ def save_checkpoint(path, tensors, config_text=""):
 def _read(fh, n, what):
     buf = fh.read(n)
     if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
+        raise CheckpointError(f"{fh.name}: truncated checkpoint while reading {what}")
     return buf
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (name -> ndarray, config_text)."""
+    """Read a checkpoint; returns (name -> ndarray, config_text).
+
+    A repeated tensor name, a non-finite value or bytes after the config block
+    raise CheckpointError naming the path and, where there is one, the tensor.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"bad magic in {path}")
@@ -49,11 +53,17 @@ def load_checkpoint(path):
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read(fh, 4, "name length"))
             name = _read(fh, name_len, "name").decode("utf-8")
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor {name!r} appears twice")
             (rank,) = struct.unpack("<I", _read(fh, 4, "rank"))
             shape = tuple(struct.unpack("<I", _read(fh, 4, "dim"))[0] for _ in range(rank))
             n = int(np.prod(shape, dtype=np.int64)) if shape else 1
             data = np.frombuffer(_read(fh, 8 * n, f"data of {name}"), dtype="<f8")
+            if not np.all(np.isfinite(data)):
+                raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
             tensors[name] = data.reshape(shape).astype(np.float64)
         (cfg_len,) = struct.unpack("<Q", _read(fh, 8, "config length"))
         config_text = _read(fh, cfg_len, "config").decode("utf-8")
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the config block")
     return tensors, config_text

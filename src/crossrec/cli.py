@@ -7,6 +7,7 @@ import os
 import sys
 
 from .autodiff import Tensor
+from .backbone import init_parameters
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import generate_synthetic, write_domain_tsv
 from .evaluation import evaluate
@@ -71,19 +72,36 @@ def cmd_train(args):
     return 0
 
 
+def _check_tensors(path, tensors, cfg, domains):
+    """Every tensor name and shape must be those ``init_parameters`` gives
+    for the config and the domain datasets."""
+    counts = {d.domain_id: d.item_count for d in domains}
+    expected = {name: f"shape {t.data.shape}" for name, t in
+                init_parameters(cfg.encoder, counts, cfg.seed).items()}
+    got = {name: f"shape {arr.shape}" for name, arr in tensors.items()}
+    for name in list(expected) + [n for n in got if n not in expected]:
+        if got.get(name) != expected.get(name):
+            raise InputError(f"{path}: tensor {name!r}: "
+                             f"{got.get(name, 'absent')} in the checkpoint, "
+                             f"{expected.get(name, 'absent')} for the config "
+                             f"(d_model={cfg.encoder.d_model}) and data")
+
+
 def cmd_eval(args):
     tensors, config_text = _checked(load_checkpoint, args.checkpoint)
-    cfg = _checked(parse_config, config_text)
     if args.config:
         cfg = _checked(load_config, args.config)
+    else:
+        try:
+            cfg = parse_config(config_text)
+        except ValueError as exc:
+            raise InputError(f"{args.checkpoint}: embedded config: {exc}; pass "
+                             f"--config to evaluate it under another config") from exc
     k = args.k if args.k is not None else cfg.k
-    _, target = _checked(build_datasets, cfg)
-    model_cfg = effective_model_config(cfg)
+    sources, target = _checked(build_datasets, cfg)
+    _check_tensors(args.checkpoint, tensors, cfg, sources + [target])
+    model_cfg = effective_model_config(cfg, target.domain_id)
     params = {name: Tensor(arr) for name, arr in tensors.items()}
-    expected = f"embed.{target.domain_id}"
-    if expected not in params or params[expected].data.shape[1] != cfg.encoder.d_model:
-        raise InputError(f"checkpoint shapes do not match config "
-                         f"(d_model={cfg.encoder.d_model})")
     res = evaluate(params, target, args.split, k, model_cfg)
     print(f"ndcg@{k}={res.ndcg_at_k:.6f}")
     print(f"recall@{k}={res.recall_at_k:.6f}")

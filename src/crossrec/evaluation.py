@@ -24,25 +24,36 @@ class EvalResult:
     num_users: int
 
 
-def rank_of_truth(scores, truth):
-    """1-based rank of the truth under score-desc, id-asc total order."""
+def rank_of_truth(scores, truths):
+    """1-based rank of each truth under score-desc, id-asc total order.
+
+    ``scores`` is (..., N) and ``truths`` holds one item id per score row, so
+    a vector and an id give one rank and a (B, N) matrix and B ids give B.
+    """
     s = scores.data if isinstance(scores, ad.Tensor) else np.asarray(scores, dtype=np.float64)
-    truth = int(truth)
-    if not 0 <= truth < s.shape[0]:
-        raise IndexError(f"rank_of_truth: truth {truth} out of range [0, {s.shape[0]})")
-    st = s[truth]
-    greater = int(np.sum(s > st))
-    tied_lower = int(np.sum((s == st) & (np.arange(s.shape[0]) < truth)))
+    truths = np.asarray(truths, dtype=np.int64)
+    n = s.shape[-1]
+    bad = (truths < 0) | (truths >= n)
+    if np.any(bad):
+        raise IndexError(f"rank_of_truth: truth {truths[bad].flat[0]} out of range [0, {n})")
+    col = truths[..., None]
+    st = np.take_along_axis(s, col, axis=-1)
+    greater = np.sum(s > st, axis=-1)
+    tied_lower = np.sum((s == st) & (np.arange(n) < col), axis=-1)
     return 1 + greater + tied_lower
 
 
 def metrics_from_rank(rank, k):
-    """(ndcg@k, recall@k, reciprocal rank) for a single relevant item."""
-    if rank < 1 or k < 1:
+    """(ndcg@k, recall@k, reciprocal rank) for a single relevant item, each
+    elementwise over an array of ranks."""
+    rank = np.asarray(rank)
+    if np.any(rank < 1) or k < 1:
         raise ValueError(f"metrics_from_rank: need rank >= 1 and k >= 1, "
                          f"got rank={rank}, k={k}")
-    hit = 1.0 if rank <= k else 0.0
-    ndcg = 1.0 / np.log2(rank + 1) if rank <= k else 0.0
+    top = rank <= k
+    # [()] turns a 0-d result into a scalar and leaves arrays as they are
+    hit = np.where(top, 1.0, 0.0)[()]
+    ndcg = np.where(top, 1.0 / np.log2(rank + 1), 0.0)[()]
     return ndcg, hit, 1.0 / rank
 
 
@@ -61,24 +72,9 @@ def evaluate(params, dataset, split, k, model_cfg, chunk=256):
             hidden = backbone.encode_steps(params, model_cfg.encoder, matrix_full,
                                             batch.inputs[lo:hi])
             scores = ad.matmul(hidden, ad.transpose(items)).data
-            for row, truth in zip(scores, batch.targets[lo:hi]):
-                ranks.append(rank_of_truth(row, truth))
-    per_user = np.array([metrics_from_rank(r, k) for r in ranks])
+            ranks.append(rank_of_truth(scores, batch.targets[lo:hi]))
+    ranks = np.concatenate(ranks)
+    per_user = np.stack(metrics_from_rank(ranks, k), axis=1)
     ndcg, recall, rr = per_user.mean(axis=0)
     return EvalResult(ndcg_at_k=float(ndcg), recall_at_k=float(recall),
                       mrr=float(rr), k=k, num_users=len(ranks))
-
-
-def per_user_ranks(params, dataset, split, model_cfg):
-    """(user_id, rank) pairs for the optional rank dump."""
-    batch = eval_batch(dataset, split, model_cfg.encoder.max_len)
-    out = []
-    with ad.no_record():
-        matrix_full = domain_item_matrix(params, dataset.domain_id, model_cfg)[0]
-        items = ad.slice_axis(matrix_full, 0, 0, dataset.item_count)
-        hidden = backbone.encode_steps(params, model_cfg.encoder, matrix_full,
-                                        batch.inputs)
-        scores = ad.matmul(hidden, ad.transpose(items)).data
-        for user, (row, truth) in enumerate(zip(scores, batch.targets)):
-            out.append((user, rank_of_truth(row, truth)))
-    return out

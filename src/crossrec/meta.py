@@ -3,8 +3,6 @@ second-order meta-gradients on target batches, per-layer similarity-based
 gradient rescaling, and the rescaled outer update."""
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,17 +156,7 @@ def rescale_and_update(theta, task_results, cfg, uniform=False):
     return new_theta, scores, weights
 
 
-def _thread_cap(n):
-    raw = os.environ.get("METAREC_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = n
-    return max(1, min(n, cap if cap > 0 else n))
-
-
-def train_iteration(theta, sources, target, model_cfg, cfg, rng,
-                    rescale=True, parallel=False):
+def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
     """One meta-transfer iteration.
 
     Samples n source tasks plus n independent target meta-batches, runs
@@ -181,8 +169,8 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng,
     m = len(sources)
     replace = m < cfg.n_tasks
     picks = rng.choice(m, size=cfg.n_tasks, replace=replace)
-    # all sampling happens up front on the driver thread for determinism
-    jobs = []
+    report = MetaIterationReport()
+    task_results = []
     for idx in picks:
         src = sources[int(idx)]
         inner = [sample_batch(src, "train", cfg.inner_batch,
@@ -190,31 +178,16 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng,
                  for _ in range(cfg.inner_steps)]
         meta_b = sample_batch(target, "train", cfg.meta_batch,
                               model_cfg.encoder.max_len, rng)
-        jobs.append((src.domain_id, inner, meta_b))
-
-    def run_pair(job):
-        domain, inner_batches, meta_b = job
         step_fns = [
             (lambda p, b=b: batch_loss(p, b, model_cfg,
                                        include_vq=cfg.vq_in_inner)[0])
-            for b in inner_batches
+            for b in inner
         ]
         adapted = inner_adapt(theta, step_fns, cfg)
         grads, meta_loss = meta_gradient(
             theta, adapted,
             lambda p: batch_loss(p, meta_b, model_cfg, include_vq=True)[0], cfg)
-        return domain, adapted, grads, meta_loss
-
-    if parallel and cfg.n_tasks > 1:
-        with ThreadPoolExecutor(max_workers=_thread_cap(cfg.n_tasks)) as pool:
-            results = list(pool.map(run_pair, jobs))
-    else:
-        results = [run_pair(j) for j in jobs]
-
-    report = MetaIterationReport()
-    task_results = []
-    for domain, adapted, grads, meta_loss in results:
-        report.tasks.append(TaskReport(domain, adapted.inner_losses, meta_loss))
+        report.tasks.append(TaskReport(src.domain_id, adapted.inner_losses, meta_loss))
         task_results.append((adapted.phi, grads))
     new_theta, scores, weights = rescale_and_update(
         theta, task_results, cfg, uniform=not rescale)

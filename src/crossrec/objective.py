@@ -13,7 +13,6 @@ from .vq import make_codebook, quantize_domain_matrix
 class VQConfig:
     enabled: bool = True
     heads: int = 4
-    quantize_target: bool = False
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,7 @@ class ModelConfig:
 
 def domain_item_matrix(params, domain, model_cfg):
     """(full item matrix with padding row, vq loss term or None) for a domain."""
-    use_vq = model_cfg.vq.enabled and (
-        domain != model_cfg.target_domain or model_cfg.vq.quantize_target)
+    use_vq = model_cfg.vq.enabled and domain != model_cfg.target_domain
     if not use_vq:
         key = embed_key(domain)
         if key not in params:

@@ -18,11 +18,6 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    parallel: bool = False
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     iterations: int = 200
@@ -37,7 +32,6 @@ class RunConfig:
         d_model=16, num_blocks=1, max_len=12))
     meta: MetaConfig = field(default_factory=MetaConfig)
     vq: VQConfig = field(default_factory=VQConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -47,7 +41,7 @@ class RunConfig:
                              f"by vq.heads={self.vq.heads}")
 
 
-_SECTIONS = ("data", "synthetic", "encoder", "meta", "vq", "train")
+_SECTIONS = ("data", "synthetic", "encoder", "meta", "vq")
 
 
 _SCALAR_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
@@ -134,11 +128,12 @@ def serialize_config(cfg):
     return "\n".join(lines) + "\n"
 
 
-def effective_model_config(cfg):
-    """ModelConfig with the variant's VQ adjustments applied."""
+def effective_model_config(cfg, target_domain="target"):
+    """ModelConfig with the variant's VQ adjustments applied; the codebook
+    aliases the table of ``target_domain``."""
     vq = cfg.vq
     if cfg.variant == "no_multihead_vq":
         vq = dataclasses.replace(vq, heads=1)
     elif cfg.variant == "no_vq":
         vq = dataclasses.replace(vq, enabled=False)
-    return ModelConfig(encoder=cfg.encoder, vq=vq, target_domain="target")
+    return ModelConfig(encoder=cfg.encoder, vq=vq, target_domain=target_domain)

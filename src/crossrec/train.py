@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import Tensor
 from .backbone import init_parameters
 from .checkpoint import save_checkpoint
 from .data import build_domain_dataset, generate_synthetic, load_interactions
@@ -102,14 +103,32 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _check_finite(it, loss, params, tasks=()):
+    """Raise FloatingPointError when an iteration left a non-finite loss or
+    parameter, naming the iteration, the tasks' source domains and the first
+    non-finite layer."""
+    bad_tasks = [t for t in tasks if not np.isfinite(t.meta_loss)]
+    layer = next((k for k, v in params.items() if not np.all(np.isfinite(v.data))),
+                 None)
+    if layer is None and not bad_tasks and np.isfinite(loss):
+        return
+    where = f"iteration {it}: loss {loss!r}"
+    if tasks:
+        domains = ", ".join(t.source_domain for t in bad_tasks or tasks)
+        where += f", tasks from source domains {domains}"
+    what = f"first non-finite layer {layer}" if layer else "every layer finite"
+    raise FloatingPointError(f"{where}; {what}")
+
+
 def run_training(cfg, datasets=None):
     """Run the configured variant; returns a TrainResult.
 
     The checkpoint kept is the one with the best validation NDCG@10; a later
-    equal score never replaces an earlier best.
+    equal score never replaces an earlier best. A non-finite loss or parameter
+    stops the run with a FloatingPointError.
     """
     sources, target = datasets if datasets is not None else build_datasets(cfg)
-    model_cfg = effective_model_config(cfg)
+    model_cfg = effective_model_config(cfg, target.domain_id)
     item_counts = {d.domain_id: d.item_count for d in sources + [target]}
     params = init_parameters(cfg.encoder, item_counts, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
@@ -122,13 +141,14 @@ def run_training(cfg, datasets=None):
         if cfg.variant == "no_meta":
             params, loss = joint_train_iteration(
                 params, sources, target, model_cfg, cfg.meta, rng)
+            _check_finite(it, loss, params)
             rows.append(f"iter,{it},{_fmt(loss)},,,,,")
             reports.append(None)
         else:
             params, report = train_iteration(
                 params, sources, target, model_cfg, cfg.meta, rng,
-                rescale=cfg.variant != "no_rescale",
-                parallel=cfg.train.parallel)
+                rescale=cfg.variant != "no_rescale")
+            _check_finite(it, report.overall_loss, params, report.tasks)
             task_losses = "|".join(_fmt(t.meta_loss) for t in report.tasks)
             mmw = float(np.mean([max(w) for w in report.layer_weights.values()]))
             rows.append(f"iter,{it},{_fmt(report.overall_loss)},{task_losses},"
@@ -170,8 +190,7 @@ def run_ablation(cfg, datasets=None):
     for variant in VARIANTS:
         vcfg = dataclasses.replace(cfg, variant=variant)
         result = run_training(vcfg, datasets=shared)
-        model_cfg = effective_model_config(vcfg)
-        from .autodiff import Tensor
+        model_cfg = effective_model_config(vcfg, shared[1].domain_id)
         best = {k: Tensor(v) for k, v in result.best_params.items()}
         res = evaluate(best, shared[1], "test", vcfg.k, model_cfg)
         out[variant] = (result, res)

@@ -19,11 +19,6 @@ from .backbone import embed_key
 COS_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SemanticCodes:
-    codes: tuple  # one code per head, each in [0, K)
-
-
 @dataclass
 class Codebook:
     table: Tensor  # target embedding table, padding row included
@@ -77,15 +72,6 @@ def quantize_rows(rows, book):
     return z_q, codes
 
 
-def quantize(z_e, book):
-    """Quantize a single (H*D,) embedding; returns (z_q, SemanticCodes)."""
-    if z_e.data.ndim != 1:
-        raise ValueError(f"quantize: need a vector, got shape {z_e.data.shape}")
-    rows = ad.reshape(z_e, (1, z_e.data.shape[0]))
-    z_q, codes = quantize_rows(rows, book)
-    return ad.reshape(z_q, z_e.data.shape), SemanticCodes(tuple(int(c) for c in codes[0]))
-
-
 def vq_loss(z_q, z_e):
     """||z_q - sg[z_e]||^2 + ||sg[z_q] - z_e||^2, mean over quantized positions."""
     if z_q.data.shape != z_e.data.shape:
@@ -123,20 +109,6 @@ def quantize_domain_matrix(params, domain, book):
     pad = ad.slice_axis(table, 0, n, n + 1)
     full = ad.concat([st, pad], 0)
     return full, vq_loss(z_q, raw), codes
-
-
-def quantized_item_matrix(params, domain, book, quantize_target, target_domain):
-    """Item matrix used for embedding and scoring (padding row included).
-
-    Target-domain inputs bypass quantization unless ``quantize_target`` is set.
-    """
-    if domain == target_domain and not quantize_target:
-        key = embed_key(domain)
-        if key not in params:
-            raise KeyError(f"unknown domain {domain!r}")
-        return params[key]
-    full, _, _ = quantize_domain_matrix(params, domain, book)
-    return full
 
 
 def write_code_dump(fh, domain, codes):

@@ -108,27 +108,28 @@ def test_criterion_3_vq_properties():
         rows = rng.standard_normal((k, width))
         book = book_from(rows, heads)
         z = rng.standard_normal(width)
-        z_q, codes = vq.quantize(ad.tensor(z), book)
-        ok &= list(codes.codes) == nearest_codes_exhaustive(z, rows, heads)
-        for h, j in enumerate(codes.codes):  # slices bit-match the codebook
-            ok &= np.array_equal(z_q.data[h * 2:(h + 1) * 2],
+        z_q, codes = vq.quantize_rows(ad.tensor(z[None]), book)
+        ok &= codes[0].tolist() == nearest_codes_exhaustive(z, rows, heads)
+        for h, j in enumerate(codes[0]):  # slices bit-match the codebook
+            ok &= np.array_equal(z_q.data[0, h * 2:(h + 1) * 2],
                                  rows[j][h * 2:(h + 1) * 2])
-        _, scaled = vq.quantize(ad.tensor(float(rng.uniform(0.1, 9)) * z), book)
-        ok &= scaled.codes == codes.codes
+        _, scaled = vq.quantize_rows(
+            ad.tensor(float(rng.uniform(0.1, 9)) * z[None]), book)
+        ok &= np.array_equal(scaled, codes)
         # loss zero iff z_q == z_e
         ok &= vq.vq_loss(ad.tensor(z), ad.tensor(z)).item() == 0.0
-        ok &= vq.vq_loss(z_q, ad.tensor(z)).item() > 0.0 or \
-            np.array_equal(z_q.data, z)
+        ok &= vq.vq_loss(z_q, ad.tensor(z[None])).item() > 0.0 or \
+            np.array_equal(z_q.data[0], z)
         # straight-through == identity-mapping gradient
         w = rng.standard_normal((width, width))
         with ad.Tape():
-            te = ad.tensor(z)
+            te = ad.tensor(z[None])
             out = vq.straight_through(te, z_q)
-            (g_st,) = ad.grad(ad.sum(ad.square(ad.matmul(ad.tensor(w), out))),
+            (g_st,) = ad.grad(ad.sum(ad.square(ad.matmul(out, ad.tensor(w)))),
                               [te])
         with ad.Tape():
             ti = ad.tensor(z_q.data)
-            (g_id,) = ad.grad(ad.sum(ad.square(ad.matmul(ad.tensor(w), ti))),
+            (g_id,) = ad.grad(ad.sum(ad.square(ad.matmul(ti, ad.tensor(w)))),
                               [ti])
         ok &= np.array_equal(g_st.data, g_id.data)
         # self-quantization identity on angularly unique slices

@@ -2,10 +2,14 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from crossrec import autodiff as ad
+from crossrec.data import sample_batch
+from crossrec.objective import batch_loss
 
 from oracles import fd_grad, full_sweep_grad, rel_err
+from test_meta import tiny_world
 
 
 def run_grad(build, arrays):
@@ -25,7 +29,6 @@ OP_CASES = {
     "sub": (lambda ts: ad.sum(ad.square(ad.sub(ts[0], ts[1]))), [(5,), (5,)]),
     "mul": (lambda ts: ad.sum(ad.mul(ts[0], ts[1])), [(2, 3), (2, 3)]),
     "matmul": (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1]))), [(3, 4), (4, 2)]),
-    "matmul_vec": (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1]))), [(3, 4), (4,)]),
     "scale": (lambda ts: ad.sum(ad.square(ad.scale(ts[0], -2.5))), [(6,)]),
     "sum": (lambda ts: ad.square(ad.sum(ts[0])), [(3, 3)]),
     "sum_axis": (lambda ts: ad.sum(ad.square(ad.sum(ts[0], axis=1))), [(3, 4)]),
@@ -36,17 +39,11 @@ OP_CASES = {
     "slice": (lambda ts: ad.sum(ad.square(ad.slice_axis(ts[0], 1, 1, 3))), [(4, 5)]),
     "gather": (lambda ts: ad.sum(ad.square(ad.gather(ts[0], [2, 0, 2]))), [(4, 3)]),
     "sigmoid": (lambda ts: ad.sum(ad.sigmoid(ts[0])), [(8,)]),
-    "tanh": (lambda ts: ad.sum(ad.square(ad.tanh(ts[0]))), [(8,)]),
     "relu": (lambda ts: ad.sum(ad.square(ad.relu(ts[0]))), [(8,)]),
     "log": (lambda ts: ad.sum(ad.log(ad.add_scalar(ad.square(ts[0]), 1.0))), [(6,)]),
     "exp": (lambda ts: ad.sum(ad.exp(ts[0])), [(6,)]),
-    "softmax": (lambda ts: ad.sum(ad.square(ad.softmax(ts[0], axis=0))), [(7,)]),
-    "softmax_2d": (lambda ts: ad.sum(ad.square(ad.softmax(ts[0], axis=1))), [(3, 4)]),
     "square": (lambda ts: ad.sum(ad.square(ts[0])), [(2, 4)]),
     "sqrt": (lambda ts: ad.sum(ad.sqrt(ad.add_scalar(ad.square(ts[0]), 0.5))), [(6,)]),
-    "l2_norm": (lambda ts: ad.l2_norm(ts[0]), [(6,)]),
-    "l2_norm_axis": (lambda ts: ad.sum(ad.l2_norm(ts[0], axis=1)), [(3, 4)]),
-    "cosine": (lambda ts: ad.cosine_similarity(ts[0], ts[1]), [(5,), (5,)]),
     "take_per_row": (lambda ts: ad.sum(ad.square(ad.take_per_row(ts[0], [1, 0, 2]))),
                      [(3, 4)]),
     "transpose": (lambda ts: ad.sum(ad.square(ad.matmul(ad.transpose(ts[0]), ts[0]))),
@@ -55,13 +52,33 @@ OP_CASES = {
     "expand": (lambda ts: ad.sum(ad.square(ad.expand(ts[0], (4, 3)))), [(1, 3)]),
     "reciprocal": (lambda ts: ad.sum(ad.reciprocal(ad.add_scalar(ad.square(ts[0]), 1.0))),
                    [(5,)]),
-    "clip_min": (lambda ts: ad.sum(ad.square(ad.clip_min(ts[0], 0.25))), [(8,)]),
     "linear_scan": (lambda ts: ad.sum(ad.square(ad.linear_scan(ts[0], ts[1], 3))),
                     [(6, 2), (2,)]),
     "linear_scan_reverse": (
         lambda ts: ad.sum(ad.square(ad.linear_scan(ts[0], ts[1], 3, reverse=True))),
         [(6, 2), (2,)]),
 }
+
+
+def recorded_ops(build):
+    with ad.Tape() as tape:
+        build()
+    return {r.op for r in tape.records}
+
+
+def test_op_cases_are_the_ops_the_model_records():
+    # criterion 1 runs OP_CASES, so it covers every op of the model and no op
+    # the model does not use; test_vq checks the two ops without a useful FD
+    params, sources, _, mc = tiny_world()
+    batch = sample_batch(sources[0], "train", 4, mc.encoder.max_len,
+                         np.random.default_rng(0))
+    model_ops = recorded_ops(lambda: batch_loss(params, batch, mc))
+    rng = np.random.default_rng(0)
+    case_ops = set()
+    for build, shapes in OP_CASES.values():
+        case_ops |= recorded_ops(
+            lambda: build([ad.tensor(rng.standard_normal(s)) for s in shapes]))
+    assert model_ops - {"straight_through", "stop_gradient"} == case_ops
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -79,8 +96,8 @@ def test_gradient_matches_finite_differences(name):
 def test_forward_examples():
     m = ad.matmul(ad.tensor([[1.0, 2.0], [3.0, 4.0]]), ad.tensor([[1.0], [1.0]]))
     assert np.array_equal(m.data, [[3.0], [7.0]])
-    s = ad.softmax(ad.tensor([0.0, 0.0, 0.0]))
-    assert np.allclose(s.data, [1 / 3, 1 / 3, 1 / 3])
+    s = ad.sigmoid(ad.tensor([0.0, 0.0, 0.0]))
+    assert np.array_equal(s.data, [0.5, 0.5, 0.5])
     e = np.eye(3)
     g = ad.gather(ad.tensor(e), [2, 2])
     assert np.array_equal(g.data, np.stack([e[2], e[2]]))
@@ -111,17 +128,9 @@ def test_stop_gradient_blocks_arbitrary_expressions():
     v = rng.standard_normal(4)
     with ad.Tape():
         x = ad.tensor(v)
-        e = ad.sum(ad.tanh(ad.square(ad.stop_gradient(x))))
+        e = ad.sum(ad.sigmoid(ad.square(ad.stop_gradient(x))))
         (g,) = ad.grad(e, [x])
         assert np.array_equal(g.data, np.zeros(4))
-
-
-def test_cosine_similarity_values():
-    assert ad.cosine_similarity(ad.tensor([1.0, 0.0]), ad.tensor([1.0, 0.0])).item() == pytest.approx(1.0)
-    assert ad.cosine_similarity(ad.tensor([1.0, 0.0]), ad.tensor([0.0, 1.0])).item() == pytest.approx(0.0)
-    assert ad.cosine_similarity(ad.tensor([0.0, 0.0]), ad.tensor([1.0, 1.0])).item() == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        ad.cosine_similarity(ad.tensor([1.0]), ad.tensor([1.0, 2.0]))
 
 
 def test_grad_power_rule_and_second_order():
@@ -221,14 +230,14 @@ def test_unreachable_wrt_gets_zeros():
 
 def test_grad_records_nothing_upstream_of_wrt():
     rng = np.random.default_rng(3)
-    w0, x0 = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    w0, x0 = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
 
     def downstream(h):
         return ad.sum(ad.square(ad.mul(h, ad.sigmoid(h))))
 
     def run(grad_fn):
         with ad.Tape() as tape:
-            h = ad.tanh(ad.matmul(ad.tensor(w0), ad.tensor(x0)))
+            h = ad.sigmoid(ad.matmul(ad.tensor(w0), ad.tensor(x0)))
             y = downstream(h)
             n = len(tape.records)
             (g,) = grad_fn(y, [h], create_graph=True)
@@ -237,11 +246,11 @@ def test_grad_records_nothing_upstream_of_wrt():
     pruned, pruned_ops = run(ad.grad)
     unpruned, unpruned_ops = run(full_sweep_grad)
     assert pruned == unpruned
-    # the upstream matmul/tanh vjps are recorded only without pruning
+    # the upstream matmul/sigmoid vjps are recorded only without pruning
     assert "transpose" in unpruned_ops and "transpose" not in pruned_ops
     # with h as a leaf the tape holds no upstream ops: same records exactly
     with ad.Tape() as tape:
-        h = ad.tensor(np.tanh(w0 @ x0))
+        h = ad.tensor(expit(w0 @ x0))
         y = downstream(h)
         n = len(tape.records)
         ad.grad(y, [h], create_graph=True)
@@ -252,9 +261,9 @@ def test_grad_records_nothing_upstream_of_wrt():
 def test_tape_determinism_and_replay():
     def run():
         with ad.Tape() as tape:
-            x = ad.tensor([0.3, -0.7, 1.1])
+            x = ad.tensor([[0.3], [-0.7], [1.1]])
             w = ad.tensor(np.arange(9, dtype=float).reshape(3, 3) / 10)
-            y = ad.sum(ad.square(ad.tanh(ad.matmul(w, x))))
+            y = ad.sum(ad.square(ad.sigmoid(ad.matmul(w, x))))
             gs = ad.grad(y, [x, w], create_graph=True)
             (g2,) = ad.grad(ad.sum(ad.square(gs[1])), [x])
         return ([(r.op, r.out.data.tobytes()) for r in tape.records],

@@ -4,6 +4,7 @@ import pytest
 from crossrec import autodiff as ad
 from crossrec import backbone as bb
 from crossrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from crossrec.objective import ModelConfig, VQConfig, domain_item_matrix
 
 from oracles import fd_grad, reference_encode_last, rel_err
 
@@ -18,24 +19,24 @@ def test_embed_is_row_lookup():
     params = tiny_params()
     table = np.eye(4)
     params["embed.d0"] = ad.Tensor(table)
-    out = bb.embed(params, "d0", [0, 2])
+    out = ad.gather(params["embed.d0"], [0, 2])
     assert np.array_equal(out.data, table[[0, 2]])
-    rep = bb.embed(params, "d0", [1, 1]).data
+    rep = ad.gather(params["embed.d0"], [1, 1]).data
     assert np.array_equal(rep[0], rep[1])
 
 
 def test_embed_errors():
     params = tiny_params()
     with pytest.raises(KeyError):
-        bb.embed(params, "nope", [0])
+        domain_item_matrix(params, "nope", ModelConfig(CFG, VQConfig(enabled=False), "d0"))
     with pytest.raises(IndexError):
-        bb.embed(params, "d0", [99])
+        ad.gather(params["embed.d0"], [99])
 
 
 def test_embed_gradient_accumulates_occurrences():
     params = tiny_params()
     with ad.Tape():
-        out = bb.embed(params, "d0", [1, 1, 2])
+        out = ad.gather(params["embed.d0"], [1, 1, 2])
         (g,) = ad.grad(ad.sum(out), [params["embed.d0"]])
     counts = g.data.sum(axis=1) / CFG.d_model
     assert np.array_equal(counts, [0.0, 2.0, 1.0, 0.0])
@@ -251,3 +252,28 @@ def test_checkpoint_corruption_detected(tmp_path):
     (tmp_path / "trunc.ckpt").write_bytes(raw[:len(raw) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(tmp_path / "trunc.ckpt")
+
+
+def test_checkpoint_duplicate_name_rejected(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    save_checkpoint(path, {"w": np.ones(2), "v": np.zeros(2)}, "x=1\n")
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"\x01\x00\x00\x00v", b"\x01\x00\x00\x00w"))
+    with pytest.raises(CheckpointError, match=f"{path}: tensor 'w' appears twice"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "tail.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)}, "x=1\n")
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match=f"{path}: trailing bytes"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_value_rejected(tmp_path, bad):
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, {"w": np.ones(2), "v": np.array([[1.0, bad]])}, "x=1\n")
+    with pytest.raises(CheckpointError, match=f"{path}: tensor 'v' has non-finite"):
+        load_checkpoint(path)

@@ -141,6 +141,19 @@ def test_best_checkpoint_keeps_earliest_on_tie():
     assert result.best_iteration == 1
 
 
+@pytest.mark.parametrize("variant", ["full", "no_meta"])
+def test_non_finite_training_stops_with_names(variant):
+    cfg = small_cfg(variant=variant)
+    cfg = dataclasses.replace(cfg, meta=dataclasses.replace(cfg.meta, outer_lr=1e300))
+    with pytest.raises(FloatingPointError) as info, np.errstate(all="ignore"):
+        run_training(cfg)
+    message = str(info.value)
+    assert message.startswith("iteration ")
+    assert re.search(r"first non-finite layer (block0|embed)\.", message)
+    if variant == "full":
+        assert "tasks from source domains src" in message
+
+
 # -------------------------------------------------------------------- eval
 
 def trained_run(tmp_path):
@@ -195,6 +208,35 @@ def test_eval_mismatched_config_rejected(tmp_path, capsys):
     assert "d_model" in capsys.readouterr().err
 
 
+def test_eval_old_checkpoint_config_needs_config_flag(tmp_path, capsys):
+    out = trained_run(tmp_path)
+    tensors, text = load_checkpoint(os.path.join(out, "best.ckpt"))
+    old = os.path.join(out, "old.ckpt")
+    save_checkpoint(old, tensors, text + "train.parallel=false\n")
+    assert cli.main(["eval", "--checkpoint", old]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {old}: embedded config: ") and "'train'" in err
+    # --config replaces the embedded config, which is then not parsed at all
+    assert cli.main(["eval", "--checkpoint", old, "--out", out, "--config",
+                     write_config(tmp_path, SMALL_CONFIG)]) == 0
+
+
+@pytest.mark.parametrize("edit,name", [
+    (lambda t: t.pop("block0.ff_w1"), "block0.ff_w1"),
+    (lambda t: t.update(extra=np.ones(3)), "extra"),
+    (lambda t: t.update({"embed.src0": t["embed.src0"][:-1]}), "embed.src0"),
+], ids=["missing", "unexpected", "wrong_shape"])
+def test_eval_checks_every_tensor_name_and_shape(tmp_path, capsys, edit, name):
+    out = trained_run(tmp_path)
+    tensors, text = load_checkpoint(os.path.join(out, "best.ckpt"))
+    edit(tensors)
+    path = os.path.join(out, "edited.ckpt")
+    save_checkpoint(path, tensors, text)
+    assert cli.main(["eval", "--checkpoint", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: tensor {name!r}: ") and "d_model=8" in err
+
+
 # ------------------------------------------------------------------ ablate
 
 def test_ablate_table_and_uniform_weights(tmp_path):
@@ -246,6 +288,30 @@ def test_train_from_generated_manifest(tmp_path):
                    "--out", out])
     assert rc == 0
     assert os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+def test_target_domain_takes_any_name(tmp_path):
+    data_out = tmp_path / "data"
+    cli.main(["generate", "--config", write_config(tmp_path, SMALL_CONFIG),
+              "--out", str(data_out)])
+    text = (data_out / "target.tsv").read_text()
+    (data_out / "books.tsv").write_text(re.sub(r"^target\t", "books\t", text, flags=re.M))
+    manifest = data_out / "manifest.tsv"
+    manifest.write_text(manifest.read_text().replace(
+        "target\ttarget\ttarget.tsv", "books\ttarget\tbooks.tsv"))
+    cfg_path = write_config(tmp_path, SMALL_CONFIG + f"data.manifest={manifest}\n"
+                            "k_core=1\n", "books.cfg")
+    out = str(tmp_path / "brun")
+    assert cli.main(["train", "--config", cfg_path, "--out", out]) == 0
+    assert cli.main(["eval", "--checkpoint", os.path.join(out, "best.ckpt"),
+                     "--split", "val", "--out", out]) == 0
+    tensors, _ = load_checkpoint(os.path.join(out, "best.ckpt"))
+    assert "embed.books" in tensors and "embed.target" not in tensors
+    logged = [float(l.split(",")[5]) for l in
+              open(os.path.join(out, "metrics.csv")).read().split("\n")
+              if l.startswith("eval,")]
+    evaluated = open(os.path.join(out, "eval.csv")).read().split("\n")[1]
+    assert float(evaluated.split(",")[1]) == max(logged)
 
 
 SOURCE_ROW = "src0\tsource\tsrc0.tsv\n"

@@ -3,8 +3,8 @@ import pytest
 
 from crossrec import evaluation as ev
 from crossrec.autodiff import Tensor
-from crossrec.backbone import EncoderConfig, init_parameters
-from crossrec.data import DomainDataset
+from crossrec.backbone import EncoderConfig, encode_steps, init_parameters
+from crossrec.data import DomainDataset, eval_batch
 from crossrec.objective import ModelConfig, VQConfig
 
 from oracles import brute_force_rank
@@ -73,6 +73,23 @@ def test_recall_is_one_at_full_cutoff():
         assert ev.metrics_from_rank(rank, n)[1] == 1.0
 
 
+def test_rank_of_matrix_equals_per_row_calls():
+    rng = np.random.default_rng(12)
+    for ties in (False, True):
+        scores = rng.standard_normal((40, 17))
+        if ties:
+            scores = np.round(scores)
+        truths = rng.integers(0, 17, 40)
+        got = ev.rank_of_truth(scores, truths)
+        assert got.tolist() == [ev.rank_of_truth(row, t) for row, t in zip(scores, truths)]
+        per_row = [ev.metrics_from_rank(r, 5) for r in got]
+        assert np.array_equal(np.stack(ev.metrics_from_rank(got, 5), axis=1), per_row)
+    with pytest.raises(IndexError, match="truth 17"):
+        ev.rank_of_truth(np.zeros((2, 17)), [3, 17])
+    with pytest.raises(ValueError):
+        ev.metrics_from_rank(np.array([1, 0]), 5)
+
+
 # ---------------------------------------------------------- evaluate()
 
 def oracle_model(item_count, train, val, test):
@@ -87,6 +104,16 @@ def oracle_model(item_count, train, val, test):
     model_cfg = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False),
                             target_domain="target")
     return params, ds, model_cfg
+
+
+def oracle_ranks(params, ds, split, mc):
+    """Each user's rank by a full sort of their row of the score matrix."""
+    batch = eval_batch(ds, split, mc.encoder.max_len)
+    table = params[f"embed.{ds.domain_id}"]
+    hidden = encode_steps(params, mc.encoder, table, batch.inputs).data
+    scores = hidden @ table.data[:ds.item_count].T
+    return [brute_force_rank(row.tolist(), int(t))
+            for row, t in zip(scores, batch.targets)]
 
 
 def test_evaluate_perfect_model_scores_one():
@@ -107,8 +134,7 @@ def test_evaluate_averages_mixed_ranks():
     assert res.ndcg_at_k == pytest.approx((1.0 + 0.5) / 2)
     assert res.recall_at_k == 1.0
     assert res.mrr == pytest.approx((1.0 + 1 / 3) / 2)
-    ranks = ev.per_user_ranks(params, ds, "val", mc)
-    assert ranks == [(0, 1), (1, 3)]
+    assert oracle_ranks(params, ds, "val", mc) == [1, 3]
 
 
 def test_evaluate_matches_bruteforce_on_random_model():
@@ -121,7 +147,7 @@ def test_evaluate_matches_bruteforce_on_random_model():
                      target_domain="target")
     for split in ("val", "test"):
         res = ev.evaluate(params, ds, split, 2, mc)
-        ranks = [r for _, r in ev.per_user_ranks(params, ds, split, mc)]
+        ranks = oracle_ranks(params, ds, split, mc)
         per = np.array([ev.metrics_from_rank(r, 2) for r in ranks])
         assert res.ndcg_at_k == pytest.approx(per[:, 0].mean())
         assert res.recall_at_k == pytest.approx(per[:, 1].mean())

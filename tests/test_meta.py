@@ -340,18 +340,6 @@ def test_train_iteration_uniform_when_rescale_off():
         assert w == [1 / 3] * 3
 
 
-def test_train_iteration_parallel_matches_serial(monkeypatch):
-    monkeypatch.setenv("METAREC_THREADS", "2")
-    params, sources, target, mc = tiny_world()
-    cfg = MetaConfig(inner_steps=2, inner_batch=4, meta_batch=4)
-    a, _ = train_iteration(params, sources, target, mc, cfg,
-                           np.random.default_rng(5), parallel=False)
-    b, _ = train_iteration(params, sources, target, mc, cfg,
-                           np.random.default_rng(5), parallel=True)
-    for k in a:
-        assert a[k].data.tobytes() == b[k].data.tobytes()
-
-
 def test_train_iteration_requires_sources():
     params, _, target, mc = tiny_world()
     with pytest.raises(ValueError, match="source"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from crossrec import autodiff as ad
 from crossrec import vq
 from crossrec.autodiff import Tensor
 from crossrec.backbone import EncoderConfig, init_parameters
+from crossrec.objective import ModelConfig, VQConfig, domain_item_matrix
 
 from oracles import fd_grad, nearest_codes_exhaustive, rel_err
 
@@ -19,9 +22,9 @@ def book_from(rows, heads):
 
 def test_single_head_nearest_by_angle():
     book = book_from([[1.0, 0.0], [0.0, 1.0]], heads=1)
-    z_q, codes = vq.quantize(ad.tensor([0.9, 0.1]), book)
-    assert np.array_equal(z_q.data, [1.0, 0.0])
-    assert codes.codes == (0,)
+    z_q, codes = vq.quantize_rows(ad.tensor([[0.9, 0.1]]), book)
+    assert np.array_equal(z_q.data, [[1.0, 0.0]])
+    assert codes.tolist() == [[0]]
 
 
 def test_two_head_example():
@@ -29,11 +32,11 @@ def test_two_head_example():
             [0.0, 1.0, 1.0, 0.0],
             [1.0, 1.0, 1.0, 1.0]]
     book = book_from(rows, heads=2)
-    z_q, codes = vq.quantize(ad.tensor([2.0, 0.0, 0.0, 3.0]), book)
-    assert codes.codes == tuple(nearest_codes_exhaustive(
-        np.array([2.0, 0.0, 0.0, 3.0]), np.asarray(rows), 2))
-    assert codes.codes == (0, 0)
-    assert np.array_equal(z_q.data, [1.0, 0.0, 0.0, 1.0])
+    z_q, codes = vq.quantize_rows(ad.tensor([[2.0, 0.0, 0.0, 3.0]]), book)
+    assert codes[0].tolist() == nearest_codes_exhaustive(
+        np.array([2.0, 0.0, 0.0, 3.0]), np.asarray(rows), 2)
+    assert codes[0].tolist() == [0, 0]
+    assert np.array_equal(z_q.data, [[1.0, 0.0, 0.0, 1.0]])
 
 
 def test_scaled_copy_of_target_row_maps_to_that_row():
@@ -41,9 +44,9 @@ def test_scaled_copy_of_target_row_maps_to_that_row():
     rows = rng.standard_normal((5, 6))
     book = book_from(rows, heads=3)
     j = 3
-    z_q, codes = vq.quantize(ad.tensor(2.5 * rows[j]), book)
-    assert codes.codes == (j, j, j)
-    assert np.array_equal(z_q.data, rows[j])
+    z_q, codes = vq.quantize_rows(ad.tensor(2.5 * rows[j:j + 1]), book)
+    assert codes[0].tolist() == [j, j, j]
+    assert np.array_equal(z_q.data[0], rows[j])
 
 
 @settings(deadline=None, max_examples=40)
@@ -55,19 +58,19 @@ def test_codes_match_exhaustive_oracle_and_scale_invariance(seed, heads, k, c):
     rows = rng.standard_normal((k, width))
     book = book_from(rows, heads)
     z = rng.standard_normal(width)
-    z_q, codes = vq.quantize(ad.tensor(z), book)
-    assert list(codes.codes) == nearest_codes_exhaustive(z, rows, heads)
-    _, scaled = vq.quantize(ad.tensor(c * z), book)
-    assert scaled.codes == codes.codes
+    z_q, codes = vq.quantize_rows(ad.tensor(z[None]), book)
+    assert codes[0].tolist() == nearest_codes_exhaustive(z, rows, heads)
+    _, scaled = vq.quantize_rows(ad.tensor(c * z[None]), book)
+    assert np.array_equal(scaled, codes)
     # every head-slice of z_q is bit-identical to some codebook slice
-    for h, j in enumerate(codes.codes):
-        assert np.array_equal(z_q.data[h * 2:(h + 1) * 2], rows[j][h * 2:(h + 1) * 2])
+    for h, j in enumerate(codes[0]):
+        assert np.array_equal(z_q.data[0, h * 2:(h + 1) * 2], rows[j][h * 2:(h + 1) * 2])
 
 
 def test_all_zero_embedding_ties_to_code_zero():
     book = book_from(np.ones((4, 2)), heads=1)
-    _, codes = vq.quantize(ad.tensor([0.0, 0.0]), book)
-    assert codes.codes == (0,)
+    _, codes = vq.quantize_rows(ad.tensor([[0.0, 0.0]]), book)
+    assert codes.tolist() == [[0]]
 
 
 def test_vq_loss_values():
@@ -118,8 +121,8 @@ def test_straight_through_equals_identity_gradient():
     # downstream loss gradient at z_e equals the gradient with quantization
     # replaced by the identity mapping
     rng = np.random.default_rng(13)
-    ze = rng.standard_normal(4)
-    zq = rng.standard_normal(4)
+    ze = rng.standard_normal((4, 1))
+    zq = rng.standard_normal((4, 1))
     w = rng.standard_normal((4, 4))
 
     def downstream(x):
@@ -138,15 +141,15 @@ def test_codebook_is_a_view_of_the_target_table():
     cfg = EncoderConfig(d_model=4, max_len=4)
     params = init_parameters(cfg, {"target": 3, "src0": 2}, seed=0)
     book = vq.make_codebook(params, "target", heads=2)
-    z = params["embed.src0"].data[0]
-    _, codes_before = vq.quantize(ad.tensor(z), book)
+    z = params["embed.src0"].data[:1]
+    _, codes_before = vq.quantize_rows(ad.tensor(z), book)
     # mutate the target table the way a training step would (new tensor, same dict)
     bumped = params["embed.target"].data.copy()
     bumped[:3] = np.roll(bumped[:3], 1, axis=0)
     params["embed.target"].data[...] = bumped
-    z_q, codes_after = vq.quantize(ad.tensor(z), book)
-    for h, j in enumerate(codes_after.codes):
-        assert np.array_equal(z_q.data[2 * h:2 * h + 2],
+    z_q, codes_after = vq.quantize_rows(ad.tensor(z), book)
+    for h, j in enumerate(codes_after[0]):
+        assert np.array_equal(z_q.data[0, 2 * h:2 * h + 2],
                               params["embed.target"].data[j][2 * h:2 * h + 2])
 
 
@@ -165,8 +168,8 @@ def test_code_space_bound():
     book = book_from(rows, heads=2)
     outputs = set()
     for _ in range(200):
-        z = rng.standard_normal(4)
-        z_q, _ = vq.quantize(ad.tensor(z), book)
+        z = rng.standard_normal((1, 4))
+        z_q, _ = vq.quantize_rows(ad.tensor(z), book)
         outputs.add(z_q.data.tobytes())
     assert len(outputs) <= 3 ** 2
 
@@ -174,17 +177,24 @@ def test_code_space_bound():
 def test_quantized_item_matrix_paths():
     cfg = EncoderConfig(d_model=4, max_len=4)
     params = init_parameters(cfg, {"target": 3, "src0": 1}, seed=2)
-    book = vq.make_codebook(params, "target", heads=2)
-    raw = vq.quantized_item_matrix(params, "target", book, False, "target")
-    assert raw is params["embed.target"]
-    src = vq.quantized_item_matrix(params, "src0", book, False, "target")
+    mc = ModelConfig(encoder=cfg, vq=VQConfig(heads=2), target_domain="target")
+    raw, loss = domain_item_matrix(params, "target", mc)
+    assert raw is params["embed.target"] and loss is None
+    src, loss = domain_item_matrix(params, "src0", mc)
+    assert loss is not None
     assert src.data.shape == params["embed.src0"].data.shape
     row = src.data[0]
     target_rows = params["embed.target"].data[:3]
     assert any(np.array_equal(row[:2], r[:2]) for r in target_rows)
     assert any(np.array_equal(row[2:], r[2:]) for r in target_rows)
+    # the padding row stays raw
+    assert np.array_equal(src.data[1], params["embed.src0"].data[1])
+    off = dataclasses.replace(mc, vq=VQConfig(enabled=False))
+    assert domain_item_matrix(params, "src0", off) == (params["embed.src0"], None)
     with pytest.raises(KeyError):
-        vq.quantized_item_matrix(params, "nope", book, False, "target")
+        domain_item_matrix(params, "nope", mc)
+    with pytest.raises(KeyError):
+        domain_item_matrix(params, "nope", off)
 
 
 def test_code_dump_format(tmp_path):
