@@ -85,6 +85,7 @@ def no_record():
 
 
 def _out(data, op, inputs, vjp):
+    # ``vjp`` may read the tensor returned here: grad calls it only later
     t = Tensor.__new__(Tensor)
     t.data = data
     tape = _active()
@@ -342,7 +343,6 @@ def linear_scan(u, gate, steps, reverse=False):
         block = slice(t * batch, (t + 1) * batch)
         h[block] = u.data[block] if prev is None else gate.data * prev + u.data[block]
         prev = h[block]
-    out = _out(h, "linear_scan", (u, gate), None)
 
     def vjp(g):
         gu = linear_scan(g, gate, steps, not reverse)
@@ -354,7 +354,7 @@ def linear_scan(u, gate, steps, reverse=False):
             before = concat((zeros, slice_axis(out, 0, 0, rows - batch)), 0)
         return (gu, sum(mul(gu, before), axis=0))
 
-    _set_vjp(out, vjp)
+    out = _out(h, "linear_scan", (u, gate), vjp)
     return out
 
 
@@ -363,8 +363,8 @@ def linear_scan(u, gate, steps, reverse=False):
 
 
 def sigmoid(x):
-    out = _out(expit(x.data), "sigmoid", (x,), None)
-    _set_vjp(out, lambda g: (mul(g, mul(out, add_scalar(scale(out, -1.0), 1.0))),))
+    out = _out(expit(x.data), "sigmoid", (x,),
+               lambda g: (mul(g, mul(out, add_scalar(scale(out, -1.0), 1.0))),))
     return out
 
 
@@ -379,8 +379,7 @@ def log(x):
 
 
 def exp(x):
-    out = _out(np.exp(x.data), "exp", (x,), None)
-    _set_vjp(out, lambda g: (mul(g, out),))
+    out = _out(np.exp(x.data), "exp", (x,), lambda g: (mul(g, out),))
     return out
 
 
@@ -389,21 +388,15 @@ def square(x):
 
 
 def sqrt(x):
-    out = _out(np.sqrt(x.data), "sqrt", (x,), None)
-    _set_vjp(out, lambda g: (mul(g, scale(reciprocal(out), 0.5)),))
+    out = _out(np.sqrt(x.data), "sqrt", (x,),
+               lambda g: (mul(g, scale(reciprocal(out), 0.5)),))
     return out
 
 
 def reciprocal(x):
-    out = _out(1.0 / x.data, "reciprocal", (x,), None)
-    _set_vjp(out, lambda g: (scale(mul(g, square(out)), -1.0),))
+    out = _out(1.0 / x.data, "reciprocal", (x,),
+               lambda g: (scale(mul(g, square(out)), -1.0),))
     return out
-
-
-def _set_vjp(out, vjp):
-    tape = _active()
-    if tape is not None and tape.records and tape.records[-1].out is out:
-        tape.records[-1].vjp = vjp
 
 
 def stop_gradient(x):

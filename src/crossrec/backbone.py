@@ -22,6 +22,11 @@ class EncoderConfig:
     num_blocks: int = 1
     max_len: int = 12
 
+    def __post_init__(self):
+        for name in ("d_model", "num_blocks", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"encoder.{name} must be >= 1, got {getattr(self, name)}")
+
 
 def embed_key(domain):
     return f"embed.{domain}"

@@ -88,6 +88,8 @@ def _check_tensors(path, tensors, cfg, domains):
 
 
 def cmd_eval(args):
+    if args.k is not None and args.k < 1:
+        raise InputError(f"--k must be >= 1, got {args.k}")
     tensors, config_text = _checked(load_checkpoint, args.checkpoint)
     if args.config:
         cfg = _checked(load_config, args.config)

@@ -25,9 +25,6 @@ class DomainDataset:
     def pad_id(self):
         return self.item_count
 
-    def full_sequence(self, user):
-        return self.train[user] + [self.val[user], self.test[user]]
-
 
 @dataclass
 class TaskBatch:
@@ -143,36 +140,27 @@ def _window(seq, max_len, pad_id):
 
 
 def sample_batch(dataset, split, batch_size, max_len, rng):
-    """Uniform-with-replacement user sampling into a (window, target) batch.
+    """Uniform-with-replacement user sampling into a training (window, target)
+    batch; windows cut at a random position inside the train prefix.
 
-    Train windows cut at a random position inside the train prefix; val/test
-    windows are the full preceding prefix with the held-out item as target.
+    ``split`` must be ``"train"``: val/test batches come from ``eval_batch``.
     """
+    if split != "train":
+        raise ValueError(f"sample_batch: unknown split {split!r}")
     users = dataset.num_users
     if users == 0:
         raise ValueError(f"sample_batch: empty dataset {dataset.domain_id}")
-    pad = dataset.pad_id
+    eligible = [u for u in range(users) if len(dataset.train[u]) >= 2]
+    if not eligible:
+        raise ValueError(f"sample_batch: no train pairs in {dataset.domain_id}")
     inputs = np.empty((batch_size, max_len), dtype=np.int64)
     targets = np.empty(batch_size, dtype=np.int64)
-    if split == "train":
-        eligible = [u for u in range(users) if len(dataset.train[u]) >= 2]
-        if not eligible:
-            raise ValueError(f"sample_batch: no train pairs in {dataset.domain_id}")
-        for b in range(batch_size):
-            u = eligible[int(rng.integers(len(eligible)))]
-            seq = dataset.train[u]
-            cut = int(rng.integers(1, len(seq)))
-            inputs[b] = _window(seq[:cut], max_len, pad)
-            targets[b] = seq[cut]
-    elif split in ("val", "test"):
-        for b in range(batch_size):
-            u = int(rng.integers(users))
-            prefix = dataset.train[u] if split == "val" \
-                else dataset.train[u] + [dataset.val[u]]
-            inputs[b] = _window(prefix, max_len, pad)
-            targets[b] = dataset.val[u] if split == "val" else dataset.test[u]
-    else:
-        raise ValueError(f"sample_batch: unknown split {split!r}")
+    for b in range(batch_size):
+        u = eligible[int(rng.integers(len(eligible)))]
+        seq = dataset.train[u]
+        cut = int(rng.integers(1, len(seq)))
+        inputs[b] = _window(seq[:cut], max_len, dataset.pad_id)
+        targets[b] = seq[cut]
     return TaskBatch(domain_id=dataset.domain_id, inputs=inputs, targets=targets)
 
 

@@ -30,7 +30,7 @@ def rank_of_truth(scores, truths):
     ``scores`` is (..., N) and ``truths`` holds one item id per score row, so
     a vector and an id give one rank and a (B, N) matrix and B ids give B.
     """
-    s = scores.data if isinstance(scores, ad.Tensor) else np.asarray(scores, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.int64)
     n = s.shape[-1]
     bad = (truths < 0) | (truths >= n)

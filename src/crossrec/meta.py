@@ -29,10 +29,11 @@ class MetaConfig:
 
     def __post_init__(self):
         if self.temperature <= 0:
-            raise ValueError("MetaConfig.temperature must be positive")
-        for name in ("inner_lr", "outer_lr"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"MetaConfig.{name} must be non-negative")
+            raise ValueError(f"meta.temperature must be positive, got {self.temperature}")
+        for name, low in (("inner_lr", 0), ("outer_lr", 0), ("n_tasks", 1),
+                          ("inner_steps", 1), ("inner_batch", 1), ("meta_batch", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"meta.{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -54,61 +55,47 @@ class MetaIterationReport:
 class AdaptResult:
     phi: dict                # name -> Tensor
     inner_losses: list       # float per inner step
-    tape: Tape               # records the unrolled updates in second-order mode
-    second_order: bool
+    tape: Tape               # records the unrolled updates
 
 
 def inner_adapt(theta, step_loss_fns, cfg):
     """Run inner gradient-descent steps from theta; theta is never mutated.
 
     ``step_loss_fns`` supplies one loss callable (params -> scalar tensor) per
-    inner step. In second-order mode every update is recorded with
-    ``create_graph`` so phi stays a differentiable function of theta.
+    inner step. Every update ``phi - inner_lr * g`` is recorded on one tape, so
+    phi stays a differentiable function of theta. In second-order mode ``g``
+    is recorded with ``create_graph``; in first-order mode it is a constant,
+    so the meta-gradient passes through the updates unchanged (Finn et al.
+    2017, arXiv:1703.03400).
     """
     if not step_loss_fns:
         raise ValueError("inner_adapt: no inner batches")
     names = list(theta)
     losses = []
-    if cfg.second_order:
-        tape = Tape()
-        with tape:
-            phi = dict(theta)
-            for fn in step_loss_fns:
-                loss = fn(phi)
-                losses.append(float(loss.data))
-                grads = ad.grad(loss, [phi[k] for k in names], create_graph=True)
-                phi = {k: ad.sub(phi[k], ad.scale(g, cfg.inner_lr))
-                       for k, g in zip(names, grads)}
-        return AdaptResult(phi, losses, tape, True)
-    phi = {k: Tensor(v.data.copy()) for k, v in theta.items()}
-    for fn in step_loss_fns:
-        with Tape():
+    tape = Tape()
+    with tape:
+        phi = dict(theta)
+        for fn in step_loss_fns:
             loss = fn(phi)
             losses.append(float(loss.data))
-            grads = ad.grad(loss, [phi[k] for k in names])
-        phi = {k: Tensor(phi[k].data - cfg.inner_lr * g.data)
-               for k, g in zip(names, grads)}
-    return AdaptResult(phi, losses, Tape(), False)
+            grads = ad.grad(loss, [phi[k] for k in names],
+                            create_graph=cfg.second_order)
+            phi = {k: ad.sub(phi[k], ad.scale(g, cfg.inner_lr))
+                   for k, g in zip(names, grads)}
+    return AdaptResult(phi, losses, tape)
 
 
 def meta_gradient(theta, adapted, meta_loss_fn, cfg):
-    """d meta_loss(phi) / d theta per layer name.
+    """d meta_loss(phi) / d theta per layer name, through the updates that
+    ``inner_adapt`` recorded on ``adapted.tape``.
 
-    Exact mode differentiates through the recorded inner updates; first-order
-    mode returns the phi-gradients re-keyed onto theta's names. Returns
-    (name -> ndarray, meta loss value).
+    ``cfg`` is unused: the gradient order was fixed by ``inner_adapt``.
+    Returns (name -> ndarray, meta loss value).
     """
-    if cfg.second_order != adapted.second_order:
-        raise ValueError("meta_gradient: adaptation mode does not match config")
     names = list(theta)
-    if cfg.second_order:
-        with adapted.tape:
-            loss = meta_loss_fn(adapted.phi)
-            grads = ad.grad(loss, [theta[k] for k in names])
-    else:
-        with Tape():
-            loss = meta_loss_fn(adapted.phi)
-            grads = ad.grad(loss, [adapted.phi[k] for k in names])
+    with adapted.tape:
+        loss = meta_loss_fn(adapted.phi)
+        grads = ad.grad(loss, [theta[k] for k in names])
     return {k: g.data.copy() for k, g in zip(names, grads)}, float(loss.data)
 
 

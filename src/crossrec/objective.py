@@ -14,6 +14,10 @@ class VQConfig:
     enabled: bool = True
     heads: int = 4
 
+    def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError(f"vq.heads must be >= 1, got {self.heads}")
+
 
 @dataclass(frozen=True)
 class ModelConfig:

@@ -36,7 +36,10 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.encoder.d_model % max(1, self.vq.heads):
+        for name in ("iterations", "eval_every", "k", "k_core"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.encoder.d_model % self.vq.heads:
             raise ValueError(f"encoder.d_model={self.encoder.d_model} not divisible "
                              f"by vq.heads={self.vq.heads}")
 

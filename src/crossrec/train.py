@@ -162,8 +162,6 @@ def run_training(cfg, datasets=None):
                 best_ndcg = res.ndcg_at_k
                 best_iter = it
                 best_params = {k: v.data.copy() for k, v in params.items()}
-    if best_params is None:  # no eval fired (iterations == 0)
-        best_params = {k: v.data.copy() for k, v in params.items()}
     return TrainResult(best_params=best_params, best_ndcg=best_ndcg,
                        best_iteration=best_iter, final_params=params,
                        csv_rows=rows, reports=reports,

@@ -64,12 +64,10 @@ def quantize_rows(rows, book):
                          f"{book.heads}x{book.head_width}")
     codes = _head_codes(rows.data, book)
     h, d = book.heads, book.head_width
-    parts = []
-    for i in range(h):
-        col = ad.slice_axis(book.table, 1, i * d, (i + 1) * d)
-        parts.append(ad.gather(col, codes[:, i]))
-    z_q = ad.concat(parts, 1) if h > 1 else parts[0]
-    return z_q, codes
+    # head i of code j is row j*H + i of the table seen as (rows*H, D)
+    slices = ad.reshape(book.table, (book.table.data.shape[0] * h, d))
+    picked = ad.gather(slices, (codes * h + np.arange(h)).ravel())
+    return ad.reshape(picked, (codes.shape[0], h * d)), codes
 
 
 def vq_loss(z_q, z_e):

@@ -5,6 +5,7 @@ import numpy as np
 
 from crossrec import autodiff as ad
 from crossrec.backbone import _rms_norm
+from crossrec.vq import _head_codes
 
 
 def fd_grad(f, arrays, step=1e-6):
@@ -123,3 +124,30 @@ def reference_encode_last(params, cfg, table, inputs):
         y = _rms_norm(ad.add(ff, stacked_x), params[f"block{b}.norm_gain"])
         x = [ad.slice_axis(y, 0, t * batch, (t + 1) * batch) for t in range(len(x))]
     return x[-1]
+
+
+def first_order_meta_gradient(theta, step_loss_fns, meta_loss_fn, inner_lr):
+    """Reference first-order meta-gradient as a separate path: each inner step
+    on its own tape over fresh leaves, phi rebuilt in numpy, and the meta loss
+    differentiated wrt phi. Returns (phi arrays, meta-gradient arrays)."""
+    names = list(theta)
+    phi = {k: ad.Tensor(v.data.copy()) for k, v in theta.items()}
+    for fn in step_loss_fns:
+        with ad.Tape():
+            grads = ad.grad(fn(phi), [phi[k] for k in names])
+        phi = {k: ad.Tensor(phi[k].data - inner_lr * g.data)
+               for k, g in zip(names, grads)}
+    with ad.Tape():
+        grads = ad.grad(meta_loss_fn(phi), [phi[k] for k in names])
+    return ({k: phi[k].data for k in names},
+            {k: g.data for k, g in zip(names, grads)})
+
+
+def per_head_quantize_rows(rows, book):
+    """Reference VQ lookup as a loop over heads: per head, the column slice of
+    the codebook table and a gather of that head's codes, then a concat."""
+    codes = _head_codes(rows.data, book)
+    h, d = book.heads, book.head_width
+    parts = [ad.gather(ad.slice_axis(book.table, 1, i * d, (i + 1) * d), codes[:, i])
+             for i in range(h)]
+    return (ad.concat(parts, 1) if h > 1 else parts[0]), codes

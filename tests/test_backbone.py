@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -276,4 +278,47 @@ def test_checkpoint_non_finite_value_rejected(tmp_path, bad):
     path = tmp_path / "nan.ckpt"
     save_checkpoint(path, {"w": np.ones(2), "v": np.array([[1.0, bad]])}, "x=1\n")
     with pytest.raises(CheckpointError, match=f"{path}: tensor 'v' has non-finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_every_truncation_and_bit_flip_loads_or_raises(tmp_path):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, {"w": np.arange(6.0).reshape(2, 3),
+                           "b": np.array([0.5, -1.0])}, "seed=1\n")
+    raw = good.read_bytes()
+    corrupted = [raw[:n] for n in range(len(raw))]
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        corrupted.append(bytes(flipped))
+    path = tmp_path / "bad.ckpt"
+    rejected = 0
+    for blob in corrupted:
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            rejected += 1
+    assert rejected >= len(raw)  # at least every truncation
+
+
+# header of save_checkpoint(path, {"w": ones((2, 3))}, "x=1\n"): magic (5),
+# count (4), name length (4), "w", rank (4), then dims at 18 and 22, 48 data
+# bytes, config length at 74, config text at 82
+@pytest.mark.parametrize("offset,patch,what", [
+    (18, struct.pack("<I", 2**31 - 1), "data of w"),
+    (74, struct.pack("<Q", 2**40), "config length|config"),
+    (18, struct.pack("<II", 2**32 - 1, 2**32 - 1), "data of w"),
+    (82, b"\xff", "config is not UTF-8"),
+], ids=["huge_dim", "huge_config_length", "dims_overflow_int64", "config_bytes"])
+def test_checkpoint_corrupted_header_raises_checkpoint_error(tmp_path, offset,
+                                                             patch, what):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones((2, 3))}, "x=1\n")
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<II", raw, 18) == (2, 3) and raw[82:] == b"x=1\n"
+    raw[offset:offset + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"{path}: .*({what})"):
         load_checkpoint(path)

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ def test_config_comments_and_errors():
 def test_variant_divisibility_validation():
     with pytest.raises(ValueError, match="divisible"):
         parse_config("encoder.d_model=10\nvq.heads=4\n")
+
+
+@pytest.mark.parametrize("setting", [
+    "eval_every=0", "k=0", "k_core=0", "iterations=-1", "iterations=0",
+    "meta.n_tasks=0", "meta.inner_steps=0", "meta.inner_batch=0",
+    "meta.meta_batch=0", "encoder.max_len=0", "vq.heads=0", "vq.heads=-2",
+])
+def test_out_of_range_config_is_one_line_error_before_training(tmp_path, capsys,
+                                                               setting):
+    cfg_path = write_config(tmp_path, SMALL_CONFIG + setting + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    key, value = setting.split("=")
+    assert capsys.readouterr().err == (f"error: {cfg_path}: {key} must be "
+                                       f">= 1, got {value}\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- generate
@@ -197,6 +214,26 @@ def test_eval_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
     trunc = os.path.join(out, "trunc.ckpt")
     open(trunc, "wb").write(raw[: len(raw) // 3])
     assert cli.main(["eval", "--checkpoint", trunc]) == 2
+    # a dimension corrupted to 2**31 - 1: rejected before any read of that size
+    dims = os.path.join(out, "dims.ckpt")
+    tensors, _ = load_checkpoint(good)
+    first = next(iter(tensors))
+    offset = 5 + 4 + 4 + len(first.encode()) + 4
+    assert raw[offset:offset + 4] == struct.pack("<I", tensors[first].shape[0])
+    open(dims, "wb").write(raw[:offset] + struct.pack("<I", 2**31 - 1)
+                           + raw[offset + 4:])
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", dims]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dims}: truncated checkpoint while reading "
+                          f"data of {first}") and err.count("\n") == 1
+
+
+def test_eval_k_below_one_rejected(tmp_path, capsys):
+    out = trained_run(tmp_path)
+    assert cli.main(["eval", "--checkpoint", os.path.join(out, "best.ckpt"),
+                     "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: --k must be >= 1, got 0\n"
 
 
 def test_eval_mismatched_config_rejected(tmp_path, capsys):

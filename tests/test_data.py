@@ -127,7 +127,7 @@ def test_leave_one_out_partition_property():
     assert ds.dropped_users == len(by_user) - len(kept)
     for u in range(ds.num_users):
         # train + [val, test] is exactly the user's full kept sequence
-        full = ds.full_sequence(u)
+        full = ds.train[u] + [ds.val[u], ds.test[u]]
         assert len(full) == len(kept[u])
         assert full[-1] == ds.test[u] and full[-2] == ds.val[u]
         assert len(ds.train[u]) == len(full) - 2
@@ -155,18 +155,17 @@ def test_sample_batch_train_pairs_are_contiguous():
                        for j in range(len(seq) - len(probe) + 1))
 
 
-def test_sample_batch_left_padding_and_eval_targets():
+def test_eval_batch_left_padding_and_targets():
     ds = toy_dataset()
-    rng = np.random.default_rng(1)
-    val = data.sample_batch(ds, "val", 6, 10, rng)
-    for row, tgt in zip(val.inputs, val.targets):
+    val = data.eval_batch(ds, "val", 10)
+    assert val.targets.tolist() == ds.val
+    for u, row in enumerate(val.inputs):
         seq = [x for x in row.tolist() if x != ds.pad_id]
-        u = 0 if tgt == 4 else 1
         assert seq == ds.train[u]
         assert np.all(row[:10 - len(seq)] == ds.pad_id)
-    test = data.sample_batch(ds, "test", 6, 10, rng)
-    for row, tgt in zip(test.inputs, test.targets):
-        u = 0 if tgt == 5 else 1
+    test = data.eval_batch(ds, "test", 10)
+    assert test.targets.tolist() == ds.test
+    for u, row in enumerate(test.inputs):
         assert [x for x in row.tolist() if x != ds.pad_id] == \
             ds.train[u] + [ds.val[u]]
 
@@ -176,8 +175,9 @@ def test_sample_batch_seeded_reproducible_and_errors():
     a = data.sample_batch(ds, "train", 4, 6, np.random.default_rng(7))
     b = data.sample_batch(ds, "train", 4, 6, np.random.default_rng(7))
     assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.targets, b.targets)
-    with pytest.raises(ValueError, match="split"):
-        data.sample_batch(ds, "future", 1, 6, np.random.default_rng(0))
+    for split in ("val", "test", "future"):
+        with pytest.raises(ValueError, match="split"):
+            data.sample_batch(ds, split, 1, 6, np.random.default_rng(0))
     empty = data.DomainDataset("e", 0, [], [], [])
     with pytest.raises(ValueError, match="empty"):
         data.sample_batch(empty, "train", 1, 6, np.random.default_rng(0))

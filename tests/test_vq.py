@@ -10,7 +10,8 @@ from crossrec.autodiff import Tensor
 from crossrec.backbone import EncoderConfig, init_parameters
 from crossrec.objective import ModelConfig, VQConfig, domain_item_matrix
 
-from oracles import fd_grad, nearest_codes_exhaustive, rel_err
+from oracles import (fd_grad, nearest_codes_exhaustive, per_head_quantize_rows,
+                     rel_err)
 
 
 def book_from(rows, heads):
@@ -195,6 +196,29 @@ def test_quantized_item_matrix_paths():
         domain_item_matrix(params, "nope", mc)
     with pytest.raises(KeyError):
         domain_item_matrix(params, "nope", off)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_quantize_rows_matches_per_head_loop(heads):
+    rng = np.random.default_rng(heads)
+    table = Tensor(rng.standard_normal((6, 2 * heads)))  # 5 codes + padding
+    book = vq.Codebook(table=table, heads=heads, size=5)
+    z = rng.standard_normal((4, 2 * heads))
+    z[3] = 2.0 * z[1]  # the same code chosen twice in every head
+    weight = Tensor(rng.standard_normal(z.shape))
+    probe = Tensor(rng.standard_normal(table.data.shape))
+
+    def run(quantize):
+        with ad.Tape():
+            z_q, codes = quantize(ad.tensor(z), book)
+            loss = ad.sum(ad.mul(ad.square(z_q), weight))
+            (first,) = ad.grad(loss, [table], create_graph=True)
+            (second,) = ad.grad(ad.sum(ad.mul(first, probe)), [table])
+        return codes, z_q.data.tobytes(), first.data.tobytes(), second.data.tobytes()
+
+    got, ref = run(vq.quantize_rows), run(per_head_quantize_rows)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[0][1], got[0][3])
+    assert got[1:] == ref[1:]
 
 
 def test_code_dump_format(tmp_path):
