@@ -2,12 +2,16 @@
 
 Gradients are themselves built out of recorded ops, so calling ``grad`` with
 ``create_graph=True`` leaves the gradient computation on the tape and a second
-``grad`` call differentiates through it (grad-of-grad). Everything is double
-precision; tapes are single-writer and thread-local.
+``grad`` call differentiates through it (grad-of-grad). The ops are the ones
+the model records; binary ops broadcast like numpy, and the fused ops
+(``step``, ``rms_inv``, ``softmax_rows``, ``cross_entropy``, ``linear_scan``)
+write one record each with a vjp made of recorded ops. Everything is double
+precision. Tapes nest on one module-level stack: the innermost entered tape
+(or ``None`` inside ``no_record``) receives the records.
 """
 from __future__ import annotations
 
-import threading
+import math
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -26,9 +30,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor({self.data!r})"
 
@@ -43,20 +44,11 @@ class Record:
         self.vjp = vjp
 
 
-_tls = threading.local()
-
-
-def _stack():
-    try:
-        return _tls.stack
-    except AttributeError:
-        _tls.stack = []
-        return _tls.stack
+_stack = []
 
 
 def _active():
-    s = _stack()
-    return s[-1] if s else None
+    return _stack[-1] if _stack else None
 
 
 class Tape:
@@ -66,31 +58,29 @@ class Tape:
         self.records = []
 
     def __enter__(self):
-        _stack().append(self)
+        _stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _stack().pop()
+        _stack.pop()
         return False
 
 
 @contextmanager
 def no_record():
-    s = _stack()
-    s.append(None)
+    _stack.append(None)
     try:
         yield
     finally:
-        s.pop()
+        _stack.pop()
 
 
 def _out(data, op, inputs, vjp):
     # ``vjp`` may read the tensor returned here: grad calls it only later
     t = Tensor.__new__(Tensor)
     t.data = data
-    tape = _active()
-    if tape is not None:
-        tape.records.append(Record(op, inputs, t, vjp))
+    if _stack and _stack[-1] is not None:
+        _stack[-1].records.append(Record(op, inputs, t, vjp))
     return t
 
 
@@ -99,45 +89,60 @@ def primitive(op, data, inputs, vjp):
     return _out(np.asarray(data, dtype=np.float64), op, inputs, vjp)
 
 
-def tensor(data):
-    return Tensor(data)
+def _shapes(a, b, op):
+    """Both operand shapes; raises unless they broadcast together."""
+    sa, sb = a.data.shape, b.data.shape
+    if sa != sb and any(m != n and m != 1 and n != 1
+                        for m, n in zip(reversed(sa), reversed(sb))):
+        raise ValueError(f"{op}: shape mismatch {sa} vs {sb}")
+    return sa, sb
 
 
-def zeros_like(x):
-    return Tensor(np.zeros_like(x.data))
-
-
-def ones_like(x):
-    return Tensor(np.ones_like(x.data))
-
-
-def _check_same(a, b, op):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
+def _unbroadcast(g, shape):
+    """``g`` summed over the axes that broadcasting added to ``shape``."""
+    if g.data.shape == shape:
+        return g
+    lead = g.data.ndim - len(shape)
+    kept = tuple(i + lead for i, d in enumerate(shape)
+                 if d == 1 and g.data.shape[i + lead] != 1)
+    if kept:
+        g = sum(g, axis=kept, keepdims=True)
+    return sum(g, axis=tuple(range(lead))) if lead else g
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
+# elementwise arithmetic (binary ops broadcast like numpy)
 
 
 def add(a, b):
-    _check_same(a, b, "add")
-    return _out(a.data + b.data, "add", (a, b), lambda g: (g, g))
+    sa, sb = _shapes(a, b, "add")
+    return _out(a.data + b.data, "add", (a, b),
+                lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b):
-    _check_same(a, b, "sub")
-    return _out(a.data - b.data, "sub", (a, b), lambda g: (g, scale(g, -1.0)))
+    sa, sb = _shapes(a, b, "sub")
+    return _out(a.data - b.data, "sub", (a, b),
+                lambda g: (_unbroadcast(g, sa), _unbroadcast(scale(g, -1.0), sb)))
 
 
 def mul(a, b):
-    _check_same(a, b, "mul")
-    return _out(a.data * b.data, "mul", (a, b), lambda g: (mul(g, b), mul(g, a)))
+    sa, sb = _shapes(a, b, "mul")
+    return _out(a.data * b.data, "mul", (a, b),
+                lambda g: (_unbroadcast(mul(g, b), sa), _unbroadcast(mul(g, a), sb)))
 
 
 def scale(x, c):
     c = float(c)
     return _out(x.data * c, "scale", (x,), lambda g: (scale(g, c),))
+
+
+def step(p, g, lr):
+    """The descent update ``p - lr * g`` as one record."""
+    if p.data.shape != g.data.shape:
+        raise ValueError(f"step: shape mismatch {p.data.shape} vs {g.data.shape}")
+    lr = float(lr)
+    return _out(p.data - g.data * lr, "step", (p, g), lambda G: (G, scale(G, -lr)))
 
 
 def add_scalar(x, c):
@@ -149,28 +154,28 @@ def add_scalar(x, c):
 # linear algebra / structure
 
 
-def matmul(a, b):
+def matmul(a, b, ta=False, tb=False):
+    """``op(a) @ op(b)`` of 2-d tensors, where ``op`` transposes an operand
+    whose flag is set. The transpose is a numpy view, not a record, and the
+    vjp is two flagged matmuls."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul: need 2-d operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul: shape mismatch {a.data.shape} vs {b.data.shape}")
+    av = a.data.T if ta else a.data
+    bv = b.data.T if tb else b.data
+    if av.shape[1] != bv.shape[0]:
+        raise ValueError(f"matmul: shape mismatch {av.shape} vs {bv.shape}")
 
     def vjp(g):
-        return (matmul(g, transpose(b)), matmul(transpose(a), g))
+        ga = matmul(b, g, tb, True) if ta else matmul(g, b, False, not tb)
+        gb = matmul(g, a, True, ta) if tb else matmul(a, g, not ta, False)
+        return ga, gb
 
-    return _out(a.data @ b.data, "matmul", (a, b), vjp)
-
-
-def transpose(x):
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose: need 2-d tensor, got {x.data.shape}")
-    return _out(np.ascontiguousarray(x.data.T), "transpose", (x,),
-                lambda g: (transpose(g),))
+    return _out(av @ bv, "matmul", (a, b), vjp)
 
 
 def reshape(x, shape):
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    if math.prod(shape) != x.size:
         raise ValueError(f"reshape: cannot reshape {x.data.shape} to {shape}")
     old = x.data.shape
     return _out(x.data.reshape(shape), "reshape", (x,),
@@ -178,19 +183,16 @@ def reshape(x, shape):
 
 
 def expand(x, shape):
+    """``x`` broadcast to ``shape`` as numpy does: leading axes are added and
+    axes of length 1 repeated."""
     shape = tuple(int(s) for s in shape)
-    if x.data.ndim != len(shape):
-        raise ValueError(f"expand: rank mismatch {x.data.shape} vs {shape}")
-    for d, s in zip(x.data.shape, shape):
-        if d != s and d != 1:
-            raise ValueError(f"expand: cannot expand {x.data.shape} to {shape}")
-    axes = tuple(i for i, (d, s) in enumerate(zip(x.data.shape, shape)) if d == 1 and s != 1)
-
-    def vjp(g):
-        return (sum(g, axis=axes, keepdims=True) if axes else g,)
-
-    return _out(np.ascontiguousarray(np.broadcast_to(x.data, shape)), "expand", (x,),
-                vjp)
+    old = x.data.shape
+    lead = len(shape) - len(old)
+    if lead < 0 or any(d != s and d != 1 for d, s in zip(old, shape[lead:])):
+        raise ValueError(f"expand: cannot expand {old} to {shape}")
+    out = np.empty(shape)
+    out[...] = x.data
+    return _out(out, "expand", (x,), lambda g: (_unbroadcast(g, old),))
 
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
@@ -199,20 +201,11 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
     in_shape = x.data.shape
 
     def vjp(g):
-        g2 = g
-        if axis is None:
-            g2 = reshape(g2, (1,) * len(in_shape)) if in_shape else g2
-        elif not keepdims:
-            kshape = tuple(1 if i in axis else d for i, d in enumerate(in_shape))
-            g2 = reshape(g2, kshape)
-        return (expand(g2, in_shape) if in_shape else g2,)
+        if axis is not None and not keepdims:
+            g = reshape(g, tuple(1 if i in axis else d for i, d in enumerate(in_shape)))
+        return (expand(g, in_shape) if in_shape else g,)
 
-    return _out(np.sum(x.data, axis=axis, keepdims=keepdims), "sum", (x,), vjp)
-
-
-def mean(x, axis=None, keepdims=False):
-    total = sum(x, axis=axis, keepdims=keepdims)
-    return scale(total, total.size / x.size)
+    return _out(x.data.sum(axis=axis, keepdims=keepdims), "sum", (x,), vjp)
 
 
 def concat(tensors, axis):
@@ -224,7 +217,9 @@ def concat(tensors, axis):
     for t in tensors:
         if t.data.ndim != rank:
             raise ValueError(f"concat: rank mismatch {t.data.shape} vs {tensors[0].data.shape}")
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    offsets = [0]
+    for t in tensors:
+        offsets.append(offsets[-1] + t.data.shape[axis])
 
     def vjp(g):
         return tuple(slice_axis(g, axis, offsets[i], offsets[i + 1])
@@ -287,38 +282,6 @@ def scatter_rows(src, indices, num_rows):
     return _out(out, "scatter_rows", (src,), vjp)
 
 
-def take_per_row(x, indices):
-    if x.data.ndim != 2:
-        raise ValueError(f"take_per_row: need 2-d tensor, got {x.data.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    rows, cols = x.data.shape
-    if idx.shape != (rows,):
-        raise ValueError(f"take_per_row: need {rows} indices, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= cols):
-        raise IndexError(f"take_per_row: index out of range for {cols} columns")
-    rng = np.arange(rows)
-
-    def vjp(g):
-        return (scatter_per_row(g, idx, cols),)
-
-    return _out(x.data[rng, idx].copy(), "take_per_row", (x,), vjp)
-
-
-def scatter_per_row(src, indices, num_cols):
-    idx = np.asarray(indices, dtype=np.int64)
-    num_cols = int(num_cols)
-    rows = src.data.shape[0]
-    rng = np.arange(rows)
-
-    out = np.zeros((rows, num_cols))
-    out[rng, idx] = src.data
-
-    def vjp(g):
-        return (take_per_row(g, idx),)
-
-    return _out(out, "scatter_per_row", (src,), vjp)
-
-
 def linear_scan(u, gate, steps, reverse=False):
     """Diagonal linear recurrence ``h_t = gate * h_{t-1} + u_t``, h_0 = u_0.
 
@@ -374,29 +337,52 @@ def relu(x):
     return _out(x.data * mask, "relu", (x,), lambda g: (mul(g, mask_t),))
 
 
-def log(x):
-    return _out(np.log(x.data), "log", (x,), lambda g: (mul(g, reciprocal(x)),))
-
-
-def exp(x):
-    out = _out(np.exp(x.data), "exp", (x,), lambda g: (mul(g, out),))
-    return out
-
-
 def square(x):
     return _out(x.data * x.data, "square", (x,), lambda g: (scale(mul(g, x), 2.0),))
 
 
-def sqrt(x):
-    out = _out(np.sqrt(x.data), "sqrt", (x,),
-               lambda g: (mul(g, scale(reciprocal(out), 0.5)),))
+def rms_inv(y, eps):
+    """Per-row ``1 / sqrt(mean(y^2) + eps)`` of a 2-d tensor, shape (rows, 1)."""
+    if y.data.ndim != 2:
+        raise ValueError(f"rms_inv: need 2-d tensor, got {y.data.shape}")
+    d = y.data.shape[1]
+    ms = (y.data * y.data).sum(axis=1, keepdims=True) * (1.0 / d)
+    out = _out(1.0 / np.sqrt(ms + float(eps)), "rms_inv", (y,),
+               lambda g: (scale(mul(mul(g, mul(out, square(out))), y), -1.0 / d),))
     return out
 
 
-def reciprocal(x):
-    out = _out(1.0 / x.data, "reciprocal", (x,),
-               lambda g: (scale(mul(g, square(out)), -1.0),))
+def softmax_rows(x):
+    """Softmax over each row of a 2-d tensor."""
+    if x.data.ndim != 2:
+        raise ValueError(f"softmax_rows: need 2-d tensor, got {x.data.shape}")
+    e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
+    out = _out(e / e.sum(axis=1, keepdims=True), "softmax_rows", (x,),
+               lambda g: (mul(out, sub(g, sum(mul(g, out), axis=1, keepdims=True))),))
     return out
+
+
+def cross_entropy(logits, targets):
+    """Mean over rows of ``logsumexp(row) - row[target]`` for (B, N) logits
+    and B target columns, as one record; its vjp is made of recorded ops."""
+    if logits.data.ndim != 2:
+        raise ValueError(f"cross_entropy: need 2-d logits, got {logits.data.shape}")
+    rows, cols = logits.data.shape
+    idx = np.asarray(targets, dtype=np.int64)
+    if idx.shape != (rows,):
+        raise ValueError(f"cross_entropy: need {rows} targets, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= cols):
+        raise IndexError(f"cross_entropy: target out of range [0, {cols})")
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+
+    def vjp(g):
+        onehot = np.zeros((rows, cols))
+        onehot[np.arange(rows), idx] = 1.0
+        return (mul(scale(sub(softmax_rows(logits), Tensor(onehot)), 1.0 / rows), g),)
+
+    return _out((lse - z[np.arange(rows), idx]).sum() * (1.0 / rows), "cross_entropy",
+                (logits,), vjp)
 
 
 def stop_gradient(x):
@@ -410,9 +396,11 @@ def stop_gradient(x):
 def grad(output, wrt, create_graph=False):
     """Reverse-mode gradients of a scalar ``output`` w.r.t. each tensor in ``wrt``.
 
-    Tensors unreachable from ``output`` on the active tape get zero gradients of
-    matching shape. With ``create_graph`` the returned gradients are themselves
-    recorded, so a later ``grad`` call differentiates through them.
+    The entry for a tensor that no gradient reaches from ``output`` on the
+    active tape is ``None``: the output does not depend on it, and callers
+    that want an array use zeros. With ``create_graph`` the returned gradients
+    are themselves recorded, so a later ``grad`` call differentiates through
+    them.
 
     The reverse sweep visits only the records that lie forward of ``wrt``: a
     forward pass over the tape marks a record as on the path when any of its
@@ -429,24 +417,22 @@ def grad(output, wrt, create_graph=False):
     tape = _active()
     if tape is None:
         raise RuntimeError("grad: no active tape")
-    live = {id(w) for w in wrt}
+    # tensors hash by identity, so both maps key on the tensor itself
+    live = set(wrt)
     path = []
     for rec in tape.records:
-        for t in rec.inputs:
-            if id(t) in live:
-                live.add(id(rec.out))
-                path.append(rec)
-                break
-    grads = {id(output): ones_like(output)}
-    ctx = nullcontext() if create_graph else no_record()
-    with ctx:
+        if not live.isdisjoint(rec.inputs):
+            live.add(rec.out)
+            path.append(rec)
+    grads = {output: Tensor(np.ones_like(output.data))}
+    with nullcontext() if create_graph else no_record():
         for rec in reversed(path):
-            g = grads.get(id(rec.out))
+            g = grads.get(rec.out)
             if g is None or rec.vjp is None:
                 continue
             for t, gi in zip(rec.inputs, rec.vjp(g)):
-                if gi is None or id(t) not in live:
+                if gi is None or t not in live:
                     continue
-                prev = grads.get(id(t))
-                grads[id(t)] = gi if prev is None else add(prev, gi)
-    return [grads[id(w)] if id(w) in grads else zeros_like(w) for w in wrt]
+                prev = grads.get(t)
+                grads[t] = gi if prev is None else add(prev, gi)
+    return [grads.get(w) for w in wrt]

@@ -56,11 +56,7 @@ def init_parameters(cfg, item_counts, seed):
 
 
 def _rms_norm(y, gain):
-    n, d = y.data.shape
-    ms = ad.mean(ad.square(y), axis=1, keepdims=True)
-    r = ad.reciprocal(ad.sqrt(ad.add_scalar(ms, RMS_EPS)))
-    g = ad.expand(ad.reshape(gain, (1, d)), (n, d))
-    return ad.mul(ad.mul(y, ad.expand(r, (n, d))), g)
+    return ad.mul(ad.mul(y, ad.rms_inv(y, RMS_EPS)), gain)
 
 
 def encode_steps(params, cfg, table, inputs):
@@ -77,33 +73,18 @@ def encode_steps(params, cfg, table, inputs):
     batch, length = inputs.shape
     if length > cfg.max_len:
         raise ValueError(f"sequence length {length} exceeds max_len {cfg.max_len}")
-    d = cfg.d_model
     rows = batch * length
     x = ad.gather(table, inputs.T.ravel())
     for b in range(cfg.num_blocks):
         gate = ad.sigmoid(params[f"block{b}.decay"])
         inv_gate = ad.add_scalar(ad.scale(gate, -1.0), 1.0)
-        inv_gate = ad.expand(ad.reshape(inv_gate, (1, d)), (rows, d))
-        drive = ad.mul(inv_gate, ad.matmul(x, ad.transpose(params[f"block{b}.w_in"])))
+        drive = ad.mul(inv_gate, ad.matmul(x, params[f"block{b}.w_in"], tb=True))
         h = ad.linear_scan(drive, gate, length)
         if b == cfg.num_blocks - 1:
             h = ad.slice_axis(h, 0, rows - batch, rows)
             x = ad.slice_axis(x, 0, rows - batch, rows)
-        w1_t = ad.transpose(params[f"block{b}.ff_w1"])
-        w2_t = ad.transpose(params[f"block{b}.ff_w2"])
-        ff = ad.matmul(ad.relu(ad.matmul(h, w1_t)), w2_t)
+        ff = ad.matmul(ad.relu(ad.matmul(h, params[f"block{b}.ff_w1"], tb=True)),
+                       params[f"block{b}.ff_w2"], tb=True)
         x = _rms_norm(ad.add(ff, x), params[f"block{b}.norm_gain"])
     return x
 
-
-def cross_entropy_batch(logits, targets):
-    """Mean cross-entropy over rows of a (B, |I|) logit matrix."""
-    rows, cols = logits.data.shape
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.size and (targets.min() < 0 or targets.max() >= cols):
-        raise IndexError(f"cross_entropy_batch: target out of range [0, {cols})")
-    shift = Tensor(np.max(logits.data, axis=1, keepdims=True))
-    z = ad.sub(logits, ad.expand(shift, (rows, cols)))
-    lse = ad.log(ad.sum(ad.exp(z), axis=1))
-    picked = ad.take_per_row(z, targets)
-    return ad.scale(ad.sum(ad.sub(lse, picked)), 1.0 / rows)

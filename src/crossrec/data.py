@@ -4,6 +4,7 @@ controllable source-target similarity knob."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,11 @@ class DomainDataset:
     def pad_id(self):
         return self.item_count
 
+    @cached_property
+    def eligible_users(self):
+        """Users whose train prefix holds at least one (input, target) pair."""
+        return [u for u in range(self.num_users) if len(self.train[u]) >= 2]
+
 
 @dataclass
 class TaskBatch:
@@ -42,6 +48,20 @@ class SyntheticSpec:
     seq_len_max: int = 16
     rho: float = 0.9     # shared-structure strength in [0, 1]
     seed: int = 0
+
+    def __post_init__(self):
+        # a length-4 sequence leaves a train prefix of 2 items: one (input,
+        # target) pair once val and test are held out
+        for name, low in (("num_source_domains", 1), ("items_per_domain", 1),
+                          ("users_per_domain", 1), ("seq_len_min", 4)):
+            if getattr(self, name) < low:
+                raise ValueError(f"synthetic.{name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
+        if self.seq_len_max < self.seq_len_min:
+            raise ValueError(f"synthetic.seq_len_max must be >= synthetic.seq_len_min="
+                             f"{self.seq_len_min}, got {self.seq_len_max}")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"synthetic.rho must be in [0, 1], got {self.rho}")
 
 
 @dataclass
@@ -150,7 +170,7 @@ def sample_batch(dataset, split, batch_size, max_len, rng):
     users = dataset.num_users
     if users == 0:
         raise ValueError(f"sample_batch: empty dataset {dataset.domain_id}")
-    eligible = [u for u in range(users) if len(dataset.train[u]) >= 2]
+    eligible = dataset.eligible_users
     if not eligible:
         raise ValueError(f"sample_batch: no train pairs in {dataset.domain_id}")
     inputs = np.empty((batch_size, max_len), dtype=np.int64)
@@ -193,8 +213,6 @@ def generate_synthetic(spec):
     magnitude fewer users than each source. Item-id spaces are domain-local by
     construction.
     """
-    if not 0.0 <= spec.rho <= 1.0:
-        raise ValueError(f"generate_synthetic: rho must be in [0, 1], got {spec.rho}")
     rng = np.random.default_rng(spec.seed)
     n = spec.items_per_domain
     base = _random_transition(rng, n)

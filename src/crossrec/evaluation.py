@@ -71,7 +71,7 @@ def evaluate(params, dataset, split, k, model_cfg, chunk=256):
             hi = min(lo + chunk, batch.inputs.shape[0])
             hidden = backbone.encode_steps(params, model_cfg.encoder, matrix_full,
                                             batch.inputs[lo:hi])
-            scores = ad.matmul(hidden, ad.transpose(items)).data
+            scores = ad.matmul(hidden, items, tb=True).data
             ranks.append(rank_of_truth(scores, batch.targets[lo:hi]))
     ranks = np.concatenate(ranks)
     per_user = np.stack(metrics_from_rank(ranks, k), axis=1)

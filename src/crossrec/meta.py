@@ -63,10 +63,11 @@ def inner_adapt(theta, step_loss_fns, cfg):
 
     ``step_loss_fns`` supplies one loss callable (params -> scalar tensor) per
     inner step. Every update ``phi - inner_lr * g`` is recorded on one tape, so
-    phi stays a differentiable function of theta. In second-order mode ``g``
-    is recorded with ``create_graph``; in first-order mode it is a constant,
-    so the meta-gradient passes through the updates unchanged (Finn et al.
-    2017, arXiv:1703.03400).
+    phi stays a differentiable function of theta; a parameter the step loss
+    cannot reach (its gradient is ``None``) is carried over unchanged. In
+    second-order mode ``g`` is recorded with ``create_graph``; in first-order
+    mode it is a constant, so the meta-gradient passes through the updates
+    unchanged (Finn et al. 2017, arXiv:1703.03400).
     """
     if not step_loss_fns:
         raise ValueError("inner_adapt: no inner batches")
@@ -80,7 +81,7 @@ def inner_adapt(theta, step_loss_fns, cfg):
             losses.append(float(loss.data))
             grads = ad.grad(loss, [phi[k] for k in names],
                             create_graph=cfg.second_order)
-            phi = {k: ad.sub(phi[k], ad.scale(g, cfg.inner_lr))
+            phi = {k: phi[k] if g is None else ad.step(phi[k], g, cfg.inner_lr)
                    for k, g in zip(names, grads)}
     return AdaptResult(phi, losses, tape)
 
@@ -90,13 +91,15 @@ def meta_gradient(theta, adapted, meta_loss_fn, cfg):
     ``inner_adapt`` recorded on ``adapted.tape``.
 
     ``cfg`` is unused: the gradient order was fixed by ``inner_adapt``.
-    Returns (name -> ndarray, meta loss value).
+    Returns (name -> ndarray, meta loss value); a layer the meta loss cannot
+    reach gets zeros.
     """
     names = list(theta)
     with adapted.tape:
         loss = meta_loss_fn(adapted.phi)
         grads = ad.grad(loss, [theta[k] for k in names])
-    return {k: g.data.copy() for k, g in zip(names, grads)}, float(loss.data)
+    return ({k: np.zeros_like(theta[k].data) if g is None else g.data.copy()
+             for k, g in zip(names, grads)}, float(loss.data))
 
 
 def _softmax(x):
@@ -205,6 +208,7 @@ def joint_train_iteration(theta, sources, target, model_cfg, cfg, rng):
             total = ad.add(total, extra)
         total = ad.scale(total, 1.0 / len(losses))
         grads = ad.grad(total, [theta[k] for k in names])
-    new_theta = {k: Tensor(theta[k].data - cfg.outer_lr * g.data)
+    new_theta = {k: Tensor(theta[k].data - cfg.outer_lr *
+                           (np.zeros_like(theta[k].data) if g is None else g.data))
                  for k, g in zip(names, grads)}
     return new_theta, float(total.data)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import autodiff as ad
-from .backbone import EncoderConfig, cross_entropy_batch, embed_key, encode_steps
+from .backbone import EncoderConfig, embed_key, encode_steps
 from .vq import make_codebook, quantize_domain_matrix
 
 
@@ -50,8 +50,7 @@ def batch_loss(params, batch, model_cfg, include_vq=True):
     item_count = matrix_full.data.shape[0] - 1
     last = encode_steps(params, model_cfg.encoder, matrix_full, batch.inputs)
     items = ad.slice_axis(matrix_full, 0, 0, item_count)
-    logits = ad.matmul(last, ad.transpose(items))
-    ce = cross_entropy_batch(logits, batch.targets)
+    ce = ad.cross_entropy(ad.matmul(last, items, tb=True), batch.targets)
     parts = {"ce": float(ce.data)}
     loss = ce
     if vq_term is not None:

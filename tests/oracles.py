@@ -85,42 +85,38 @@ def full_sweep_grad(output, wrt, create_graph=False):
     """Reference without pruning: the reverse sweep visits every record."""
     tape = ad._active()
     records = list(tape.records)
-    grads = {id(output): ad.ones_like(output)}
+    grads = {output: ad.Tensor(np.ones_like(output.data))}
     with nullcontext() if create_graph else ad.no_record():
         for rec in reversed(records):
-            g = grads.get(id(rec.out))
+            g = grads.get(rec.out)
             if g is None or rec.vjp is None:
                 continue
             for t, gi in zip(rec.inputs, rec.vjp(g)):
                 if gi is not None:
-                    prev = grads.get(id(t))
-                    grads[id(t)] = gi if prev is None else ad.add(prev, gi)
-    return [grads[id(w)] if id(w) in grads else ad.zeros_like(w) for w in wrt]
+                    prev = grads.get(t)
+                    grads[t] = gi if prev is None else ad.add(prev, gi)
+    return [grads.get(w) for w in wrt]
 
 
 def reference_encode_last(params, cfg, table, inputs):
     """The encoder as a per-position loop: one gather and one recurrence step
     per position, the feed-forward and norm on every position of every block.
     Returns the (B, d) output at the last position."""
-    d = cfg.d_model
     x = [ad.gather(table, inputs[:, t]) for t in range(inputs.shape[1])]
     batch = x[0].data.shape[0]
     for b in range(cfg.num_blocks):
         gate = ad.sigmoid(params[f"block{b}.decay"])
-        gate_e = ad.expand(ad.reshape(gate, (1, d)), (batch, d))
-        inv_gate = ad.add_scalar(ad.scale(gate_e, -1.0), 1.0)
-        w_in_t = ad.transpose(params[f"block{b}.w_in"])
-        w1_t = ad.transpose(params[f"block{b}.ff_w1"])
-        w2_t = ad.transpose(params[f"block{b}.ff_w2"])
+        inv_gate = ad.add_scalar(ad.scale(gate, -1.0), 1.0)
         h = None
         hs = []
         for xt in x:
-            drive = ad.mul(inv_gate, ad.matmul(xt, w_in_t))
-            h = drive if h is None else ad.add(ad.mul(gate_e, h), drive)
+            drive = ad.mul(inv_gate, ad.matmul(xt, params[f"block{b}.w_in"], tb=True))
+            h = drive if h is None else ad.add(ad.mul(gate, h), drive)
             hs.append(h)
         stacked_h = ad.concat(hs, 0) if len(hs) > 1 else hs[0]
         stacked_x = ad.concat(x, 0) if len(x) > 1 else x[0]
-        ff = ad.matmul(ad.relu(ad.matmul(stacked_h, w1_t)), w2_t)
+        ff = ad.matmul(ad.relu(ad.matmul(stacked_h, params[f"block{b}.ff_w1"], tb=True)),
+                       params[f"block{b}.ff_w2"], tb=True)
         y = _rms_norm(ad.add(ff, stacked_x), params[f"block{b}.norm_gain"])
         x = [ad.slice_axis(y, 0, t * batch, (t + 1) * batch) for t in range(len(x))]
     return x[-1]
@@ -129,18 +125,23 @@ def reference_encode_last(params, cfg, table, inputs):
 def first_order_meta_gradient(theta, step_loss_fns, meta_loss_fn, inner_lr):
     """Reference first-order meta-gradient as a separate path: each inner step
     on its own tape over fresh leaves, phi rebuilt in numpy, and the meta loss
-    differentiated wrt phi. Returns (phi arrays, meta-gradient arrays)."""
+    differentiated wrt phi. An unreached layer has a zero gradient. Returns
+    (phi arrays, meta-gradient arrays)."""
     names = list(theta)
     phi = {k: ad.Tensor(v.data.copy()) for k, v in theta.items()}
+
+    def arrays(grads):
+        return [np.zeros_like(phi[k].data) if g is None else g.data
+                for k, g in zip(names, grads)]
+
     for fn in step_loss_fns:
         with ad.Tape():
-            grads = ad.grad(fn(phi), [phi[k] for k in names])
-        phi = {k: ad.Tensor(phi[k].data - inner_lr * g.data)
+            grads = arrays(ad.grad(fn(phi), [phi[k] for k in names]))
+        phi = {k: ad.Tensor(phi[k].data - inner_lr * g)
                for k, g in zip(names, grads)}
     with ad.Tape():
-        grads = ad.grad(meta_loss_fn(phi), [phi[k] for k in names])
-    return ({k: phi[k].data for k in names},
-            {k: g.data for k, g in zip(names, grads)})
+        grads = arrays(ad.grad(meta_loss_fn(phi), [phi[k] for k in names]))
+    return {k: phi[k].data for k in names}, dict(zip(names, grads))
 
 
 def per_head_quantize_rows(rows, book):

@@ -108,32 +108,32 @@ def test_criterion_3_vq_properties():
         rows = rng.standard_normal((k, width))
         book = book_from(rows, heads)
         z = rng.standard_normal(width)
-        z_q, codes = vq.quantize_rows(ad.tensor(z[None]), book)
+        z_q, codes = vq.quantize_rows(ad.Tensor(z[None]), book)
         ok &= codes[0].tolist() == nearest_codes_exhaustive(z, rows, heads)
         for h, j in enumerate(codes[0]):  # slices bit-match the codebook
             ok &= np.array_equal(z_q.data[0, h * 2:(h + 1) * 2],
                                  rows[j][h * 2:(h + 1) * 2])
         _, scaled = vq.quantize_rows(
-            ad.tensor(float(rng.uniform(0.1, 9)) * z[None]), book)
+            ad.Tensor(float(rng.uniform(0.1, 9)) * z[None]), book)
         ok &= np.array_equal(scaled, codes)
         # loss zero iff z_q == z_e
-        ok &= vq.vq_loss(ad.tensor(z), ad.tensor(z)).item() == 0.0
-        ok &= vq.vq_loss(z_q, ad.tensor(z[None])).item() > 0.0 or \
+        ok &= float(vq.vq_loss(ad.Tensor(z), ad.Tensor(z)).data) == 0.0
+        ok &= float(vq.vq_loss(z_q, ad.Tensor(z[None])).data) > 0.0 or \
             np.array_equal(z_q.data[0], z)
         # straight-through == identity-mapping gradient
         w = rng.standard_normal((width, width))
         with ad.Tape():
-            te = ad.tensor(z[None])
+            te = ad.Tensor(z[None])
             out = vq.straight_through(te, z_q)
-            (g_st,) = ad.grad(ad.sum(ad.square(ad.matmul(out, ad.tensor(w)))),
+            (g_st,) = ad.grad(ad.sum(ad.square(ad.matmul(out, ad.Tensor(w)))),
                               [te])
         with ad.Tape():
-            ti = ad.tensor(z_q.data)
-            (g_id,) = ad.grad(ad.sum(ad.square(ad.matmul(ti, ad.tensor(w)))),
+            ti = ad.Tensor(z_q.data)
+            (g_id,) = ad.grad(ad.sum(ad.square(ad.matmul(ti, ad.Tensor(w)))),
                               [ti])
         ok &= np.array_equal(g_st.data, g_id.data)
         # self-quantization identity on angularly unique slices
-        self_q, self_codes = vq.quantize_rows(ad.tensor(rows), book)
+        self_q, self_codes = vq.quantize_rows(ad.Tensor(rows), book)
         if np.array_equal(self_codes,
                           np.tile(np.arange(k)[:, None], (1, heads))):
             ok &= np.array_equal(self_q.data, rows)

@@ -6,6 +6,7 @@ from scipy.special import expit
 
 from crossrec import autodiff as ad
 from crossrec.data import sample_batch
+from crossrec.meta import MetaConfig, inner_adapt
 from crossrec.objective import batch_loss
 
 from oracles import fd_grad, full_sweep_grad, rel_err
@@ -14,44 +15,51 @@ from test_meta import tiny_world
 
 def run_grad(build, arrays):
     with ad.Tape():
-        ts = [ad.tensor(a) for a in arrays]
+        ts = [ad.Tensor(a) for a in arrays]
         out = build(ts)
         return [g.data for g in ad.grad(out, ts)]
 
 
 def scalar_of(build):
-    return lambda arrays: float(build([ad.tensor(a) for a in arrays]).data)
+    return lambda arrays: float(build([ad.Tensor(a) for a in arrays]).data)
 
 
 # one builder per forward op, each reduced to a scalar for gradient checking
 OP_CASES = {
     "add": (lambda ts: ad.sum(ad.square(ad.add(ts[0], ts[1]))), [(5,), (5,)]),
+    "add_row": (lambda ts: ad.sum(ad.square(ad.add(ts[0], ts[1]))), [(3, 4), (1, 4)]),
     "sub": (lambda ts: ad.sum(ad.square(ad.sub(ts[0], ts[1]))), [(5,), (5,)]),
+    "sub_column": (lambda ts: ad.sum(ad.square(ad.sub(ts[0], ts[1]))), [(3, 1), (3, 4)]),
     "mul": (lambda ts: ad.sum(ad.mul(ts[0], ts[1])), [(2, 3), (2, 3)]),
+    "mul_rank1": (lambda ts: ad.sum(ad.square(ad.mul(ts[0], ts[1]))), [(3, 4), (4,)]),
     "matmul": (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1]))), [(3, 4), (4, 2)]),
+    "matmul_ta": (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1], ta=True))),
+                  [(4, 3), (4, 2)]),
+    "matmul_tb": (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1], tb=True))),
+                  [(3, 4), (2, 4)]),
+    "matmul_ta_tb": (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1], True, True))),
+                     [(4, 3), (2, 4)]),
     "scale": (lambda ts: ad.sum(ad.square(ad.scale(ts[0], -2.5))), [(6,)]),
+    "add_scalar": (lambda ts: ad.sum(ad.square(ad.add_scalar(ts[0], 0.7))), [(6,)]),
+    "step": (lambda ts: ad.sum(ad.square(ad.step(ts[0], ts[1], 0.3))), [(2, 3), (2, 3)]),
     "sum": (lambda ts: ad.square(ad.sum(ts[0])), [(3, 3)]),
     "sum_axis": (lambda ts: ad.sum(ad.square(ad.sum(ts[0], axis=1))), [(3, 4)]),
-    "mean": (lambda ts: ad.square(ad.mean(ts[0])), [(7,)]),
-    "mean_axis": (lambda ts: ad.sum(ad.square(ad.mean(ts[0], axis=0))), [(4, 3)]),
     "concat": (lambda ts: ad.sum(ad.square(ad.concat(ts, 0))), [(2, 3), (4, 3)]),
     "concat_axis1": (lambda ts: ad.sum(ad.square(ad.concat(ts, 1))), [(2, 3), (2, 2)]),
     "slice": (lambda ts: ad.sum(ad.square(ad.slice_axis(ts[0], 1, 1, 3))), [(4, 5)]),
     "gather": (lambda ts: ad.sum(ad.square(ad.gather(ts[0], [2, 0, 2]))), [(4, 3)]),
+    "scatter_rows": (lambda ts: ad.sum(ad.square(ad.scatter_rows(ts[0], [2, 0, 2], 4))),
+                     [(3, 3)]),
     "sigmoid": (lambda ts: ad.sum(ad.sigmoid(ts[0])), [(8,)]),
     "relu": (lambda ts: ad.sum(ad.square(ad.relu(ts[0]))), [(8,)]),
-    "log": (lambda ts: ad.sum(ad.log(ad.add_scalar(ad.square(ts[0]), 1.0))), [(6,)]),
-    "exp": (lambda ts: ad.sum(ad.exp(ts[0])), [(6,)]),
     "square": (lambda ts: ad.sum(ad.square(ts[0])), [(2, 4)]),
-    "sqrt": (lambda ts: ad.sum(ad.sqrt(ad.add_scalar(ad.square(ts[0]), 0.5))), [(6,)]),
-    "take_per_row": (lambda ts: ad.sum(ad.square(ad.take_per_row(ts[0], [1, 0, 2]))),
-                     [(3, 4)]),
-    "transpose": (lambda ts: ad.sum(ad.square(ad.matmul(ad.transpose(ts[0]), ts[0]))),
-                  [(3, 2)]),
+    "rms_inv": (lambda ts: ad.sum(ad.mul(ad.rms_inv(ts[0], 0.1), ts[1])), [(3, 4), (3, 1)]),
+    "softmax_rows": (lambda ts: ad.sum(ad.mul(ad.softmax_rows(ts[0]), ts[1])),
+                     [(3, 4), (3, 4)]),
+    "cross_entropy": (lambda ts: ad.cross_entropy(ts[0], [1, 0, 3]), [(3, 4)]),
     "reshape": (lambda ts: ad.sum(ad.square(ad.reshape(ts[0], (6,)))), [(2, 3)]),
     "expand": (lambda ts: ad.sum(ad.square(ad.expand(ts[0], (4, 3)))), [(1, 3)]),
-    "reciprocal": (lambda ts: ad.sum(ad.reciprocal(ad.add_scalar(ad.square(ts[0]), 1.0))),
-                   [(5,)]),
+    "expand_rank": (lambda ts: ad.sum(ad.square(ad.expand(ts[0], (2, 4, 3)))), [(4, 1)]),
     "linear_scan": (lambda ts: ad.sum(ad.square(ad.linear_scan(ts[0], ts[1], 3))),
                     [(6, 2), (2,)]),
     "linear_scan_reverse": (
@@ -67,17 +75,20 @@ def recorded_ops(build):
 
 
 def test_op_cases_are_the_ops_the_model_records():
-    # criterion 1 runs OP_CASES, so it covers every op of the model and no op
-    # the model does not use; test_vq checks the two ops without a useful FD
+    # criterion 1 runs OP_CASES, so it covers every op that a second-order
+    # inner step records (the forward, its create_graph backward and the
+    # update) and no other op; test_vq checks the two ops without a useful FD
     params, sources, _, mc = tiny_world()
     batch = sample_batch(sources[0], "train", 4, mc.encoder.max_len,
                          np.random.default_rng(0))
-    model_ops = recorded_ops(lambda: batch_loss(params, batch, mc))
+    adapted = inner_adapt(params, [lambda p: batch_loss(p, batch, mc)[0]],
+                          MetaConfig(inner_steps=1))
+    model_ops = {r.op for r in adapted.tape.records}
     rng = np.random.default_rng(0)
     case_ops = set()
     for build, shapes in OP_CASES.values():
         case_ops |= recorded_ops(
-            lambda: build([ad.tensor(rng.standard_normal(s)) for s in shapes]))
+            lambda: build([ad.Tensor(rng.standard_normal(s)) for s in shapes]))
     assert model_ops - {"straight_through", "stop_gradient"} == case_ops
 
 
@@ -94,31 +105,30 @@ def test_gradient_matches_finite_differences(name):
 
 
 def test_forward_examples():
-    m = ad.matmul(ad.tensor([[1.0, 2.0], [3.0, 4.0]]), ad.tensor([[1.0], [1.0]]))
+    m = ad.matmul(ad.Tensor([[1.0, 2.0], [3.0, 4.0]]), ad.Tensor([[1.0], [1.0]]))
     assert np.array_equal(m.data, [[3.0], [7.0]])
-    s = ad.sigmoid(ad.tensor([0.0, 0.0, 0.0]))
+    s = ad.sigmoid(ad.Tensor([0.0, 0.0, 0.0]))
     assert np.array_equal(s.data, [0.5, 0.5, 0.5])
     e = np.eye(3)
-    g = ad.gather(ad.tensor(e), [2, 2])
+    g = ad.gather(ad.Tensor(e), [2, 2])
     assert np.array_equal(g.data, np.stack([e[2], e[2]]))
 
 
 def test_shape_mismatch_rejected_with_shapes():
     with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
-        ad.add(ad.tensor([1.0, 2.0]), ad.tensor([1.0, 2.0, 3.0]))
+        ad.add(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(IndexError):
-        ad.gather(ad.tensor(np.eye(2)), [0, 5])
+        ad.gather(ad.Tensor(np.eye(2)), [0, 5])
 
 
 def test_stop_gradient():
-    x = ad.tensor([1.5, -2.0])
+    x = ad.Tensor([1.5, -2.0])
     assert np.array_equal(ad.stop_gradient(x).data, [1.5, -2.0])
     with ad.Tape():
-        x = ad.tensor([1.0, 2.0, 3.0])
-        (g,) = ad.grad(ad.sum(ad.stop_gradient(x)), [x])
-        assert np.array_equal(g.data, np.zeros(3))
+        x = ad.Tensor([1.0, 2.0, 3.0])
+        assert ad.grad(ad.sum(ad.stop_gradient(x)), [x]) == [None]
     with ad.Tape():
-        x = ad.tensor([3.0])
+        x = ad.Tensor([3.0])
         (g,) = ad.grad(ad.sum(ad.mul(x, ad.stop_gradient(x))), [x])
         assert np.array_equal(g.data, [3.0])
 
@@ -127,19 +137,18 @@ def test_stop_gradient_blocks_arbitrary_expressions():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(4)
     with ad.Tape():
-        x = ad.tensor(v)
+        x = ad.Tensor(v)
         e = ad.sum(ad.sigmoid(ad.square(ad.stop_gradient(x))))
-        (g,) = ad.grad(e, [x])
-        assert np.array_equal(g.data, np.zeros(4))
+        assert ad.grad(e, [x]) == [None]
 
 
 def test_grad_power_rule_and_second_order():
     with ad.Tape():
-        x = ad.tensor([1.0, 2.0, 3.0])
+        x = ad.Tensor([1.0, 2.0, 3.0])
         (g,) = ad.grad(ad.sum(ad.square(x)), [x])
         assert np.array_equal(g.data, [2.0, 4.0, 6.0])
     with ad.Tape():
-        x = ad.tensor([2.0])
+        x = ad.Tensor([2.0])
         y = ad.sum(ad.mul(ad.mul(x, x), x))
         (g1,) = ad.grad(y, [x], create_graph=True)
         (g2,) = ad.grad(ad.sum(g1), [x])
@@ -152,14 +161,14 @@ def test_second_order_matches_fd_of_first_gradient():
 
     def first_grad(arr):
         with ad.Tape():
-            x = ad.tensor(arr)
-            y = ad.sum(ad.mul(ad.exp(ad.scale(x, 0.5)), ad.square(x)))
+            x = ad.Tensor(arr)
+            y = ad.sum(ad.mul(ad.sigmoid(ad.scale(x, 0.5)), ad.square(x)))
             (g,) = ad.grad(y, [x])
         return g.data
 
     with ad.Tape():
-        x = ad.tensor(v)
-        y = ad.sum(ad.mul(ad.exp(ad.scale(x, 0.5)), ad.square(x)))
+        x = ad.Tensor(v)
+        y = ad.sum(ad.mul(ad.sigmoid(ad.scale(x, 0.5)), ad.square(x)))
         (g1,) = ad.grad(y, [x], create_graph=True)
         (g2,) = ad.grad(ad.sum(g1), [x])
 
@@ -182,50 +191,97 @@ def test_linear_scan_second_order_matches_fd(reverse):
     def probe(u, gate, create_graph):
         """<c, d loss / d (u, gate)> for a loss that weights every scan row."""
         h = ad.linear_scan(u, gate, 4, reverse)
-        loss = ad.sum(ad.square(ad.mul(h, ad.tensor(weight))))
+        loss = ad.sum(ad.square(ad.mul(h, ad.Tensor(weight))))
         gu, gg = ad.grad(loss, [u, gate], create_graph=create_graph)
-        return ad.add(ad.sum(ad.mul(gu, ad.tensor(cu))), ad.sum(ad.mul(gg, ad.tensor(cg))))
+        return ad.add(ad.sum(ad.mul(gu, ad.Tensor(cu))), ad.sum(ad.mul(gg, ad.Tensor(cg))))
 
     def value(arrays):
         with ad.Tape():
-            return float(probe(ad.tensor(arrays[0]), ad.tensor(arrays[1]), False).data)
+            return float(probe(ad.Tensor(arrays[0]), ad.Tensor(arrays[1]), False).data)
 
     with ad.Tape():
-        u, gate = ad.tensor(u0), ad.tensor(gate0)
+        u, gate = ad.Tensor(u0), ad.Tensor(gate0)
         got = ad.grad(probe(u, gate, True), [u, gate])
     ref = fd_grad(value, [u0, gate0])
     for g, r in zip(got, ref):
         assert rel_err(g.data, r) < 1e-6
 
 
+# ops whose vjp is built from recorded ops, checked through second order
+SECOND_ORDER_CASES = {
+    "rms_inv": (lambda ts: ad.rms_inv(ts[0], 0.1), [(4, 3)]),
+    "softmax_rows": (lambda ts: ad.softmax_rows(ts[0]), [(3, 4)]),
+    "cross_entropy": (lambda ts: ad.cross_entropy(ts[0], [2, 0, 3]), [(3, 4)]),
+    "matmul_ta": (lambda ts: ad.matmul(ts[0], ts[1], ta=True), [(4, 3), (4, 2)]),
+    "matmul_tb": (lambda ts: ad.matmul(ts[0], ts[1], tb=True), [(3, 4), (2, 4)]),
+    "matmul_ta_tb": (lambda ts: ad.matmul(ts[0], ts[1], True, True), [(4, 3), (2, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_ORDER_CASES))
+def test_second_order_op_matches_fd(name):
+    op, shapes = SECOND_ORDER_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    arrays = [rng.standard_normal(s) for s in shapes]
+    weight = rng.standard_normal(np.shape(op([ad.Tensor(a) for a in arrays]).data))
+    probes = [rng.standard_normal(s) for s in shapes]
+
+    def probe(ts, create_graph):
+        """<c, d loss / d inputs> for a loss that weights every output entry."""
+        loss = ad.sum(ad.square(ad.mul(op(ts), ad.Tensor(weight))))
+        grads = ad.grad(loss, ts, create_graph=create_graph)
+        total = ad.sum(ad.mul(grads[0], ad.Tensor(probes[0])))
+        for g, c in zip(grads[1:], probes[1:]):
+            total = ad.add(total, ad.sum(ad.mul(g, ad.Tensor(c))))
+        return total
+
+    def value(arrs):
+        with ad.Tape():
+            return float(probe([ad.Tensor(a) for a in arrs], False).data)
+
+    with ad.Tape():
+        ts = [ad.Tensor(a) for a in arrays]
+        got = ad.grad(probe(ts, True), ts)
+    for g, r in zip(got, fd_grad(value, arrays)):
+        assert rel_err(g.data, r) < 1e-6
+
+
 def test_linear_scan_shape_errors():
     with pytest.raises(ValueError, match="do not split"):
-        ad.linear_scan(ad.tensor(np.zeros((5, 2))), ad.tensor(np.zeros(2)), 2)
+        ad.linear_scan(ad.Tensor(np.zeros((5, 2))), ad.Tensor(np.zeros(2)), 2)
     with pytest.raises(ValueError, match="gate"):
-        ad.linear_scan(ad.tensor(np.zeros((4, 2))), ad.tensor(np.zeros(3)), 2)
+        ad.linear_scan(ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros(3)), 2)
 
 
 def test_non_scalar_grad_rejected():
     with ad.Tape():
-        x = ad.tensor([1.0, 2.0])
+        x = ad.Tensor([1.0, 2.0])
         with pytest.raises(ValueError):
             ad.grad(x, [x])
 
 
-def test_unreachable_wrt_gets_zeros():
+def test_unreachable_wrt_gets_none():
     with ad.Tape():
-        x = ad.tensor([1.0, 2.0])
-        z = ad.tensor(np.ones((2, 2)))
+        x = ad.Tensor([1.0, 2.0])
+        z = ad.Tensor(np.ones((2, 2)))
         (gx, gz) = ad.grad(ad.sum(x), [x, z])
         assert np.array_equal(gx.data, [1.0, 1.0])
-        assert np.array_equal(gz.data, np.zeros((2, 2)))
-    with ad.Tape():
+        assert gz is None
+    with ad.Tape() as tape:
         # on the tape and forward of x, but not backward of the output
-        x = ad.tensor([1.0, 2.0])
+        x = ad.Tensor([1.0, 2.0])
         side = ad.square(x)
+        n = len(tape.records)
         (gx, gs) = ad.grad(ad.sum(ad.scale(x, 3.0)), [x, side], create_graph=True)
         assert np.array_equal(gx.data, [3.0, 3.0])
-        assert np.array_equal(gs.data, np.zeros(2))
+        assert gs is None
+        # only the forward sum/scale and their vjps: no zero tensor is recorded
+        assert [r.op for r in tape.records[n:]] == ["scale", "sum", "expand", "scale"]
+    with ad.Tape():
+        # a gradient that reaches a tensor but sums to zero is not None
+        x = ad.Tensor([1.0, 2.0])
+        (g,) = ad.grad(ad.sum(ad.sub(x, x)), [x])
+        assert np.array_equal(g.data, [0.0, 0.0])
 
 
 def test_grad_records_nothing_upstream_of_wrt():
@@ -237,7 +293,7 @@ def test_grad_records_nothing_upstream_of_wrt():
 
     def run(grad_fn):
         with ad.Tape() as tape:
-            h = ad.sigmoid(ad.matmul(ad.tensor(w0), ad.tensor(x0)))
+            h = ad.sigmoid(ad.matmul(ad.Tensor(w0), ad.Tensor(x0)))
             y = downstream(h)
             n = len(tape.records)
             (g,) = grad_fn(y, [h], create_graph=True)
@@ -247,10 +303,10 @@ def test_grad_records_nothing_upstream_of_wrt():
     unpruned, unpruned_ops = run(full_sweep_grad)
     assert pruned == unpruned
     # the upstream matmul/sigmoid vjps are recorded only without pruning
-    assert "transpose" in unpruned_ops and "transpose" not in pruned_ops
+    assert "matmul" in unpruned_ops and "matmul" not in pruned_ops
     # with h as a leaf the tape holds no upstream ops: same records exactly
     with ad.Tape() as tape:
-        h = ad.tensor(expit(w0 @ x0))
+        h = ad.Tensor(expit(w0 @ x0))
         y = downstream(h)
         n = len(tape.records)
         ad.grad(y, [h], create_graph=True)
@@ -261,8 +317,8 @@ def test_grad_records_nothing_upstream_of_wrt():
 def test_tape_determinism_and_replay():
     def run():
         with ad.Tape() as tape:
-            x = ad.tensor([[0.3], [-0.7], [1.1]])
-            w = ad.tensor(np.arange(9, dtype=float).reshape(3, 3) / 10)
+            x = ad.Tensor([[0.3], [-0.7], [1.1]])
+            w = ad.Tensor(np.arange(9, dtype=float).reshape(3, 3) / 10)
             y = ad.sum(ad.square(ad.sigmoid(ad.matmul(w, x))))
             gs = ad.grad(y, [x, w], create_graph=True)
             (g2,) = ad.grad(ad.sum(ad.square(gs[1])), [x])
@@ -276,7 +332,7 @@ def test_tape_determinism_and_replay():
 
 def test_detached_tensor_contributes_zero():
     with ad.Tape():
-        x = ad.tensor([1.0, 2.0])
+        x = ad.Tensor([1.0, 2.0])
         const = ad.Tensor(np.array([5.0, 5.0]))  # built outside any op
         y = ad.sum(ad.mul(x, const))
         (g,) = ad.grad(y, [x])

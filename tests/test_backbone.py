@@ -52,7 +52,7 @@ def test_encode_single_step_matches_closed_form():
     params = tiny_params(seed=3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 4))
-    params["embed.d0"] = ad.tensor(np.vstack([x, np.zeros((3, 4))]))
+    params["embed.d0"] = ad.Tensor(np.vstack([x, np.zeros((3, 4))]))
     with ad.Tape():
         out = encode(params, [[0]])
     gate = 1.0 / (1.0 + np.exp(-params["block0.decay"].data))
@@ -77,13 +77,13 @@ def test_causality_every_position():
     rng = np.random.default_rng(7)
     steps, batch = 5, 3
     u = rng.standard_normal((steps * batch, 4))
-    gate = ad.tensor(rng.uniform(0.1, 0.9, 4))
+    gate = ad.Tensor(rng.uniform(0.1, 0.9, 4))
     for reverse in (False, True):
-        base = ad.linear_scan(ad.tensor(u), gate, steps, reverse).data
+        base = ad.linear_scan(ad.Tensor(u), gate, steps, reverse).data
         for t in range(steps):
             pert = u.copy()
             pert[t * batch:(t + 1) * batch] += rng.standard_normal((batch, 4))
-            out = ad.linear_scan(ad.tensor(pert), gate, steps, reverse).data
+            out = ad.linear_scan(ad.Tensor(pert), gate, steps, reverse).data
             # a forward scan keeps the positions before t, a reverse one those after
             kept = slice((t + 1) * batch, None) if reverse else slice(0, t * batch)
             moved = slice(0, (t + 1) * batch) if reverse else slice(t * batch, None)
@@ -99,7 +99,7 @@ def test_sequence_too_long_rejected():
 
 def scores(hidden, items):
     """Logits the way batch_loss and evaluate compute them: (B, d) x (N, d)."""
-    return ad.matmul(ad.tensor(hidden), ad.transpose(ad.tensor(items))).data
+    return ad.matmul(ad.Tensor(hidden), ad.Tensor(items), tb=True).data
 
 
 def test_score_examples():
@@ -132,15 +132,17 @@ def test_score_argmax_stable_under_dominated_row():
 
 
 def test_cross_entropy_values():
-    ce = bb.cross_entropy_batch
-    assert ce(ad.tensor([[0.0, 0.0]]), [0]).item() == pytest.approx(np.log(2))
-    big = ce(ad.tensor([[1000.0, 0.0]]), [0]).item()
+    ce = ad.cross_entropy
+    assert float(ce(ad.Tensor([[0.0, 0.0]]), [0]).data) == pytest.approx(np.log(2))
+    big = float(ce(ad.Tensor([[1000.0, 0.0]]), [0]).data)
     assert 0.0 <= big < 1e-10
     # the mean over rows
-    pair = ce(ad.tensor([[0.0, 0.0], [1000.0, 0.0]]), [1, 0]).item()
+    pair = float(ce(ad.Tensor([[0.0, 0.0], [1000.0, 0.0]]), [1, 0]).data)
     assert pair == pytest.approx(np.log(2) / 2)
     with pytest.raises(IndexError):
-        ce(ad.tensor([[0.0, 0.0]]), [2])
+        ce(ad.Tensor([[0.0, 0.0]]), [2])
+    with pytest.raises(ValueError, match="need 1 targets"):
+        ce(ad.Tensor([[0.0, 0.0]]), [0, 1])
 
 
 def test_cross_entropy_gradient():
@@ -148,10 +150,10 @@ def test_cross_entropy_gradient():
     logits = rng.standard_normal((3, 5))
     targets = [3, 0, 4]
     with ad.Tape():
-        t = ad.tensor(logits)
-        (g,) = ad.grad(bb.cross_entropy_batch(t, targets), [t])
+        t = ad.Tensor(logits)
+        (g,) = ad.grad(ad.cross_entropy(t, targets), [t])
     (ref,) = fd_grad(
-        lambda a: float(bb.cross_entropy_batch(ad.tensor(a[0]), targets).data), [logits])
+        lambda a: float(ad.cross_entropy(ad.Tensor(a[0]), targets).data), [logits])
     assert rel_err(g.data, ref) < 1e-6
 
 
@@ -160,7 +162,7 @@ def batch_ce(encoder, params, cfg, inputs, targets):
     table = params["embed.d0"]
     last = encoder(params, cfg, table, inputs)
     items = ad.slice_axis(table, 0, 0, table.data.shape[0] - 1)
-    return bb.cross_entropy_batch(ad.matmul(last, ad.transpose(items)), targets)
+    return ad.cross_entropy(ad.matmul(last, items, tb=True), targets)
 
 
 def test_end_to_end_gradients_vs_fd():
@@ -171,12 +173,12 @@ def test_end_to_end_gradients_vs_fd():
     names = sorted(params)
 
     def loss_from(arrays):
-        p = {k: ad.tensor(a) for k, a in zip(names, arrays)}
+        p = {k: ad.Tensor(a) for k, a in zip(names, arrays)}
         return batch_ce(bb.encode_steps, p, cfg, inputs, targets)
 
     arrays = [params[k].data for k in names]
     with ad.Tape():
-        ts = [ad.tensor(a) for a in arrays]
+        ts = [ad.Tensor(a) for a in arrays]
         loss = batch_ce(bb.encode_steps, dict(zip(names, ts)), cfg, inputs, targets)
         grads = ad.grad(loss, ts)
     ref = fd_grad(lambda arrs: float(loss_from(arrs).data), arrays)

@@ -86,6 +86,27 @@ def test_out_of_range_config_is_one_line_error_before_training(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("synthetic.users_per_domain=0", "synthetic.users_per_domain must be >= 1, got 0"),
+    ("synthetic.num_source_domains=0", "synthetic.num_source_domains must be >= 1, got 0"),
+    ("synthetic.items_per_domain=0", "synthetic.items_per_domain must be >= 1, got 0"),
+    ("synthetic.seq_len_min=3", "synthetic.seq_len_min must be >= 4, got 3"),
+    ("synthetic.seq_len_max=3",
+     "synthetic.seq_len_max must be >= synthetic.seq_len_min=4, got 3"),
+    ("synthetic.rho=1.5", "synthetic.rho must be in [0, 1], got 1.5"),
+    ("synthetic.rho=-0.1", "synthetic.rho must be in [0, 1], got -0.1"),
+])
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_bad_synthetic_spec_is_one_line_error_before_any_data(tmp_path, capsys,
+                                                              command, setting,
+                                                              message):
+    cfg_path = write_config(tmp_path, SMALL_CONFIG + setting + "\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- generate
 
 def test_generate_files_and_round_trip(tmp_path):

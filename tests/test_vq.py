@@ -23,7 +23,7 @@ def book_from(rows, heads):
 
 def test_single_head_nearest_by_angle():
     book = book_from([[1.0, 0.0], [0.0, 1.0]], heads=1)
-    z_q, codes = vq.quantize_rows(ad.tensor([[0.9, 0.1]]), book)
+    z_q, codes = vq.quantize_rows(ad.Tensor([[0.9, 0.1]]), book)
     assert np.array_equal(z_q.data, [[1.0, 0.0]])
     assert codes.tolist() == [[0]]
 
@@ -33,7 +33,7 @@ def test_two_head_example():
             [0.0, 1.0, 1.0, 0.0],
             [1.0, 1.0, 1.0, 1.0]]
     book = book_from(rows, heads=2)
-    z_q, codes = vq.quantize_rows(ad.tensor([[2.0, 0.0, 0.0, 3.0]]), book)
+    z_q, codes = vq.quantize_rows(ad.Tensor([[2.0, 0.0, 0.0, 3.0]]), book)
     assert codes[0].tolist() == nearest_codes_exhaustive(
         np.array([2.0, 0.0, 0.0, 3.0]), np.asarray(rows), 2)
     assert codes[0].tolist() == [0, 0]
@@ -45,7 +45,7 @@ def test_scaled_copy_of_target_row_maps_to_that_row():
     rows = rng.standard_normal((5, 6))
     book = book_from(rows, heads=3)
     j = 3
-    z_q, codes = vq.quantize_rows(ad.tensor(2.5 * rows[j:j + 1]), book)
+    z_q, codes = vq.quantize_rows(ad.Tensor(2.5 * rows[j:j + 1]), book)
     assert codes[0].tolist() == [j, j, j]
     assert np.array_equal(z_q.data[0], rows[j])
 
@@ -59,9 +59,9 @@ def test_codes_match_exhaustive_oracle_and_scale_invariance(seed, heads, k, c):
     rows = rng.standard_normal((k, width))
     book = book_from(rows, heads)
     z = rng.standard_normal(width)
-    z_q, codes = vq.quantize_rows(ad.tensor(z[None]), book)
+    z_q, codes = vq.quantize_rows(ad.Tensor(z[None]), book)
     assert codes[0].tolist() == nearest_codes_exhaustive(z, rows, heads)
-    _, scaled = vq.quantize_rows(ad.tensor(c * z[None]), book)
+    _, scaled = vq.quantize_rows(ad.Tensor(c * z[None]), book)
     assert np.array_equal(scaled, codes)
     # every head-slice of z_q is bit-identical to some codebook slice
     for h, j in enumerate(codes[0]):
@@ -70,15 +70,16 @@ def test_codes_match_exhaustive_oracle_and_scale_invariance(seed, heads, k, c):
 
 def test_all_zero_embedding_ties_to_code_zero():
     book = book_from(np.ones((4, 2)), heads=1)
-    _, codes = vq.quantize_rows(ad.tensor([[0.0, 0.0]]), book)
+    _, codes = vq.quantize_rows(ad.Tensor([[0.0, 0.0]]), book)
     assert codes.tolist() == [[0]]
 
 
 def test_vq_loss_values():
-    assert vq.vq_loss(ad.tensor([1.0, 2.0]), ad.tensor([1.0, 2.0])).item() == 0.0
-    assert vq.vq_loss(ad.tensor([1.0, 0.0]), ad.tensor([0.0, 0.0])).item() == pytest.approx(2.0)
+    assert float(vq.vq_loss(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0])).data) == 0.0
+    loss = vq.vq_loss(ad.Tensor([1.0, 0.0]), ad.Tensor([0.0, 0.0]))
+    assert float(loss.data) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        vq.vq_loss(ad.tensor([1.0]), ad.tensor([1.0, 2.0]))
+        vq.vq_loss(ad.Tensor([1.0]), ad.Tensor([1.0, 2.0]))
 
 
 def test_vq_loss_zero_iff_equal():
@@ -86,8 +87,8 @@ def test_vq_loss_zero_iff_equal():
     a = rng.standard_normal(5)
     b = a.copy()
     b[2] += 1e-3
-    assert vq.vq_loss(ad.tensor(a), ad.tensor(a)).item() == 0.0
-    assert vq.vq_loss(ad.tensor(a), ad.tensor(b)).item() > 0.0
+    assert float(vq.vq_loss(ad.Tensor(a), ad.Tensor(a)).data) == 0.0
+    assert float(vq.vq_loss(ad.Tensor(a), ad.Tensor(b)).data) > 0.0
 
 
 def test_vq_loss_gradient_separation():
@@ -95,7 +96,7 @@ def test_vq_loss_gradient_separation():
     zq = rng.standard_normal(4)
     ze = rng.standard_normal(4)
     with ad.Tape():
-        tq, te = ad.tensor(zq), ad.tensor(ze)
+        tq, te = ad.Tensor(zq), ad.Tensor(ze)
         gq, ge = ad.grad(vq.vq_loss(tq, te), [tq, te])
     # z_e sees only the commit term: 2 (z_e - z_q); z_q only the pull term
     assert np.allclose(ge.data, 2 * (ze - zq))
@@ -109,11 +110,11 @@ def test_straight_through_forward_and_grad():
     rng = np.random.default_rng(6)
     ze = rng.standard_normal(4)
     zq = rng.standard_normal(4)
-    st_out = vq.straight_through(ad.tensor(ze), ad.tensor(zq))
+    st_out = vq.straight_through(ad.Tensor(ze), ad.Tensor(zq))
     assert np.array_equal(st_out.data, zq)
     with ad.Tape():
-        te = ad.tensor(ze)
-        out = vq.straight_through(te, ad.tensor(zq))
+        te = ad.Tensor(ze)
+        out = vq.straight_through(te, ad.Tensor(zq))
         (g,) = ad.grad(ad.sum(out), [te])
     assert np.array_equal(g.data, np.ones(4))
 
@@ -127,13 +128,13 @@ def test_straight_through_equals_identity_gradient():
     w = rng.standard_normal((4, 4))
 
     def downstream(x):
-        return ad.sum(ad.square(ad.matmul(ad.tensor(w), x)))
+        return ad.sum(ad.square(ad.matmul(ad.Tensor(w), x)))
 
     with ad.Tape():
-        te = ad.tensor(ze)
-        (g_st,) = ad.grad(downstream(vq.straight_through(te, ad.tensor(zq))), [te])
+        te = ad.Tensor(ze)
+        (g_st,) = ad.grad(downstream(vq.straight_through(te, ad.Tensor(zq))), [te])
     with ad.Tape():
-        te = ad.tensor(zq)  # identity mapping evaluated at the quantized point
+        te = ad.Tensor(zq)  # identity mapping evaluated at the quantized point
         (g_id,) = ad.grad(downstream(te), [te])
     assert np.array_equal(g_st.data, g_id.data)
 
@@ -143,12 +144,12 @@ def test_codebook_is_a_view_of_the_target_table():
     params = init_parameters(cfg, {"target": 3, "src0": 2}, seed=0)
     book = vq.make_codebook(params, "target", heads=2)
     z = params["embed.src0"].data[:1]
-    _, codes_before = vq.quantize_rows(ad.tensor(z), book)
+    _, codes_before = vq.quantize_rows(ad.Tensor(z), book)
     # mutate the target table the way a training step would (new tensor, same dict)
     bumped = params["embed.target"].data.copy()
     bumped[:3] = np.roll(bumped[:3], 1, axis=0)
     params["embed.target"].data[...] = bumped
-    z_q, codes_after = vq.quantize_rows(ad.tensor(z), book)
+    z_q, codes_after = vq.quantize_rows(ad.Tensor(z), book)
     for h, j in enumerate(codes_after[0]):
         assert np.array_equal(z_q.data[0, 2 * h:2 * h + 2],
                               params["embed.target"].data[j][2 * h:2 * h + 2])
@@ -158,7 +159,7 @@ def test_target_self_quantization_identity():
     rng = np.random.default_rng(17)
     rows = rng.standard_normal((6, 4))
     book = book_from(rows, heads=2)
-    z_q, codes = vq.quantize_rows(ad.tensor(rows), book)
+    z_q, codes = vq.quantize_rows(ad.Tensor(rows), book)
     assert np.array_equal(codes, np.tile(np.arange(6)[:, None], (1, 2)))
     assert np.array_equal(z_q.data, rows)
 
@@ -170,7 +171,7 @@ def test_code_space_bound():
     outputs = set()
     for _ in range(200):
         z = rng.standard_normal((1, 4))
-        z_q, _ = vq.quantize_rows(ad.tensor(z), book)
+        z_q, _ = vq.quantize_rows(ad.Tensor(z), book)
         outputs.add(z_q.data.tobytes())
     assert len(outputs) <= 3 ** 2
 
@@ -210,7 +211,7 @@ def test_quantize_rows_matches_per_head_loop(heads):
 
     def run(quantize):
         with ad.Tape():
-            z_q, codes = quantize(ad.tensor(z), book)
+            z_q, codes = quantize(ad.Tensor(z), book)
             loss = ad.sum(ad.mul(ad.square(z_q), weight))
             (first,) = ad.grad(loss, [table], create_graph=True)
             (second,) = ad.grad(ad.sum(ad.mul(first, probe)), [table])
