@@ -15,7 +15,6 @@ import math
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
-from scipy.special import expit
 
 
 class Tensor:
@@ -82,11 +81,6 @@ def _out(data, op, inputs, vjp):
     if _stack and _stack[-1] is not None:
         _stack[-1].records.append(Record(op, inputs, t, vjp))
     return t
-
-
-def primitive(op, data, inputs, vjp):
-    """Extension hook: record a custom op with a hand-written vjp."""
-    return _out(np.asarray(data, dtype=np.float64), op, inputs, vjp)
 
 
 def _shapes(a, b, op):
@@ -253,6 +247,16 @@ def slice_axis(x, axis, start, stop):
     return _out(x.data[index].copy(), "slice_axis", (x,), vjp)
 
 
+def straight_through(z_e, z_q):
+    """Straight-through estimator: ``z_q``'s rows, then ``z_e``'s rows past
+    them; the whole gradient goes to ``z_e``, none to the (shorter) ``z_q``."""
+    se, sq = z_e.data.shape, z_q.data.shape
+    if not se or len(sq) != len(se) or sq[1:] != se[1:] or sq[0] > se[0]:
+        raise ValueError(f"straight_through: shape mismatch {se} vs {sq}")
+    return _out(np.concatenate((z_q.data, z_e.data[sq[0]:])), "straight_through",
+                (z_e, z_q), lambda g: (g, None))
+
+
 def gather(table, indices):
     if table.data.ndim != 2:
         raise ValueError(f"gather: table must be 2-d, got {table.data.shape}")
@@ -326,8 +330,9 @@ def linear_scan(u, gate, steps, reverse=False):
 
 
 def sigmoid(x):
-    out = _out(expit(x.data), "sigmoid", (x,),
-               lambda g: (mul(g, mul(out, add_scalar(scale(out, -1.0), 1.0))),))
+    with np.errstate(over="ignore"):  # exp(-x) is inf for x << 0, and 1/inf = 0
+        out = _out(1.0 / (1.0 + np.exp(-x.data)), "sigmoid", (x,),
+                   lambda g: (mul(g, mul(out, add_scalar(scale(out, -1.0), 1.0))),))
     return out
 
 
@@ -386,7 +391,8 @@ def cross_entropy(logits, targets):
 
 
 def stop_gradient(x):
-    return _out(x.data.copy(), "stop_gradient", (x,), None)
+    """``x``'s value as a constant: a new tensor that no record produced."""
+    return Tensor(x.data)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +434,7 @@ def grad(output, wrt, create_graph=False):
     with nullcontext() if create_graph else no_record():
         for rec in reversed(path):
             g = grads.get(rec.out)
-            if g is None or rec.vjp is None:
+            if g is None:
                 continue
             for t, gi in zip(rec.inputs, rec.vjp(g)):
                 if gi is None or t not in live:

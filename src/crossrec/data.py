@@ -67,9 +67,6 @@ class SyntheticSpec:
 @dataclass
 class SyntheticResult:
     datasets: list                   # M sources then the target, in order
-    base_matrix: np.ndarray
-    domain_matrices: dict            # domain id -> transition matrix
-    permutations: dict               # domain id -> relabeling of the base chain
     events: dict = field(default_factory=dict)  # domain id -> raw event list
 
 
@@ -202,7 +199,21 @@ def eval_batch(dataset, split, max_len):
 
 def _random_transition(rng, n):
     m = rng.uniform(0.05, 1.0, (n, n))
-    return m / m.sum(axis=1, keepdims=True)
+    m /= m.sum(axis=1, keepdims=True)
+    return m
+
+
+def domain_chain(rng, base, rho):
+    """One domain's (permutation, cumulative transition rows), in one n x n buffer."""
+    perm = rng.permutation(len(base))
+    relabeled = base[np.ix_(perm, perm)]
+    cum = _random_transition(rng, len(base))
+    cum *= 1.0 - rho
+    relabeled *= rho
+    cum += relabeled
+    cum /= cum.sum(axis=1, keepdims=True)
+    np.cumsum(cum, axis=1, out=cum)
+    return perm, cum
 
 
 def generate_synthetic(spec):
@@ -217,19 +228,11 @@ def generate_synthetic(spec):
     n = spec.items_per_domain
     base = _random_transition(rng, n)
     domains = [f"src{i}" for i in range(spec.num_source_domains)] + ["target"]
-    result = SyntheticResult(datasets=[], base_matrix=base,
-                             domain_matrices={}, permutations={})
+    result = SyntheticResult(datasets=[])
     for domain in domains:
-        perm = rng.permutation(n)
-        relabeled = base[np.ix_(perm, perm)]
-        fresh = _random_transition(rng, n)
-        mat = spec.rho * relabeled + (1.0 - spec.rho) * fresh
-        mat = mat / mat.sum(axis=1, keepdims=True)
-        result.domain_matrices[domain] = mat
-        result.permutations[domain] = perm
+        _, cum = domain_chain(rng, base, spec.rho)
         users = spec.users_per_domain if domain != "target" \
             else max(1, spec.users_per_domain // 10)
-        cum = np.cumsum(mat, axis=1)
         events = []
         for u in range(users):
             length = int(rng.integers(spec.seq_len_min, spec.seq_len_max + 1))

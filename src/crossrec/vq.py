@@ -44,12 +44,11 @@ def _head_codes(z, book):
     codes = np.empty((z.shape[0], h), dtype=np.int64)
     book_rows = book.table.data[:book.size]
     for i in range(h):
-        zs = z[:, i * d:(i + 1) * d]
         cs = book_rows[:, i * d:(i + 1) * d]
-        zn = np.maximum(np.linalg.norm(zs, axis=1), COS_EPS)
-        cn = np.maximum(np.linalg.norm(cs, axis=1), COS_EPS)
-        sims = (zs @ cs.T) / (zn[:, None] * cn[None, :])
-        codes[:, i] = np.argmax(sims, axis=1)  # argmax takes the lowest index on ties
+        # dividing a row by |z| > 0 would not move its argmax: normalize codes only
+        unit = cs / np.maximum(np.linalg.norm(cs, axis=1, keepdims=True), COS_EPS)
+        # argmax takes the lowest index on ties
+        codes[:, i] = np.argmax(z[:, i * d:(i + 1) * d] @ unit.T, axis=1)
     return codes
 
 
@@ -75,38 +74,26 @@ def vq_loss(z_q, z_e):
     if z_q.data.shape != z_e.data.shape:
         raise ValueError(f"vq_loss: shape mismatch {z_q.data.shape} vs {z_e.data.shape}")
     positions = 1 if z_q.data.ndim == 1 else z_q.data.shape[0]
-    pull = ad.sum(ad.square(ad.sub(z_q, ad.stop_gradient(z_e))))
+    # exactly z_q - z_e, but add's vjp records no dead scale for the constant
+    pull = ad.sum(ad.square(ad.add(z_q, Tensor(-z_e.data))))
     commit = ad.sum(ad.square(ad.sub(ad.stop_gradient(z_q), z_e)))
     return ad.scale(ad.add(pull, commit), 1.0 / positions)
-
-
-def straight_through(z_e, z_q):
-    """Forward value exactly z_q; backward passes the gradient to z_e only."""
-    if z_q.data.shape != z_e.data.shape:
-        raise ValueError(f"straight_through: shape mismatch "
-                         f"{z_e.data.shape} vs {z_q.data.shape}")
-    return ad.primitive("straight_through", z_q.data.copy(), (z_e, z_q),
-                        lambda g: (g, None))
 
 
 def quantize_domain_matrix(params, domain, book):
     """Quantize every item row of a domain table.
 
-    Returns (full matrix with raw padding row appended, vq loss term, codes).
-    The returned matrix routes straight-through gradients to the domain table
-    while the vq loss trains the codebook (target table) and the embeddings.
+    Returns (full matrix with the raw padding row last, vq loss term, codes).
+    The returned matrix routes straight-through gradients to the whole domain
+    table while the vq loss trains the codebook (target table) and the embeddings.
     """
     key = embed_key(domain)
     if key not in params:
         raise KeyError(f"unknown domain {domain!r}")
     table = params[key]
-    n = table.data.shape[0] - 1
-    raw = ad.slice_axis(table, 0, 0, n)
+    raw = ad.slice_axis(table, 0, 0, table.data.shape[0] - 1)
     z_q, codes = quantize_rows(raw, book)
-    st = straight_through(raw, z_q)
-    pad = ad.slice_axis(table, 0, n, n + 1)
-    full = ad.concat([st, pad], 0)
-    return full, vq_loss(z_q, raw), codes
+    return ad.straight_through(table, z_q), vq_loss(z_q, raw), codes
 
 
 def write_code_dump(fh, domain, codes):

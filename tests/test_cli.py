@@ -2,6 +2,8 @@ import dataclasses
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -437,3 +439,13 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, command):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing.cfg" in err and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: the sigmoid is computed in numpy
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, crossrec.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

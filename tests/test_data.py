@@ -197,21 +197,31 @@ SMALL = data.SyntheticSpec(num_source_domains=2, items_per_domain=12,
                            rho=0.9, seed=5)
 
 
+def chains(seed, n, rho, count):
+    """``count`` domain chains over one base, as (permutation, transition
+    matrix) pairs; the matrix is recovered from the cumulative one."""
+    rng = np.random.default_rng(seed)
+    base = data._random_transition(rng, n)
+    out = []
+    for _ in range(count):
+        perm, cum = data.domain_chain(rng, base, rho)
+        out.append((perm, np.diff(cum, axis=1, prepend=0.0)))
+    return base, out
+
+
 def test_synthetic_shapes_and_row_sums():
     result = data.generate_synthetic(SMALL)
     assert [d.domain_id for d in result.datasets] == ["src0", "src1", "target"]
     assert result.datasets[-1].num_users <= SMALL.users_per_domain // 10
-    for mat in result.domain_matrices.values():
+    _, domains = chains(SMALL.seed, SMALL.items_per_domain, SMALL.rho, 3)
+    for _, mat in domains:
         assert np.all(np.abs(mat.sum(axis=1) - 1.0) <= 1e-12)
 
 
 def test_synthetic_rho_one_matches_permuted_base():
-    spec = data.SyntheticSpec(num_source_domains=1, items_per_domain=10,
-                              users_per_domain=30, rho=1.0, seed=3)
-    result = data.generate_synthetic(spec)
-    for domain, mat in result.domain_matrices.items():
-        perm = result.permutations[domain]
-        assert np.allclose(mat, result.base_matrix[np.ix_(perm, perm)])
+    base, domains = chains(3, 10, 1.0, 2)
+    for perm, mat in domains:
+        assert np.allclose(mat, base[np.ix_(perm, perm)])
 
 
 def test_synthetic_rho_zero_independent():
@@ -219,13 +229,10 @@ def test_synthetic_rho_zero_independent():
     # entries of two domains are uncorrelated across seeds
     xs, ys = [], []
     for seed in range(60):
-        spec = data.SyntheticSpec(num_source_domains=1, items_per_domain=6,
-                                  users_per_domain=10, rho=0.0, seed=seed)
-        result = data.generate_synthetic(spec)
-        inv0 = np.argsort(result.permutations["src0"])
-        inv1 = np.argsort(result.permutations["target"])
-        m0 = result.domain_matrices["src0"][np.ix_(inv0, inv0)]
-        m1 = result.domain_matrices["target"][np.ix_(inv1, inv1)]
+        _, ((perm0, mat0), (perm1, mat1)) = chains(seed, 6, 0.0, 2)
+        inv0, inv1 = np.argsort(perm0), np.argsort(perm1)
+        m0 = mat0[np.ix_(inv0, inv0)]
+        m1 = mat1[np.ix_(inv1, inv1)]
         xs.extend(m0[~np.eye(6, dtype=bool)])
         ys.extend(m1[~np.eye(6, dtype=bool)])
     corr = np.corrcoef(xs, ys)[0, 1]

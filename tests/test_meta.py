@@ -168,7 +168,7 @@ def test_inner_adapt_tape_grows_linearly():
             params, [lambda p: batch_loss(p, batch, mc)[0]] * steps, cfg)
         lengths.append(len(adapted.tape.records))
     # each step adds its forward, its create_graph backward and the updates
-    assert lengths == [107, 214, 321, 428]
+    assert lengths == [98, 196, 294, 392]
 
 
 def test_pruned_meta_gradient_bit_identical_to_full_sweep(monkeypatch):
@@ -357,12 +357,12 @@ def test_iteration_record_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(meta, "Tape", CountingTape)
     run_once(7)
     assert len(tapes) == 3  # one adaptation tape per task
-    assert sum(len(t.records) for t in tapes) == 699
+    assert sum(len(t.records) for t in tapes) == 645
     tapes.clear()
     params, sources, target, mc = tiny_world()
     joint_train_iteration(params, sources, target, mc, MetaConfig(inner_batch=4),
                           np.random.default_rng(7))
-    assert sum(len(t.records) for t in tapes) == 96
+    assert sum(len(t.records) for t in tapes) == 88
 
 
 def test_train_iteration_uniform_when_rescale_off():

@@ -110,13 +110,32 @@ def test_straight_through_forward_and_grad():
     rng = np.random.default_rng(6)
     ze = rng.standard_normal(4)
     zq = rng.standard_normal(4)
-    st_out = vq.straight_through(ad.Tensor(ze), ad.Tensor(zq))
+    st_out = ad.straight_through(ad.Tensor(ze), ad.Tensor(zq))
     assert np.array_equal(st_out.data, zq)
     with ad.Tape():
         te = ad.Tensor(ze)
-        out = vq.straight_through(te, ad.Tensor(zq))
+        out = ad.straight_through(te, ad.Tensor(zq))
         (g,) = ad.grad(ad.sum(out), [te])
     assert np.array_equal(g.data, np.ones(4))
+
+
+def test_straight_through_keeps_rows_past_z_q():
+    # the quantized rows come first; z_e's rows past them pass through raw,
+    # and the gradient reaches the whole of z_e
+    rng = np.random.default_rng(7)
+    ze = rng.standard_normal((5, 3))
+    zq = rng.standard_normal((3, 3))
+    w = rng.standard_normal((5, 3))
+    with ad.Tape():
+        te, tq = ad.Tensor(ze), ad.Tensor(zq)
+        out = ad.straight_through(te, tq)
+        ge, gq = ad.grad(ad.sum(ad.mul(out, ad.Tensor(w))), [te, tq])
+    assert np.array_equal(out.data, np.vstack([zq, ze[3:]]))
+    assert np.array_equal(ge.data, w) and gq is None
+    for e_shape, q_shape in [((5, 3), (6, 3)), ((5, 3), (5, 2)), ((5, 3), (3,)),
+                             ((5, 3), (5, 3, 1)), ((), ())]:
+        with pytest.raises(ValueError, match="straight_through"):
+            ad.straight_through(ad.Tensor(np.zeros(e_shape)), ad.Tensor(np.zeros(q_shape)))
 
 
 def test_straight_through_equals_identity_gradient():
@@ -132,7 +151,7 @@ def test_straight_through_equals_identity_gradient():
 
     with ad.Tape():
         te = ad.Tensor(ze)
-        (g_st,) = ad.grad(downstream(vq.straight_through(te, ad.Tensor(zq))), [te])
+        (g_st,) = ad.grad(downstream(ad.straight_through(te, ad.Tensor(zq))), [te])
     with ad.Tape():
         te = ad.Tensor(zq)  # identity mapping evaluated at the quantized point
         (g_id,) = ad.grad(downstream(te), [te])
