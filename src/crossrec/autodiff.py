@@ -3,11 +3,13 @@
 Gradients are themselves built out of recorded ops, so calling ``grad`` with
 ``create_graph=True`` leaves the gradient computation on the tape and a second
 ``grad`` call differentiates through it (grad-of-grad). The ops are the ones
-the model records; binary ops broadcast like numpy, and the fused ops
-(``step``, ``rms_inv``, ``softmax_rows``, ``cross_entropy``, ``linear_scan``)
-write one record each with a vjp made of recorded ops. Everything is double
-precision. Tapes nest on one module-level stack: the innermost entered tape
-(or ``None`` inside ``no_record``) receives the records.
+the model records; binary ops broadcast like numpy, ``matmul`` and the
+row-wise ops take leading (task) axes, and the fused ops (``step``,
+``rms_inv``, ``softmax_rows``, ``cross_entropy``, ``linear_scan``,
+``vq_loss``, ``scaled_diff``) write one record each with a vjp made of
+recorded ops. Everything is double precision. Tapes nest on one
+module-level stack: the innermost entered tape (or ``None`` inside
+``no_record``) receives the records.
 """
 from __future__ import annotations
 
@@ -149,20 +151,26 @@ def add_scalar(x, c):
 
 
 def matmul(a, b, ta=False, tb=False):
-    """``op(a) @ op(b)`` of 2-d tensors, where ``op`` transposes an operand
-    whose flag is set. The transpose is a numpy view, not a record, and the
-    vjp is two flagged matmuls."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul: need 2-d operands, got {a.data.shape} and {b.data.shape}")
-    av = a.data.T if ta else a.data
-    bv = b.data.T if tb else b.data
-    if av.shape[1] != bv.shape[0]:
+    """``op(a) @ op(b)`` over the last two axes, where ``op`` swaps the last
+    two axes of an operand whose flag is set; leading axes broadcast. The swap
+    is a numpy view, not a record, and the vjp is two flagged matmuls."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError(f"matmul: need operands of rank >= 2, got {a.data.shape} "
+                         f"and {b.data.shape}")
+    av = a.data.swapaxes(-1, -2) if ta else a.data
+    bv = b.data.swapaxes(-1, -2) if tb else b.data
+    if av.shape[-1] != bv.shape[-2]:
         raise ValueError(f"matmul: shape mismatch {av.shape} vs {bv.shape}")
+    if av.ndim > 2 and bv.ndim > 2 and any(
+            m != n and m != 1 and n != 1
+            for m, n in zip(reversed(av.shape[:-2]), reversed(bv.shape[:-2]))):
+        raise ValueError(f"matmul: leading axes mismatch {av.shape} vs {bv.shape}")
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
         ga = matmul(b, g, tb, True) if ta else matmul(g, b, False, not tb)
         gb = matmul(g, a, True, ta) if tb else matmul(a, g, not ta, False)
-        return ga, gb
+        return _unbroadcast(ga, sa), _unbroadcast(gb, sb)
 
     return _out(av @ bv, "matmul", (a, b), vjp)
 
@@ -190,9 +198,10 @@ def expand(x, shape):
 
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
-    if axis is not None and not isinstance(axis, tuple):
-        axis = (int(axis),)
     in_shape = x.data.shape
+    if axis is not None:
+        axis = tuple(int(a) % len(in_shape) for a in
+                     (axis if isinstance(axis, tuple) else (axis,)))
 
     def vjp(g):
         if axis is not None and not keepdims:
@@ -202,124 +211,162 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
     return _out(x.data.sum(axis=axis, keepdims=keepdims), "sum", (x,), vjp)
 
 
-def concat(tensors, axis):
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ValueError("concat: empty input list")
-    axis = int(axis)
-    rank = tensors[0].data.ndim
-    for t in tensors:
-        if t.data.ndim != rank:
-            raise ValueError(f"concat: rank mismatch {t.data.shape} vs {tensors[0].data.shape}")
-    offsets = [0]
-    for t in tensors:
-        offsets.append(offsets[-1] + t.data.shape[axis])
-
-    def vjp(g):
-        return tuple(slice_axis(g, axis, offsets[i], offsets[i + 1])
-                     for i in range(len(tensors)))
-
-    return _out(np.concatenate([t.data for t in tensors], axis=axis), "concat",
-                tensors, vjp)
-
-
 def slice_axis(x, axis, start, stop):
-    axis = int(axis)
+    axis = int(axis) % x.data.ndim
     start, stop = int(start), int(stop)
     dim = x.data.shape[axis]
     if not (0 <= start <= stop <= dim):
         raise ValueError(f"slice_axis: range [{start}, {stop}) out of bounds for dim {dim}")
     index = (slice(None),) * axis + (slice(start, stop),)
+    return _out(x.data[index].copy(), "slice_axis", (x,),
+                lambda g: (pad_axis(g, axis, start, dim),))
+
+
+def pad_axis(x, axis, start, dim):
+    """``x`` written at ``[start, start + len)`` of ``axis`` into zeros whose
+    ``axis`` has length ``dim``; the vjp is ``slice_axis``."""
+    axis = int(axis) % x.data.ndim
+    start, dim = int(start), int(dim)
+    stop = start + x.data.shape[axis]
+    if not (0 <= start <= stop <= dim):
+        raise ValueError(f"pad_axis: range [{start}, {stop}) out of bounds for dim {dim}")
+    if stop - start == dim:
+        return x
+    shape = list(x.data.shape)
+    shape[axis] = dim
+    out = np.zeros(shape)
+    out[(slice(None),) * axis + (slice(start, stop),)] = x.data
+    return _out(out, "pad_axis", (x,), lambda g: (slice_axis(g, axis, start, stop),))
+
+
+def straight_through(z_e, z_q, rows):
+    """Straight-through estimator: ``z_e`` with its ``rows`` replaced by
+    ``z_q``'s rows; the whole gradient goes to ``z_e``, none to ``z_q``."""
+    se, sq = z_e.data.shape, z_q.data.shape
+    rows = np.asarray(rows, np.int64)
+    if not se or len(sq) != len(se) or sq[1:] != se[1:] or rows.shape != sq[:1] \
+            or (rows.size and (rows.min() < 0 or rows.max() >= se[0])):
+        raise ValueError(f"straight_through: shape mismatch {se} vs {sq}")
+    out = z_e.data.copy()
+    out[rows] = z_q.data
+    return _out(out, "straight_through", (z_e, z_q), lambda g: (g, None))
+
+
+def vq_loss(z_q, z_e, counts=None):
+    """The two-term VQ loss ``|z_q - sg[z_e]|^2 + |sg[z_q] - z_e|^2`` over
+    equal-shaped (rows, d) tensors as one record. ``counts`` splits the rows
+    into consecutive tasks (by default one); each task's terms are divided by
+    its row count, and the value holds one loss per task (a scalar without
+    ``counts``)."""
+    q, e = z_q.data, z_e.data
+    sizes = (len(q),) if counts is None else tuple(int(c) for c in counts)
+    ends = np.cumsum(sizes)
+    if q.ndim != 2 or q.shape != e.shape or ends[-1] != len(q) or min(sizes) < 1:
+        raise ValueError(f"vq_loss: shape mismatch {q.shape} vs {e.shape} "
+                         f"for row counts {sizes}")
+    weights = 1.0 / np.asarray(sizes, dtype=np.float64)
+    diff = q - e
+    sq = diff * diff
+    # a task's rows are contiguous, so each sum adds in np.sum's order for them
+    parts = np.array([sq[hi - n:hi].sum() for n, hi in zip(sizes, ends)])
+    value = (parts + parts) * weights
 
     def vjp(g):
-        parts = []
-        if start > 0:
-            shape = list(x.data.shape)
-            shape[axis] = start
-            parts.append(Tensor(np.zeros(shape)))
-        parts.append(g)
-        if stop < dim:
-            shape = list(x.data.shape)
-            shape[axis] = dim - stop
-            parts.append(Tensor(np.zeros(shape)))
-        return (concat(parts, axis) if len(parts) > 1 else g,)
+        # the scale both square terms share: g of the row's task over its count
+        task = np.repeat(np.arange(len(sizes)), sizes)
+        w = Tensor(weights[task][:, None])
+        gw = mul(g, w) if counts is None else mul(gather(g, task[:, None]), w)
+        return scaled_diff(gw, z_q, e, 2.0), scaled_diff(gw, z_e, q, 2.0)
 
-    return _out(x.data[index].copy(), "slice_axis", (x,), vjp)
+    return _out(value.reshape(()) if counts is None else value, "vq_loss", (z_q, z_e),
+                vjp)
 
 
-def straight_through(z_e, z_q):
-    """Straight-through estimator: ``z_q``'s rows, then ``z_e``'s rows past
-    them; the whole gradient goes to ``z_e``, none to the (shorter) ``z_q``."""
-    se, sq = z_e.data.shape, z_q.data.shape
-    if not se or len(sq) != len(se) or sq[1:] != se[1:] or sq[0] > se[0]:
-        raise ValueError(f"straight_through: shape mismatch {se} vs {sq}")
-    return _out(np.concatenate((z_q.data, z_e.data[sq[0]:])), "straight_through",
-                (z_e, z_q), lambda g: (g, None))
+def scaled_diff(s, x, c, k):
+    """``(s * (x - c)) * k`` as one record, for a constant array ``c`` (the
+    stop-gradient side of a VQ term) and a scale ``s`` that broadcasts."""
+    sa, sx = _shapes(s, x, "scaled_diff")
+    if c.shape != sx:
+        raise ValueError(f"scaled_diff: shape mismatch {sx} vs {c.shape}")
+    k = float(k)
+
+    def vjp(g):
+        gk = scale(g, k)
+        return (_unbroadcast(mul(gk, add(x, Tensor(-c))), sa),
+                _unbroadcast(mul(gk, s), sx))
+
+    return _out((s.data * (x.data - c)) * k, "scaled_diff", (s, x), vjp)
 
 
 def gather(table, indices):
-    if table.data.ndim != 2:
-        raise ValueError(f"gather: table must be 2-d, got {table.data.shape}")
+    """Rows of ``table`` at ``indices`` (any shape), shaped
+    ``indices.shape + table.shape[1:]``."""
+    if table.data.ndim < 1:
+        raise ValueError(f"gather: table must have rows, got {table.data.shape}")
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError(f"gather: indices must be 1-d, got shape {idx.shape}")
     n = table.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"gather: index out of range for table with {n} rows")
-
-    def vjp(g):
-        return (scatter_rows(g, idx, n),)
-
-    return _out(table.data[idx], "gather", (table,), vjp)
+    return _out(table.data[idx], "gather", (table,),
+                lambda g: (scatter_rows(g, idx, n),))
 
 
 def scatter_rows(src, indices, num_rows):
+    """``num_rows`` rows of zeros with ``src``'s rows added at ``indices``, in
+    index order (the vjp of ``gather``)."""
     idx = np.asarray(indices, dtype=np.int64)
     num_rows = int(num_rows)
-
-    out = np.zeros((num_rows, src.data.shape[1]))
-    np.add.at(out, idx, src.data)
-
-    def vjp(g):
-        return (gather(g, idx),)
-
-    return _out(out, "scatter_rows", (src,), vjp)
+    inner = src.data.shape[idx.ndim:]
+    if src.data.shape[:idx.ndim] != idx.shape:
+        raise ValueError(f"scatter_rows: {src.data.shape} rows vs indices {idx.shape}")
+    width = math.prod(inner)
+    bins = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+    out = np.bincount(bins, weights=src.data.ravel(), minlength=num_rows * width)
+    return _out(out.reshape((num_rows,) + inner), "scatter_rows", (src,),
+                lambda g: (gather(g, idx),))
 
 
 def linear_scan(u, gate, steps, reverse=False):
-    """Diagonal linear recurrence ``h_t = gate * h_{t-1} + u_t``, h_0 = u_0.
+    """Diagonal linear recurrence ``h_t = gate * h_{t-1} + u_t``, h_0 = u_0,
+    along axis -2.
 
-    ``u`` is (steps * B, d) in position-major order: rows [t*B, (t+1)*B) hold
-    position t. ``gate`` is (d,). With ``reverse`` the scan runs from the last
-    position to the first, ``h_t = gate * h_{t+1} + u_t``. The loop over
-    positions runs in numpy inside one record. The vjp is a scan in the other
-    direction plus a gate term made of recorded ops, so the op is closed under
-    differentiation and ``create_graph`` works through it.
+    ``u`` is (..., steps * B, d) in position-major order: rows [t*B, (t+1)*B)
+    hold position t. ``gate`` is (d,) or (..., 1, d). With ``reverse`` the scan
+    runs from the last position to the first, ``h_t = gate * h_{t+1} + u_t``.
+    The loop over positions runs in numpy inside one record. The vjp is a scan
+    in the other direction plus a gate term made of recorded ops, so the op is
+    closed under differentiation and ``create_graph`` works through it.
     """
     steps = int(steps)
-    if u.data.ndim != 2 or gate.data.shape != (u.data.shape[1],):
-        raise ValueError(f"linear_scan: need (rows, d) input and (d,) gate, "
-                         f"got {u.data.shape} and {gate.data.shape}")
-    rows, width = u.data.shape
+    shape = u.data.shape
+    if len(shape) < 2 or (gate.data.shape != shape[:-2] + (1, shape[-1]) and
+                          (len(shape) > 2 or gate.data.shape != shape[-1:])):
+        raise ValueError(f"linear_scan: need (..., rows, d) input and (d,) or "
+                         f"(..., 1, d) gate, got {shape} and {gate.data.shape}")
+    rows = shape[-2]
     if steps < 1 or rows % steps:
         raise ValueError(f"linear_scan: {rows} rows do not split into {steps} steps")
     batch = rows // steps
+    axis = len(shape) - 2
     h = np.empty_like(u.data)
+    # views with the position first: [t] is row block t of every task
+    split = shape[:-2] + (steps, batch, shape[-1])
+    first = (axis,) + tuple(range(axis)) + (axis + 1, axis + 2)
+    u_t = u.data.reshape(split).transpose(first)
+    h_t = h.reshape(split).transpose(first)
     prev = None
     for t in (reversed(range(steps)) if reverse else range(steps)):
-        block = slice(t * batch, (t + 1) * batch)
-        h[block] = u.data[block] if prev is None else gate.data * prev + u.data[block]
-        prev = h[block]
+        h_t[t] = u_t[t] if prev is None else gate.data * prev + u_t[t]
+        prev = h_t[t]
 
     def vjp(g):
         gu = linear_scan(g, gate, steps, not reverse)
         # row block t of ``before`` holds the state that block t's gate multiplied
-        zeros = Tensor(np.zeros((batch, width)))
         if reverse:
-            before = concat((slice_axis(out, 0, batch, rows), zeros), 0)
+            before = pad_axis(slice_axis(out, axis, batch, rows), axis, 0, rows)
         else:
-            before = concat((zeros, slice_axis(out, 0, 0, rows - batch)), 0)
-        return (gu, sum(mul(gu, before), axis=0))
+            before = pad_axis(slice_axis(out, axis, 0, rows - batch), axis, batch, rows)
+        return (gu, sum(mul(gu, before), axis=axis, keepdims=gate.data.ndim > 1))
 
     out = _out(h, "linear_scan", (u, gate), vjp)
     return out
@@ -347,46 +394,54 @@ def square(x):
 
 
 def rms_inv(y, eps):
-    """Per-row ``1 / sqrt(mean(y^2) + eps)`` of a 2-d tensor, shape (rows, 1)."""
-    if y.data.ndim != 2:
-        raise ValueError(f"rms_inv: need 2-d tensor, got {y.data.shape}")
-    d = y.data.shape[1]
-    ms = (y.data * y.data).sum(axis=1, keepdims=True) * (1.0 / d)
+    """``1 / sqrt(mean(y^2) + eps)`` over the last axis, keeping it as length 1."""
+    if y.data.ndim < 1:
+        raise ValueError(f"rms_inv: need a tensor with a last axis, got {y.data.shape}")
+    d = y.data.shape[-1]
+    ms = (y.data * y.data).sum(axis=-1, keepdims=True) * (1.0 / d)
     out = _out(1.0 / np.sqrt(ms + float(eps)), "rms_inv", (y,),
                lambda g: (scale(mul(mul(g, mul(out, square(out))), y), -1.0 / d),))
     return out
 
 
 def softmax_rows(x):
-    """Softmax over each row of a 2-d tensor."""
-    if x.data.ndim != 2:
-        raise ValueError(f"softmax_rows: need 2-d tensor, got {x.data.shape}")
-    e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
-    out = _out(e / e.sum(axis=1, keepdims=True), "softmax_rows", (x,),
-               lambda g: (mul(out, sub(g, sum(mul(g, out), axis=1, keepdims=True))),))
+    """Softmax over the last axis."""
+    if x.data.ndim < 1:
+        raise ValueError(f"softmax_rows: need a tensor with a last axis, got {x.data.shape}")
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    out = _out(e / e.sum(axis=-1, keepdims=True), "softmax_rows", (x,),
+               lambda g: (mul(out, sub(g, sum(mul(g, out), axis=-1, keepdims=True))),))
     return out
 
 
 def cross_entropy(logits, targets):
-    """Mean over rows of ``logsumexp(row) - row[target]`` for (B, N) logits
-    and B target columns, as one record; its vjp is made of recorded ops."""
-    if logits.data.ndim != 2:
-        raise ValueError(f"cross_entropy: need 2-d logits, got {logits.data.shape}")
-    rows, cols = logits.data.shape
+    """Mean over rows of ``logsumexp(row) - row[target]`` for (..., B, N)
+    logits and (..., B) target columns, as one record: one mean per leading
+    index. Its vjp is made of recorded ops."""
+    if logits.data.ndim < 2:
+        raise ValueError(f"cross_entropy: need logits of rank >= 2, got {logits.data.shape}")
+    *lead, rows, cols = logits.data.shape
     idx = np.asarray(targets, dtype=np.int64)
-    if idx.shape != (rows,):
-        raise ValueError(f"cross_entropy: need {rows} targets, got shape {idx.shape}")
+    if idx.shape != logits.data.shape[:-1]:
+        want = " x ".join(str(n) for n in logits.data.shape[:-1])
+        raise ValueError(f"cross_entropy: need {want} targets, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= cols):
         raise IndexError(f"cross_entropy: target out of range [0, {cols})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    # every row of every leading index, as one flat list of rows
+    flat = (np.arange(idx.size), idx.ravel())
+    picked = z.reshape(-1, cols)[flat].reshape(idx.shape)
 
     def vjp(g):
-        onehot = np.zeros((rows, cols))
-        onehot[np.arange(rows), idx] = 1.0
+        onehot = np.zeros((idx.size, cols))
+        onehot[flat] = 1.0
+        onehot = onehot.reshape(logits.data.shape)
+        if lead:
+            g = reshape(g, tuple(lead) + (1, 1))
         return (mul(scale(sub(softmax_rows(logits), Tensor(onehot)), 1.0 / rows), g),)
 
-    return _out((lse - z[np.arange(rows), idx]).sum() * (1.0 / rows), "cross_entropy",
+    return _out((lse - picked).sum(axis=-1) * (1.0 / rows), "cross_entropy",
                 (logits,), vjp)
 
 
@@ -431,9 +486,12 @@ def grad(output, wrt, create_graph=False):
             live.add(rec.out)
             path.append(rec)
     grads = {output: Tensor(np.ones_like(output.data))}
+    keep = set(wrt)
     with nullcontext() if create_graph else no_record():
         for rec in reversed(path):
-            g = grads.get(rec.out)
+            # every consumer of rec.out comes later on the tape, so its
+            # adjoint is complete here and can be freed unless it is returned
+            g = grads.get(rec.out) if rec.out in keep else grads.pop(rec.out, None)
             if g is None:
                 continue
             for t, gi in zip(rec.inputs, rec.vjp(g)):

@@ -32,6 +32,12 @@ def embed_key(domain):
     return f"embed.{domain}"
 
 
+def table_starts(counts):
+    """First row of each table when tables of ``counts[i]`` items and a
+    padding row lie one after another in one flat table."""
+    return np.cumsum((0,) + tuple(c + 1 for c in counts[:-1]))
+
+
 def init_parameters(cfg, item_counts, seed):
     """Fresh parameter map for encoder plus one table per domain.
 
@@ -60,31 +66,32 @@ def _rms_norm(y, gain):
 
 
 def encode_steps(params, cfg, table, inputs):
-    """Encode a (B, T) matrix of row indices into ``table``; returns the
-    (B, d) output at the last position.
+    """Encode a (..., B, T) array of row indices into ``table``; returns the
+    (..., B, d) output at the last position.
 
-    One gather lays the windows out position-major: row t*B + b holds position
-    t of sequence b. Per block: h_t = sig(g) * h_{t-1} + (1 - sig(g)) * (W_in x_t)
+    Leading axes stack independent tasks, each with its own encoder weights:
+    a weight then carries the same leading axes (vectors as (..., 1, d)). One
+    gather lays the windows out position-major: row t*B + b holds position t
+    of sequence b. Per block: h_t = sig(g) * h_{t-1} + (1 - sig(g)) * (W_in x_t)
     as one ``linear_scan`` over all positions, then a position-wise feed-forward
     with residual and RMS normalization. The last block runs the feed-forward
     on the last position only. Output at position t depends only on inputs at
     positions <= t.
     """
-    batch, length = inputs.shape
+    *lead, batch, length = inputs.shape
     if length > cfg.max_len:
         raise ValueError(f"sequence length {length} exceeds max_len {cfg.max_len}")
     rows = batch * length
-    x = ad.gather(table, inputs.T.ravel())
+    x = ad.gather(table, inputs.swapaxes(-1, -2).reshape(tuple(lead) + (rows,)))
     for b in range(cfg.num_blocks):
         gate = ad.sigmoid(params[f"block{b}.decay"])
         inv_gate = ad.add_scalar(ad.scale(gate, -1.0), 1.0)
         drive = ad.mul(inv_gate, ad.matmul(x, params[f"block{b}.w_in"], tb=True))
         h = ad.linear_scan(drive, gate, length)
         if b == cfg.num_blocks - 1:
-            h = ad.slice_axis(h, 0, rows - batch, rows)
-            x = ad.slice_axis(x, 0, rows - batch, rows)
+            h = ad.slice_axis(h, -2, rows - batch, rows)
+            x = ad.slice_axis(x, -2, rows - batch, rows)
         ff = ad.matmul(ad.relu(ad.matmul(h, params[f"block{b}.ff_w1"], tb=True)),
                        params[f"block{b}.ff_w2"], tb=True)
         x = _rms_norm(ad.add(ff, x), params[f"block{b}.norm_gain"])
     return x
-

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone
 from .data import eval_batch
-from .objective import domain_item_matrix
+from .objective import domain_item_matrix, item_rows, item_scores
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,13 @@ def evaluate(params, dataset, split, k, model_cfg, chunk=256):
     batch = eval_batch(dataset, split, model_cfg.encoder.max_len)
     ranks = []
     with ad.no_record():
-        matrix_full = domain_item_matrix(params, dataset.domain_id, model_cfg)[0]
-        items = ad.slice_axis(matrix_full, 0, 0, dataset.item_count)
+        matrix = domain_item_matrix(params, dataset.domain_id, model_cfg)[0]
+        items = item_rows(matrix)
         for lo in range(0, batch.inputs.shape[0], chunk):
             hi = min(lo + chunk, batch.inputs.shape[0])
-            hidden = backbone.encode_steps(params, model_cfg.encoder, matrix_full,
-                                            batch.inputs[lo:hi])
-            scores = ad.matmul(hidden, items, tb=True).data
+            hidden = backbone.encode_steps(params, model_cfg.encoder, matrix,
+                                           batch.inputs[lo:hi])
+            scores = item_scores(hidden, items).data
             ranks.append(rank_of_truth(scores, batch.targets[lo:hi]))
     ranks = np.concatenate(ranks)
     per_user = np.stack(metrics_from_rank(ranks, k), axis=1)

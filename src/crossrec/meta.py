@@ -9,8 +9,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .backbone import embed_key, table_starts
 from .data import sample_batch
-from .objective import batch_loss
+from .objective import TaskStack, batch_loss
 
 NORM_EPS = 1e-12
 
@@ -150,35 +151,84 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
     """One meta-transfer iteration.
 
     Samples n source tasks plus n independent target meta-batches, runs
-    inner adaptation and the meta gradient per pair from the same starting
-    theta, then applies one rescaled outer update. Returns (new params,
-    MetaIterationReport).
+    inner adaptation and the meta gradient for all n pairs from the same
+    starting theta, then applies one rescaled outer update. Returns (new
+    params, MetaIterationReport).
+
+    The n tasks run as one stack on one tape: each encoder weight gets a
+    leading task axis (vectors as (n, 1, d)), the picked source tables sit one
+    after another in one flat table, and n copies of the target table in
+    another. No task shares a parameter with another, so the gradient of the
+    summed loss is each task's own gradient. Each task's phi and
+    meta-gradient are sliced back out; a source table the task did not pick
+    keeps phi = theta and a zero gradient.
     """
     if not sources:
         raise ValueError("train_iteration: no source domains")
     m = len(sources)
     replace = m < cfg.n_tasks
-    picks = rng.choice(m, size=cfg.n_tasks, replace=replace)
+    picks = [sources[int(i)] for i in rng.choice(m, size=cfg.n_tasks, replace=replace)]
+    max_len = model_cfg.encoder.max_len
+    inner, meta_batches = [], []
+    for src in picks:
+        inner.append([sample_batch(src, "train", cfg.inner_batch, max_len, rng)
+                      for _ in range(cfg.inner_steps)])
+        meta_batches.append(sample_batch(target, "train", cfg.meta_batch, max_len, rng))
+
+    n = len(picks)
+    target_key = embed_key(model_cfg.target_domain)
+    source_keys = [embed_key(src.domain_id) for src in picks]
+    tables = {embed_key(d.domain_id) for d in [*sources, target]}
+    encoder_keys = [k for k in theta if k not in tables]
+    # any name but the target's keeps the stacked source tables on the VQ path
+    stack_domain = model_cfg.target_domain + ".sources"
+    stack_key = embed_key(stack_domain)
+    counts = tuple(theta[k].data.shape[0] - 1 for k in source_keys)
+    target_rows = theta[target_key].data.shape[0]
+    stacked = {k: Tensor(np.stack([np.atleast_2d(theta[k].data)] * n))
+               for k in encoder_keys}
+    stacked[stack_key] = Tensor(np.concatenate([theta[k].data for k in source_keys]))
+    stacked[target_key] = Tensor(np.concatenate([theta[target_key].data] * n))
+    # per task: (layer, stacked leaf, the task's part of that leaf)
+    starts = table_starts(counts)
+    parts = [[(k, k, np.s_[i]) for k in encoder_keys]
+             + [(source_keys[i], stack_key, np.s_[starts[i]:starts[i] + counts[i] + 1]),
+                (target_key, target_key, np.s_[i * target_rows:(i + 1) * target_rows])]
+             for i in range(n)]
+
+    def stack_loss(batches, domain, task_counts, include_vq, task_losses):
+        stack = TaskStack(domain, np.stack([b.inputs for b in batches]),
+                          np.stack([b.targets for b in batches]), task_counts)
+
+        def fn(p):
+            loss, loss_parts = batch_loss(p, stack, model_cfg, include_vq=include_vq)
+            task_losses.append(loss_parts["loss"])
+            return loss
+        return fn
+
+    inner_losses, meta_losses = [], []
+    adapted = inner_adapt(stacked, [
+        stack_loss([b[s] for b in inner], stack_domain, counts, cfg.vq_in_inner,
+                   inner_losses)
+        for s in range(cfg.inner_steps)], cfg)
+    grads, _ = meta_gradient(stacked, adapted, stack_loss(
+        meta_batches, model_cfg.target_domain, (target_rows - 1,) * n, True,
+        meta_losses), cfg)
+
     report = MetaIterationReport()
     task_results = []
-    for idx in picks:
-        src = sources[int(idx)]
-        inner = [sample_batch(src, "train", cfg.inner_batch,
-                              model_cfg.encoder.max_len, rng)
-                 for _ in range(cfg.inner_steps)]
-        meta_b = sample_batch(target, "train", cfg.meta_batch,
-                              model_cfg.encoder.max_len, rng)
-        step_fns = [
-            (lambda p, b=b: batch_loss(p, b, model_cfg,
-                                       include_vq=cfg.vq_in_inner)[0])
-            for b in inner
-        ]
-        adapted = inner_adapt(theta, step_fns, cfg)
-        grads, meta_loss = meta_gradient(
-            theta, adapted,
-            lambda p: batch_loss(p, meta_b, model_cfg, include_vq=True)[0], cfg)
-        report.tasks.append(TaskReport(src.domain_id, adapted.inner_losses, meta_loss))
-        task_results.append((adapted.phi, grads))
+    for i, src in enumerate(picks):
+        phi = dict(theta)
+        task_grads = {k: np.zeros_like(v.data) for k, v in theta.items()}
+        for key, leaf, part in parts[i]:
+            shape = theta[key].data.shape
+            phi[key] = Tensor(adapted.phi[leaf].data[part].reshape(shape))
+            # a fresh copy: the rescale's norms and dot products then see the
+            # memory layout a per-task gradient had
+            task_grads[key] = grads[leaf][part].reshape(shape).copy()
+        report.tasks.append(TaskReport(src.domain_id, [s[i] for s in inner_losses],
+                                       meta_losses[0][i]))
+        task_results.append((phi, task_grads))
     new_theta, scores, weights = rescale_and_update(
         theta, task_results, cfg, uniform=not rescale)
     report.layer_scores = scores

@@ -1,11 +1,20 @@
 """Per-batch training objective: cross entropy over the full item space plus
-the quantization loss where the VQ path is active."""
+the quantization loss where the VQ path is active.
+
+A loss is taken over one batch or over a ``TaskStack``: n same-shaped batches
+on a leading task axis, each scored with its own encoder weights against its
+own table. Both run the same code; a single batch has no task axis.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import autodiff as ad
-from .backbone import EncoderConfig, embed_key, encode_steps
+from .autodiff import Tensor
+from .backbone import EncoderConfig, embed_key, encode_steps, table_starts
+from .data import TaskBatch
 from .vq import make_codebook, quantize_domain_matrix
 
 
@@ -26,35 +35,77 @@ class ModelConfig:
     target_domain: str = "target"
 
 
-def domain_item_matrix(params, domain, model_cfg):
-    """(full item matrix with padding row, vq loss term or None) for a domain."""
-    use_vq = model_cfg.vq.enabled and domain != model_cfg.target_domain
-    if not use_vq:
-        key = embed_key(domain)
-        if key not in params:
-            raise KeyError(f"unknown domain {domain!r}")
+@dataclass(frozen=True)
+class TaskStack:
+    """n batches of one shape; task i reads the i-th of the tables that
+    ``params[embed_key(domain)]`` holds one after another, and the i-th slice
+    of every encoder weight."""
+    domain: str
+    inputs: np.ndarray   # (n, B, T) item ids, local to each task's table
+    targets: np.ndarray  # (n, B)
+    counts: tuple        # each task's item count, its padding row excluded
+
+
+def domain_item_matrix(params, domain, model_cfg, counts=None):
+    """(item matrix with padding rows, vq loss term or None) for a domain's
+    table, or with ``counts`` for the tables of a stack (one vq loss each)."""
+    key = embed_key(domain)
+    if key not in params:
+        raise KeyError(f"unknown domain {domain!r}")
+    if not model_cfg.vq.enabled or domain == model_cfg.target_domain:
         return params[key], None
-    book = make_codebook(params, model_cfg.target_domain, model_cfg.vq.heads)
+    book = make_codebook(params, model_cfg.target_domain, model_cfg.vq.heads, counts)
     full, loss, _ = quantize_domain_matrix(params, domain, book)
     return full, loss
 
 
-def batch_loss(params, batch, model_cfg, include_vq=True):
-    """Overall loss on a TaskBatch: cross entropy (+ vq term when applicable).
+def item_rows(matrix, counts=None):
+    """The item rows of ``matrix``, padding rows left out: (N, d) for one
+    table, or with ``counts`` (n, N_max, d) for a stack's tables, where the
+    columns past a task's item count read its padding row."""
+    if counts is None:  # one contiguous block: a slice is cheaper than a gather
+        return ad.slice_axis(matrix, 0, 0, matrix.data.shape[0] - 1)
+    return ad.gather(matrix, table_starts(counts)[:, None] + np.minimum(
+        np.arange(max(counts)), np.asarray(counts)[:, None]))
 
-    Returns (loss tensor, dict of float parts).
+
+def item_scores(hidden, items, counts=None):
+    """Logits of ``items`` (from ``item_rows``) for (..., B, d) encoder
+    outputs; with ``counts``, -inf past a task's item count."""
+    logits = ad.matmul(hidden, items, tb=True)
+    if counts is not None and min(counts) < max(counts):
+        past = np.arange(max(counts)) >= np.asarray(counts)[:, None, None]
+        logits = ad.add(logits, Tensor(np.where(
+            np.broadcast_to(past, logits.data.shape), -np.inf, 0.0)))
+    return logits
+
+
+def batch_loss(params, batch, model_cfg, include_vq=True):
+    """Overall loss on a TaskBatch or a TaskStack: cross entropy (+ vq term
+    when applicable); a stack's loss is the sum of its tasks' losses.
+
+    Returns (loss tensor, dict of parts: "loss", "ce" and, with a vq term,
+    "vq", each a float for a batch and a list of per-task floats for a stack).
     """
-    if batch.inputs.shape[0] == 0:
+    if batch.inputs.shape[-2] == 0:
         raise ValueError("batch_loss: empty batch")
-    matrix_full, vq_term = domain_item_matrix(params, batch.domain_id, model_cfg)
-    item_count = matrix_full.data.shape[0] - 1
-    last = encode_steps(params, model_cfg.encoder, matrix_full, batch.inputs)
-    items = ad.slice_axis(matrix_full, 0, 0, item_count)
-    ce = ad.cross_entropy(ad.matmul(last, items, tb=True), batch.targets)
-    parts = {"ce": float(ce.data)}
+    stacked = not isinstance(batch, TaskBatch)
+    domain = batch.domain if stacked else batch.domain_id
+    counts = batch.counts if stacked else None
+    matrix, vq_term = domain_item_matrix(params, domain, model_cfg, counts)
+    # a stack's ids are local to each task's table
+    rows = batch.inputs if counts is None else \
+        batch.inputs + table_starts(counts)[:, None, None]
+    hidden = encode_steps(params, model_cfg.encoder, matrix, rows)
+    # the item gather after the encoder's: the meta sweep adds a table's
+    # gradient terms in tape order, and this order keeps them bit-identical
+    ce = ad.cross_entropy(item_scores(hidden, item_rows(matrix, counts), counts),
+                          batch.targets)
+    parts = {"ce": ce.data.tolist()}
     loss = ce
     if vq_term is not None:
-        parts["vq"] = float(vq_term.data)
+        parts["vq"] = vq_term.data.tolist()
         if include_vq:
             loss = ad.add(ce, vq_term)
-    return loss, parts
+    parts["loss"] = loss.data.tolist()
+    return (ad.sum(loss) if stacked else loss), parts

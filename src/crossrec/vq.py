@@ -14,16 +14,19 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import embed_key
+from .backbone import embed_key, table_starts
 
 COS_EPS = 1e-12
 
 
 @dataclass
 class Codebook:
-    table: Tensor  # target embedding table, padding row included
+    """The target table seen as codes, or several copies of it one after
+    another: one per task of a stack, each the codebook of that task's rows."""
+    table: Tensor  # the target embedding table(s), padding rows included
     heads: int
     size: int      # K = |I_target|, excludes the padding row
+    counts: tuple = None  # per copy, the rows quantized against it (None: one copy)
 
     @property
     def head_width(self):
@@ -33,22 +36,36 @@ class Codebook:
         return d // self.heads
 
 
-def make_codebook(params, target_domain, heads):
+def make_codebook(params, target_domain, heads, counts=None):
+    """The codebook over ``params[embed_key(target_domain)]``, which holds one
+    copy of the target table per entry of ``counts`` (one without)."""
     table = params[embed_key(target_domain)]
-    return Codebook(table=table, heads=heads, size=table.data.shape[0] - 1)
+    copies = 1 if counts is None else len(counts)
+    return Codebook(table=table, heads=heads, size=table.data.shape[0] // copies - 1,
+                    counts=counts)
 
 
 def _head_codes(z, book):
-    """Per-head nearest-code indices for rows of z (N, H*D); returns (N, H)."""
+    """Per-head nearest-code rows of ``book.table`` for rows of z (N, H*D);
+    returns (N, H). With ``book.counts`` the rows split into consecutive
+    blocks, block i searching copy i only."""
     h, d = book.heads, book.head_width
     codes = np.empty((z.shape[0], h), dtype=np.int64)
-    book_rows = book.table.data[:book.size]
-    for i in range(h):
-        cs = book_rows[:, i * d:(i + 1) * d]
-        # dividing a row by |z| > 0 would not move its argmax: normalize codes only
-        unit = cs / np.maximum(np.linalg.norm(cs, axis=1, keepdims=True), COS_EPS)
-        # argmax takes the lowest index on ties
-        codes[:, i] = np.argmax(z[:, i * d:(i + 1) * d] @ unit.T, axis=1)
+    counts = (z.shape[0],) if book.counts is None else book.counts
+    lo = 0
+    for i, n in enumerate(counts):
+        base = i * (book.size + 1)
+        book_rows = book.table.data[base:base + book.size]
+        block, out = z[lo:lo + n], codes[lo:lo + n]
+        for j in range(h):
+            cs = book_rows[:, j * d:(j + 1) * d]
+            # dividing a row by |z| > 0 would not move its argmax: normalize codes only
+            unit = cs / np.maximum(np.linalg.norm(cs, axis=1, keepdims=True), COS_EPS)
+            # argmax takes the lowest index on ties
+            out[:, j] = np.argmax(block[:, j * d:(j + 1) * d] @ unit.T, axis=1)
+        if base:
+            out += base
+        lo += n
     return codes
 
 
@@ -65,35 +82,32 @@ def quantize_rows(rows, book):
     h, d = book.heads, book.head_width
     # head i of code j is row j*H + i of the table seen as (rows*H, D)
     slices = ad.reshape(book.table, (book.table.data.shape[0] * h, d))
-    picked = ad.gather(slices, (codes * h + np.arange(h)).ravel())
+    picked = ad.gather(slices, codes * h + np.arange(h))
     return ad.reshape(picked, (codes.shape[0], h * d)), codes
 
 
-def vq_loss(z_q, z_e):
-    """||z_q - sg[z_e]||^2 + ||sg[z_q] - z_e||^2, mean over quantized positions."""
-    if z_q.data.shape != z_e.data.shape:
-        raise ValueError(f"vq_loss: shape mismatch {z_q.data.shape} vs {z_e.data.shape}")
-    positions = 1 if z_q.data.ndim == 1 else z_q.data.shape[0]
-    # exactly z_q - z_e, but add's vjp records no dead scale for the constant
-    pull = ad.sum(ad.square(ad.add(z_q, Tensor(-z_e.data))))
-    commit = ad.sum(ad.square(ad.sub(ad.stop_gradient(z_q), z_e)))
-    return ad.scale(ad.add(pull, commit), 1.0 / positions)
-
-
 def quantize_domain_matrix(params, domain, book):
-    """Quantize every item row of a domain table.
+    """Quantize every item row of a domain table, or, with ``book.counts``,
+    of the tables that ``params[embed_key(domain)]`` holds one after another
+    (each with its padding row last).
 
-    Returns (full matrix with the raw padding row last, vq loss term, codes).
-    The returned matrix routes straight-through gradients to the whole domain
-    table while the vq loss trains the codebook (target table) and the embeddings.
+    Returns (item matrix with the raw padding rows, per-table vq loss, codes).
+    The returned matrix routes straight-through gradients to the whole table
+    while the vq loss trains the codebook (target table) and the embeddings.
     """
     key = embed_key(domain)
     if key not in params:
         raise KeyError(f"unknown domain {domain!r}")
     table = params[key]
-    raw = ad.slice_axis(table, 0, 0, table.data.shape[0] - 1)
+    if book.counts is None:  # one table's item rows: a slice is cheaper than a gather
+        rows = np.arange(table.data.shape[0] - 1)
+        raw = ad.slice_axis(table, 0, 0, len(rows))
+    else:
+        rows = np.concatenate([np.arange(c) + start for c, start in
+                               zip(book.counts, table_starts(book.counts))])
+        raw = ad.gather(table, rows)
     z_q, codes = quantize_rows(raw, book)
-    return ad.straight_through(table, z_q), vq_loss(z_q, raw), codes
+    return ad.straight_through(table, z_q, rows), ad.vq_loss(z_q, raw, book.counts), codes
 
 
 def write_code_dump(fh, domain, codes):

@@ -5,6 +5,10 @@ import numpy as np
 
 from crossrec import autodiff as ad
 from crossrec.backbone import _rms_norm
+from crossrec.data import sample_batch
+from crossrec.meta import (MetaIterationReport, TaskReport, inner_adapt,
+                           meta_gradient, rescale_and_update)
+from crossrec.objective import batch_loss
 from crossrec.vq import _head_codes
 
 
@@ -98,6 +102,17 @@ def full_sweep_grad(output, wrt, create_graph=False):
     return [grads.get(w) for w in wrt]
 
 
+def concat(parts, axis):
+    """``parts`` joined along ``axis``, as a sum of zero-padded parts."""
+    dim = sum(p.data.shape[axis] for p in parts)
+    out, start = None, 0
+    for p in parts:
+        padded = ad.pad_axis(p, axis, start, dim)
+        out = padded if out is None else ad.add(out, padded)
+        start += p.data.shape[axis]
+    return out
+
+
 def reference_encode_last(params, cfg, table, inputs):
     """The encoder as a per-position loop: one gather and one recurrence step
     per position, the feed-forward and norm on every position of every block.
@@ -113,8 +128,8 @@ def reference_encode_last(params, cfg, table, inputs):
             drive = ad.mul(inv_gate, ad.matmul(xt, params[f"block{b}.w_in"], tb=True))
             h = drive if h is None else ad.add(ad.mul(gate, h), drive)
             hs.append(h)
-        stacked_h = ad.concat(hs, 0) if len(hs) > 1 else hs[0]
-        stacked_x = ad.concat(x, 0) if len(x) > 1 else x[0]
+        stacked_h = concat(hs, 0)
+        stacked_x = concat(x, 0)
         ff = ad.matmul(ad.relu(ad.matmul(stacked_h, params[f"block{b}.ff_w1"], tb=True)),
                        params[f"block{b}.ff_w2"], tb=True)
         y = _rms_norm(ad.add(ff, stacked_x), params[f"block{b}.norm_gain"])
@@ -151,4 +166,46 @@ def per_head_quantize_rows(rows, book):
     h, d = book.heads, book.head_width
     parts = [ad.gather(ad.slice_axis(book.table, 1, i * d, (i + 1) * d), codes[:, i])
              for i in range(h)]
-    return (ad.concat(parts, 1) if h > 1 else parts[0]), codes
+    return concat(parts, 1), codes
+
+
+def draw_tasks(sources, target, model_cfg, cfg, rng):
+    """The draws of one meta iteration in the order ``train_iteration`` makes
+    them: the picks, then per task its inner batches and its meta batch.
+    Returns (source, inner batches, meta batch) per task."""
+    m = len(sources)
+    picks = rng.choice(m, size=cfg.n_tasks, replace=m < cfg.n_tasks)
+    tasks = []
+    for idx in picks:
+        src = sources[int(idx)]
+        inner = [sample_batch(src, "train", cfg.inner_batch,
+                              model_cfg.encoder.max_len, rng)
+                 for _ in range(cfg.inner_steps)]
+        meta_b = sample_batch(target, "train", cfg.meta_batch,
+                              model_cfg.encoder.max_len, rng)
+        tasks.append((src, inner, meta_b))
+    return tasks
+
+
+def per_task_train_iteration(theta, sources, target, model_cfg, cfg, rng,
+                             rescale=True):
+    """Reference meta iteration: each task adapted on its own tape from the
+    untouched theta, with the single-batch loss, then the rescaled update.
+    Returns (new params, MetaIterationReport)."""
+    report = MetaIterationReport()
+    task_results = []
+    for src, inner, meta_b in draw_tasks(sources, target, model_cfg, cfg, rng):
+        step_fns = [(lambda p, b=b: batch_loss(p, b, model_cfg,
+                                               include_vq=cfg.vq_in_inner)[0])
+                    for b in inner]
+        adapted = inner_adapt(theta, step_fns, cfg)
+        grads, meta_loss = meta_gradient(
+            theta, adapted, lambda p: batch_loss(p, meta_b, model_cfg)[0], cfg)
+        report.tasks.append(TaskReport(src.domain_id, adapted.inner_losses, meta_loss))
+        task_results.append((adapted.phi, grads))
+    new_theta, scores, weights = rescale_and_update(theta, task_results, cfg,
+                                                    uniform=not rescale)
+    report.layer_scores = scores
+    report.layer_weights = weights
+    report.overall_loss = float(np.mean([t.meta_loss for t in report.tasks]))
+    return new_theta, report

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from crossrec import autodiff as ad
-from crossrec.data import sample_batch
-from crossrec.meta import MetaConfig, inner_adapt
-from crossrec.objective import batch_loss
+from crossrec import meta
+from crossrec.meta import MetaConfig
 
 from oracles import fd_grad, full_sweep_grad, rel_err
 from test_meta import tiny_world
@@ -23,6 +22,8 @@ def run_grad(build, arrays):
 def scalar_of(build):
     return lambda arrays: float(build([ad.Tensor(a) for a in arrays]).data)
 
+
+C34 = np.random.default_rng(34).standard_normal((3, 4))  # a constant operand
 
 # one builder per forward op, each reduced to a scalar for gradient checking
 OP_CASES = {
@@ -44,10 +45,22 @@ OP_CASES = {
     "step": (lambda ts: ad.sum(ad.square(ad.step(ts[0], ts[1], 0.3))), [(2, 3), (2, 3)]),
     "sum": (lambda ts: ad.square(ad.sum(ts[0])), [(3, 3)]),
     "sum_axis": (lambda ts: ad.sum(ad.square(ad.sum(ts[0], axis=1))), [(3, 4)]),
-    "concat": (lambda ts: ad.sum(ad.square(ad.concat(ts, 0))), [(2, 3), (4, 3)]),
-    "concat_axis1": (lambda ts: ad.sum(ad.square(ad.concat(ts, 1))), [(2, 3), (2, 2)]),
+    "matmul_stacked": (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1], tb=True))),
+                       [(2, 3, 4), (2, 5, 4)]),
+    "matmul_broadcast": (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1], ta=True))),
+                         [(2, 4, 3), (4, 2)]),
     "slice": (lambda ts: ad.sum(ad.square(ad.slice_axis(ts[0], 1, 1, 3))), [(4, 5)]),
+    "slice_last_rows": (lambda ts: ad.sum(ad.square(ad.slice_axis(ts[0], -2, 2, 4))),
+                        [(2, 4, 3)]),
+    "pad_axis": (lambda ts: ad.sum(ad.mul(ad.pad_axis(ts[0], 0, 1, 5), ts[1])),
+                 [(3, 2), (5, 2)]),
+    "scaled_diff": (lambda ts: ad.sum(ad.square(ad.scaled_diff(ts[0], ts[1], C34, -1.5))),
+                    [(3, 1), (3, 4)]),
     "gather": (lambda ts: ad.sum(ad.square(ad.gather(ts[0], [2, 0, 2]))), [(4, 3)]),
+    "gather_grid": (lambda ts: ad.sum(ad.square(ad.gather(ts[0], [[2, 0], [1, 2]]))),
+                    [(4, 3)]),
+    "gather_vector": (lambda ts: ad.sum(ad.square(ad.gather(ts[0], [[1], [3], [1]]))),
+                      [(4,)]),
     "scatter_rows": (lambda ts: ad.sum(ad.square(ad.scatter_rows(ts[0], [2, 0, 2], 4))),
                      [(3, 3)]),
     "sigmoid": (lambda ts: ad.sum(ad.sigmoid(ts[0])), [(8,)]),
@@ -57,6 +70,13 @@ OP_CASES = {
     "softmax_rows": (lambda ts: ad.sum(ad.mul(ad.softmax_rows(ts[0]), ts[1])),
                      [(3, 4), (3, 4)]),
     "cross_entropy": (lambda ts: ad.cross_entropy(ts[0], [1, 0, 3]), [(3, 4)]),
+    "cross_entropy_stacked": (
+        lambda ts: ad.sum(ad.mul(ad.cross_entropy(ts[0], [[1, 0, 3], [2, 2, 0]]), ts[1])),
+        [(2, 3, 4), (2,)]),
+    "rms_inv_stacked": (lambda ts: ad.sum(ad.mul(ad.rms_inv(ts[0], 0.1), ts[1])),
+                        [(2, 3, 4), (2, 3, 1)]),
+    "softmax_rows_stacked": (lambda ts: ad.sum(ad.mul(ad.softmax_rows(ts[0]), ts[1])),
+                             [(2, 3, 4), (2, 3, 4)]),
     "reshape": (lambda ts: ad.sum(ad.square(ad.reshape(ts[0], (6,)))), [(2, 3)]),
     "expand": (lambda ts: ad.sum(ad.square(ad.expand(ts[0], (4, 3)))), [(1, 3)]),
     "expand_rank": (lambda ts: ad.sum(ad.square(ad.expand(ts[0], (2, 4, 3)))), [(4, 1)]),
@@ -65,6 +85,8 @@ OP_CASES = {
     "linear_scan_reverse": (
         lambda ts: ad.sum(ad.square(ad.linear_scan(ts[0], ts[1], 3, reverse=True))),
         [(6, 2), (2,)]),
+    "linear_scan_stacked": (lambda ts: ad.sum(ad.square(ad.linear_scan(ts[0], ts[1], 3))),
+                            [(2, 6, 2), (2, 1, 2)]),
 }
 
 
@@ -74,23 +96,30 @@ def recorded_ops(build):
     return {r.op for r in tape.records}
 
 
-def test_op_cases_are_the_ops_the_model_records():
+def test_op_cases_are_the_ops_the_model_records(monkeypatch):
     # criterion 1 runs OP_CASES, so it covers every op that a second-order
-    # inner step records (the forward, its create_graph backward and the
-    # update) and no other op; test_vq checks straight_through, which has no
-    # useful FD
-    params, sources, _, mc = tiny_world()
-    batch = sample_batch(sources[0], "train", 4, mc.encoder.max_len,
+    # meta iteration records (the stacked forwards, their create_graph
+    # backwards and the updates) and no other op; test_vq checks
+    # straight_through and vq_loss, whose stop-gradients FD cannot see
+    tapes = []
+
+    class KeptTape(meta.Tape):
+        def __enter__(self):
+            tapes.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(meta, "Tape", KeptTape)
+    params, sources, target, mc = tiny_world()
+    meta.train_iteration(params, sources, target, mc,
+                         MetaConfig(inner_steps=1, inner_batch=4, meta_batch=4),
                          np.random.default_rng(0))
-    adapted = inner_adapt(params, [lambda p: batch_loss(p, batch, mc)[0]],
-                          MetaConfig(inner_steps=1))
-    model_ops = {r.op for r in adapted.tape.records}
+    model_ops = {r.op for t in tapes for r in t.records}
     rng = np.random.default_rng(0)
     case_ops = set()
     for build, shapes in OP_CASES.values():
         case_ops |= recorded_ops(
             lambda: build([ad.Tensor(rng.standard_normal(s)) for s in shapes]))
-    assert model_ops - {"straight_through"} == case_ops
+    assert model_ops - {"straight_through", "vq_loss"} == case_ops
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -220,6 +249,10 @@ SECOND_ORDER_CASES = {
     "matmul_ta": (lambda ts: ad.matmul(ts[0], ts[1], ta=True), [(4, 3), (4, 2)]),
     "matmul_tb": (lambda ts: ad.matmul(ts[0], ts[1], tb=True), [(3, 4), (2, 4)]),
     "matmul_ta_tb": (lambda ts: ad.matmul(ts[0], ts[1], True, True), [(4, 3), (2, 4)]),
+    "matmul_stacked": (lambda ts: ad.matmul(ts[0], ts[1], tb=True), [(2, 3, 4), (2, 2, 4)]),
+    "cross_entropy_stacked": (lambda ts: ad.cross_entropy(ts[0], [[2, 0], [1, 1]]),
+                              [(2, 2, 3)]),
+    "linear_scan_stacked": (lambda ts: ad.linear_scan(ts[0], ts[1], 2), [(2, 4, 3), (2, 1, 3)]),
 }
 
 
@@ -254,8 +287,98 @@ def test_second_order_op_matches_fd(name):
 def test_linear_scan_shape_errors():
     with pytest.raises(ValueError, match="do not split"):
         ad.linear_scan(ad.Tensor(np.zeros((5, 2))), ad.Tensor(np.zeros(2)), 2)
-    with pytest.raises(ValueError, match="gate"):
-        ad.linear_scan(ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros(3)), 2)
+    with pytest.raises(ValueError, match="do not split"):
+        ad.linear_scan(ad.Tensor(np.zeros((2, 5, 2))), ad.Tensor(np.zeros((2, 1, 2))), 2)
+    for u, gate in [((4, 2), (3,)), ((2, 4, 2), (2,)), ((2, 4, 2), (1, 1, 2)),
+                    ((2, 4, 2), (2, 4, 2)), ((2,), (2,))]:
+        with pytest.raises(ValueError, match="gate"):
+            ad.linear_scan(ad.Tensor(np.zeros(u)), ad.Tensor(np.zeros(gate)), 2)
+
+
+def test_leading_axis_ops_match_per_slice_ops():
+    # each slice of a stacked op is the 2-d op on that slice, byte for byte
+    rng = np.random.default_rng(21)
+    a, b = rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 6, 4))
+    got = ad.matmul(ad.Tensor(a), ad.Tensor(b), tb=True).data
+    logits = rng.standard_normal((3, 5, 6))
+    targets = rng.integers(0, 6, (3, 5))
+    ce = ad.cross_entropy(ad.Tensor(logits), targets).data
+    u, gate = rng.standard_normal((3, 8, 4)), rng.uniform(0, 1, (3, 1, 4))
+    h = ad.linear_scan(ad.Tensor(u), ad.Tensor(gate), 4).data
+    for i in range(3):
+        assert got[i].tobytes() == ad.matmul(ad.Tensor(a[i]), ad.Tensor(b[i]),
+                                             tb=True).data.tobytes()
+        assert ce[i] == ad.cross_entropy(ad.Tensor(logits[i]), targets[i]).data
+        assert h[i].tobytes() == ad.linear_scan(ad.Tensor(u[i]), ad.Tensor(gate[i, 0]),
+                                                4).data.tobytes()
+    assert ad.rms_inv(ad.Tensor(a), 0.1).data.shape == (3, 5, 1)
+    assert ad.softmax_rows(ad.Tensor(a)).data.sum(axis=-1) == pytest.approx(np.ones((3, 5)))
+
+
+def test_leading_axis_shape_errors():
+    with pytest.raises(ValueError, match="leading axes"):
+        ad.matmul(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((3, 4, 2))))
+    with pytest.raises(ValueError, match=r"shape mismatch \(2, 3, 4\)"):
+        ad.matmul(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((2, 3, 2))))
+    with pytest.raises(ValueError, match="rank"):
+        ad.matmul(ad.Tensor(np.zeros(4)), ad.Tensor(np.zeros((4, 2))))
+    with pytest.raises(ValueError, match="need 2 x 3 targets"):
+        ad.cross_entropy(ad.Tensor(np.zeros((2, 3, 4))), [0, 1, 2])
+    with pytest.raises(ValueError, match="rank"):
+        ad.cross_entropy(ad.Tensor(np.zeros(4)), [0])
+
+
+def test_scatter_rows_adds_like_add_at():
+    # bincount adds in index order from 0.0, as np.add.at does: byte-equal
+    rng = np.random.default_rng(8)
+    for rows, n, width in [(65, 96, 16), (7, 40, 3), (5, 0, 2)]:
+        idx = rng.integers(0, rows, n)
+        src = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+        ref = np.zeros((rows, width))
+        np.add.at(ref, idx, src)
+        got = ad.scatter_rows(ad.Tensor(src), idx, rows).data
+        assert got.tobytes() == ref.tobytes()
+    grid = ad.scatter_rows(ad.Tensor(np.ones((2, 3, 4))), [[0, 1, 0], [2, 2, 0]], 3)
+    assert np.array_equal(grid.data[:, 0], [3.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="scatter_rows"):
+        ad.scatter_rows(ad.Tensor(np.ones((2, 4))), [0, 1, 0], 3)
+
+
+def test_pad_axis_and_slice_axis_are_each_others_vjp():
+    x = ad.Tensor(np.arange(6.0).reshape(2, 3))
+    padded = ad.pad_axis(x, 0, 1, 4)
+    assert np.array_equal(padded.data, [[0, 0, 0], [0, 1, 2], [3, 4, 5], [0, 0, 0]])
+    assert ad.pad_axis(x, 1, 0, 3) is x  # nothing to pad: no record
+    with ad.Tape() as tape:
+        t = ad.Tensor(np.ones((3, 4)))
+        (g,) = ad.grad(ad.sum(ad.slice_axis(t, -1, 1, 3)), [t], create_graph=True)
+    assert [r.op for r in tape.records] == ["slice_axis", "sum", "expand", "pad_axis"]
+    assert np.array_equal(g.data, np.tile([0.0, 1.0, 1.0, 0.0], (3, 1)))
+    for axis, start, dim in [(0, 3, 4), (0, -1, 4), (1, 0, 2)]:
+        with pytest.raises(ValueError, match="pad_axis"):
+            ad.pad_axis(x, axis, start, dim)
+
+
+def test_grad_frees_adjoints_it_has_swept():
+    import tracemalloc
+    chain = 40
+    with ad.Tape():
+        x = ad.Tensor(np.ones(20000))  # 160 kB per adjoint
+        y = x
+        for _ in range(chain):
+            y = ad.scale(y, 1.0)
+        out = ad.sum(y)
+        tracemalloc.start()
+        (g,) = ad.grad(out, [x])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert np.array_equal(g.data, np.ones(20000))
+    assert peak < 8 * x.data.nbytes  # not one adjoint per record of the chain
+    with ad.Tape():
+        x = ad.Tensor([1.0, 2.0])
+        y = ad.square(x)
+        gx, gy = ad.grad(ad.sum(ad.scale(y, 3.0)), [x, y])  # wrt entries are kept
+    assert np.array_equal(gy.data, [3.0, 3.0]) and np.array_equal(gx.data, [6.0, 12.0])
 
 
 def test_non_scalar_grad_rejected():

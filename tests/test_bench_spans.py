@@ -1,0 +1,51 @@
+"""The benchmark's span tracer rebinds crossrec attributes by name from
+outside the package; these tests keep those names and the traced counts
+working. They read ``bench/`` and never change it."""
+import importlib.util
+import os
+
+import numpy as np
+
+from crossrec import train
+from crossrec.meta import MetaConfig
+
+from test_meta import PINNED_JOINT_RECORDS, PINNED_RECORDS, tiny_world
+
+SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench", "spans.py")
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    spans = load_spans()
+    bindings = spans.Tracer().bindings()
+    assert bindings
+    for module, attr, _ in bindings:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_traced_iteration_keeps_its_counts():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    params, sources, target, mc = tiny_world()
+    cfg = MetaConfig(inner_steps=2, inner_batch=4, meta_batch=4)
+    with spans.rebound(tracer.bindings()):
+        new, _ = train.train_iteration(params, sources, target, mc, cfg,
+                                       np.random.default_rng(7))
+        train.joint_train_iteration(new, sources, target, mc, cfg,
+                                    np.random.default_rng(7))
+    totals = spans.Totals(tracer)
+    assert totals.records_ok and totals.nested_ok
+    assert totals.roots == {"train.iteration": 2}
+    # both iterations: one stacked meta iteration and one joint step
+    assert totals.exit_records["train.iteration"] == PINNED_RECORDS + PINNED_JOINT_RECORDS
+    for name, calls in [("meta.inner_adapt", 1), ("meta.meta_gradient", 1),
+                        ("objective.batch_loss", 2 + 1 + 3), ("vq.quantize", 2 + 2),
+                        ("data.sample_batch", 9 + 3)]:
+        assert totals.sums[("train.iteration", name)][0] == calls, name

@@ -13,7 +13,8 @@ from crossrec.meta import (MetaConfig, inner_adapt, joint_train_iteration,
                            meta_gradient, rescale_and_update, train_iteration)
 from crossrec.objective import ModelConfig, VQConfig, batch_loss
 
-from oracles import first_order_meta_gradient, full_sweep_grad, rel_err
+from oracles import (draw_tasks, fd_grad, first_order_meta_gradient, full_sweep_grad,
+                     per_task_train_iteration, rel_err)
 
 CFG = MetaConfig(inner_lr=0.1, outer_lr=0.1, inner_steps=1)
 
@@ -168,7 +169,7 @@ def test_inner_adapt_tape_grows_linearly():
             params, [lambda p: batch_loss(p, batch, mc)[0]] * steps, cfg)
         lengths.append(len(adapted.tape.records))
     # each step adds its forward, its create_graph backward and the updates
-    assert lengths == [98, 196, 294, 392]
+    assert lengths == [86, 172, 258, 344]
 
 
 def test_pruned_meta_gradient_bit_identical_to_full_sweep(monkeypatch):
@@ -310,6 +311,11 @@ def tiny_world(seed=0):
     return params, sources, target, mc
 
 
+# records of one run_once(7) iteration and of one tiny_world joint step
+PINNED_RECORDS = 200
+PINNED_JOINT_RECORDS = 74
+
+
 def run_once(seed, **over):
     params, sources, target, mc = tiny_world()
     cfg = dataclasses.replace(MetaConfig(inner_steps=2, inner_batch=4,
@@ -356,13 +362,13 @@ def test_iteration_record_counts_are_pinned(monkeypatch):
 
     monkeypatch.setattr(meta, "Tape", CountingTape)
     run_once(7)
-    assert len(tapes) == 3  # one adaptation tape per task
-    assert sum(len(t.records) for t in tapes) == 645
+    assert len(tapes) == 1  # one adaptation tape for the whole stack of tasks
+    assert sum(len(t.records) for t in tapes) == PINNED_RECORDS
     tapes.clear()
     params, sources, target, mc = tiny_world()
     joint_train_iteration(params, sources, target, mc, MetaConfig(inner_batch=4),
                           np.random.default_rng(7))
-    assert sum(len(t.records) for t in tapes) == 88
+    assert sum(len(t.records) for t in tapes) == PINNED_JOINT_RECORDS
 
 
 def test_train_iteration_uniform_when_rescale_off():
@@ -446,3 +452,79 @@ def test_meta_config_validation():
     with pytest.raises(ValueError, match="inner_lr"):
         MetaConfig(inner_lr=-0.1)
     MetaConfig(inner_lr=0.0, outer_lr=0.0)  # zero rates are legal limits
+
+
+# ------------------------------------------------ the stack vs the task loop
+
+VARIANT_CONFIGS = {
+    "full": {},
+    "no_multihead_vq": {"vq": VQConfig(enabled=True, heads=1)},
+    "no_vq": {"vq": VQConfig(enabled=False)},
+    "no_rescale": {},
+}
+
+
+def variant_world(variant):
+    params, sources, target, mc = tiny_world()
+    return params, sources, target, dataclasses.replace(mc, **VARIANT_CONFIGS[variant])
+
+
+@pytest.mark.parametrize("second_order", [True, False])
+@pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
+def test_stacked_iteration_equals_per_task_loop(variant, second_order):
+    # tiny_world's sources hold 5 and 4 items, and 3 tasks from 2 sources
+    # pick some source twice: ragged and repeated tables on one stack
+    params, sources, target, mc = variant_world(variant)
+    rescale = variant != "no_rescale"
+    for seed in range(5):
+        for steps in (1, 2, 3):
+            cfg = MetaConfig(inner_steps=steps, inner_batch=4, meta_batch=4,
+                             second_order=second_order)
+            new, report = train_iteration(params, sources, target, mc, cfg,
+                                          np.random.default_rng(seed), rescale)
+            ref, ref_report = per_task_train_iteration(
+                params, sources, target, mc, cfg, np.random.default_rng(seed), rescale)
+            assert sorted(new) == sorted(ref)
+            for k in ref:
+                assert new[k].data.tobytes() == ref[k].data.tobytes(), (seed, steps, k)
+            assert report == ref_report, (seed, steps)
+
+
+@pytest.mark.parametrize("steps", [3, 4])
+def test_stacked_meta_gradient_matches_pipeline_fd(steps, monkeypatch):
+    # each task's meta-gradient from the stack against central differences of
+    # that task's own pipeline: adapt on its inner batches, then the meta loss
+    params, sources, target, mc = variant_world("no_vq")
+    cfg = MetaConfig(inner_steps=steps, inner_batch=4, meta_batch=4)
+    captured = []
+    real = meta.rescale_and_update
+
+    def capture(theta, task_results, *args, **kwargs):
+        captured.extend(task_results)
+        return real(theta, task_results, *args, **kwargs)
+
+    monkeypatch.setattr(meta, "rescale_and_update", capture)
+    train_iteration(params, sources, target, mc, cfg, np.random.default_rng(steps))
+    tasks = draw_tasks(sources, target, mc, cfg, np.random.default_rng(steps))
+    names = sorted(params)
+    value_cfg = dataclasses.replace(cfg, second_order=False)  # same phi, less tape
+    for (src, inner, meta_b), (_, grads) in zip(tasks, captured):
+        step_fns = [lambda p, b=b: batch_loss(p, b, mc)[0] for b in inner]
+
+        # the task's own source table and every shared layer; other tables
+        # get exactly zero
+        checked = [k for k in names if not k.startswith("embed.")
+                   or k in (f"embed.{src.domain_id}", f"embed.{target.domain_id}")]
+
+        def value(arrays):
+            theta = dict(params)
+            theta.update((k, Tensor(a)) for k, a in zip(checked, arrays))
+            adapted = inner_adapt(theta, step_fns, value_cfg)
+            with ad.Tape():
+                return float(batch_loss(adapted.phi, meta_b, mc)[0].data)
+
+        fds = fd_grad(value, [params[k].data for k in checked])
+        for k, fd in zip(checked, fds):
+            assert rel_err(grads[k], fd) <= 1e-5, (src.domain_id, k)
+        for k in set(names) - set(checked):
+            assert not grads[k].any(), (src.domain_id, k)

@@ -75,29 +75,54 @@ def test_all_zero_embedding_ties_to_code_zero():
 
 
 def test_vq_loss_values():
-    assert float(vq.vq_loss(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0])).data) == 0.0
-    loss = vq.vq_loss(ad.Tensor([1.0, 0.0]), ad.Tensor([0.0, 0.0]))
+    assert float(ad.vq_loss(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0, 2.0]])).data) == 0.0
+    loss = ad.vq_loss(ad.Tensor([[1.0, 0.0]]), ad.Tensor([[0.0, 0.0]]))
     assert float(loss.data) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        vq.vq_loss(ad.Tensor([1.0]), ad.Tensor([1.0, 2.0]))
+    # the mean over quantized rows
+    rows = ad.vq_loss(ad.Tensor([[1.0, 0.0], [0.0, 3.0]]), ad.Tensor(np.zeros((2, 2))))
+    assert float(rows.data) == pytest.approx((2.0 + 18.0) / 2)
+    for q, e, counts in [((1, 1), (1, 2), None), ((2,), (2,), None),
+                         ((3, 2), (3, 2), (2, 2)), ((3, 2), (3, 2), (3, 0))]:
+        with pytest.raises(ValueError, match="vq_loss"):
+            ad.vq_loss(ad.Tensor(np.zeros(q)), ad.Tensor(np.zeros(e)), counts)
+
+
+def test_vq_loss_per_task_equals_separate_losses():
+    # one value per task, each byte-equal to the task's own loss, and the
+    # gradient of their weighted sum is each task's own gradient, scaled
+    rng = np.random.default_rng(12)
+    zq, ze = rng.standard_normal((7, 4)), rng.standard_normal((7, 4))
+    counts, weights = (3, 4), np.array([0.5, -2.0])
+    with ad.Tape():
+        tq, te = ad.Tensor(zq), ad.Tensor(ze)
+        both = ad.vq_loss(tq, te, counts)
+        gq, ge = ad.grad(ad.sum(ad.mul(both, ad.Tensor(weights))), [tq, te])
+    for i, (lo, hi) in enumerate([(0, 3), (3, 7)]):
+        with ad.Tape():
+            sq, se = ad.Tensor(zq[lo:hi]), ad.Tensor(ze[lo:hi])
+            one = ad.vq_loss(sq, se)
+            rq, re = ad.grad(ad.scale(one, weights[i]), [sq, se])
+        assert both.data[i] == one.data
+        assert gq.data[lo:hi].tobytes() == rq.data.tobytes()
+        assert ge.data[lo:hi].tobytes() == re.data.tobytes()
 
 
 def test_vq_loss_zero_iff_equal():
     rng = np.random.default_rng(8)
-    a = rng.standard_normal(5)
+    a = rng.standard_normal((1, 5))
     b = a.copy()
-    b[2] += 1e-3
-    assert float(vq.vq_loss(ad.Tensor(a), ad.Tensor(a)).data) == 0.0
-    assert float(vq.vq_loss(ad.Tensor(a), ad.Tensor(b)).data) > 0.0
+    b[0, 2] += 1e-3
+    assert float(ad.vq_loss(ad.Tensor(a), ad.Tensor(a)).data) == 0.0
+    assert float(ad.vq_loss(ad.Tensor(a), ad.Tensor(b)).data) > 0.0
 
 
 def test_vq_loss_gradient_separation():
     rng = np.random.default_rng(3)
-    zq = rng.standard_normal(4)
-    ze = rng.standard_normal(4)
+    zq = rng.standard_normal((1, 4))
+    ze = rng.standard_normal((1, 4))
     with ad.Tape():
         tq, te = ad.Tensor(zq), ad.Tensor(ze)
-        gq, ge = ad.grad(vq.vq_loss(tq, te), [tq, te])
+        gq, ge = ad.grad(ad.vq_loss(tq, te), [tq, te])
     # z_e sees only the commit term: 2 (z_e - z_q); z_q only the pull term
     assert np.allclose(ge.data, 2 * (ze - zq))
     assert np.allclose(gq.data, 2 * (zq - ze))
@@ -106,36 +131,64 @@ def test_vq_loss_gradient_separation():
     assert rel_err(ge.data, fd) < 1e-6
 
 
+@pytest.mark.parametrize("counts", [None, (2, 1)])
+def test_vq_loss_second_order_keeps_stop_gradients(counts):
+    # the vjp is made of recorded ops, and the stop-gradients hold at every
+    # order: d/dz_q <c, grad> sees only the pull term's z_q, d/dz_e only the
+    # commit term's z_e, each 2 * (task weight / task rows) * c
+    rng = np.random.default_rng(5)
+    zq, ze = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    weight = rng.standard_normal(() if counts is None else (2,))
+    cq, ce = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    with ad.Tape():
+        tq, te = ad.Tensor(zq), ad.Tensor(ze)
+        loss = ad.sum(ad.mul(ad.vq_loss(tq, te, counts), ad.Tensor(weight)))
+        gq, ge = ad.grad(loss, [tq, te], create_graph=True)
+        probe = ad.add(ad.sum(ad.mul(gq, ad.Tensor(cq))), ad.sum(ad.mul(ge, ad.Tensor(ce))))
+        hq, he = ad.grad(probe, [tq, te])
+    scale = np.full((3, 1), weight / 3) if counts is None else \
+        np.array([[weight[0] / 2], [weight[0] / 2], [weight[1]]])
+    assert np.allclose(gq.data, 2 * scale * (zq - ze), rtol=0, atol=1e-14)
+    assert np.allclose(hq.data, 2 * scale * cq, rtol=0, atol=1e-14)
+    assert np.allclose(he.data, 2 * scale * ce, rtol=0, atol=1e-14)
+
+
 def test_straight_through_forward_and_grad():
     rng = np.random.default_rng(6)
     ze = rng.standard_normal(4)
     zq = rng.standard_normal(4)
-    st_out = ad.straight_through(ad.Tensor(ze), ad.Tensor(zq))
+    st_out = ad.straight_through(ad.Tensor(ze), ad.Tensor(zq), np.arange(4))
     assert np.array_equal(st_out.data, zq)
     with ad.Tape():
         te = ad.Tensor(ze)
-        out = ad.straight_through(te, ad.Tensor(zq))
+        out = ad.straight_through(te, ad.Tensor(zq), np.arange(4))
         (g,) = ad.grad(ad.sum(out), [te])
     assert np.array_equal(g.data, np.ones(4))
 
 
-def test_straight_through_keeps_rows_past_z_q():
-    # the quantized rows come first; z_e's rows past them pass through raw,
+def test_straight_through_replaces_only_its_rows():
+    # the quantized rows land on ``rows``; z_e's other rows pass through raw,
     # and the gradient reaches the whole of z_e
     rng = np.random.default_rng(7)
     ze = rng.standard_normal((5, 3))
     zq = rng.standard_normal((3, 3))
     w = rng.standard_normal((5, 3))
-    with ad.Tape():
-        te, tq = ad.Tensor(ze), ad.Tensor(zq)
-        out = ad.straight_through(te, tq)
-        ge, gq = ad.grad(ad.sum(ad.mul(out, ad.Tensor(w))), [te, tq])
-    assert np.array_equal(out.data, np.vstack([zq, ze[3:]]))
-    assert np.array_equal(ge.data, w) and gq is None
-    for e_shape, q_shape in [((5, 3), (6, 3)), ((5, 3), (5, 2)), ((5, 3), (3,)),
-                             ((5, 3), (5, 3, 1)), ((), ())]:
+    for rows in ([0, 1, 2], [0, 2, 3]):
+        with ad.Tape():
+            te, tq = ad.Tensor(ze), ad.Tensor(zq)
+            out = ad.straight_through(te, tq, rows)
+            ge, gq = ad.grad(ad.sum(ad.mul(out, ad.Tensor(w))), [te, tq])
+        want = ze.copy()
+        want[rows] = zq
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(ge.data, w) and gq is None
+    for e_shape, q_shape, rows in [((5, 3), (6, 3), range(6)), ((5, 3), (5, 2), range(5)),
+                                   ((5, 3), (3,), range(3)), ((5, 3), (5, 3, 1), range(5)),
+                                   ((), (), []), ((5, 3), (2, 3), [0, 5]),
+                                   ((5, 3), (2, 3), [0, -1]), ((5, 3), (2, 3), [0])]:
         with pytest.raises(ValueError, match="straight_through"):
-            ad.straight_through(ad.Tensor(np.zeros(e_shape)), ad.Tensor(np.zeros(q_shape)))
+            ad.straight_through(ad.Tensor(np.zeros(e_shape)), ad.Tensor(np.zeros(q_shape)),
+                                list(rows))
 
 
 def test_straight_through_equals_identity_gradient():
@@ -151,7 +204,8 @@ def test_straight_through_equals_identity_gradient():
 
     with ad.Tape():
         te = ad.Tensor(ze)
-        (g_st,) = ad.grad(downstream(ad.straight_through(te, ad.Tensor(zq))), [te])
+        (g_st,) = ad.grad(downstream(ad.straight_through(te, ad.Tensor(zq), np.arange(4))),
+                          [te])
     with ad.Tape():
         te = ad.Tensor(zq)  # identity mapping evaluated at the quantized point
         (g_id,) = ad.grad(downstream(te), [te])
