@@ -166,7 +166,7 @@ def test_straight_through_forward_and_grad():
     assert np.array_equal(g.data, np.ones(4))
 
 
-def test_straight_through_replaces_only_its_rows():
+def test_straight_through_keeps_rows_past_z_q():
     # the quantized rows land on ``rows``; z_e's other rows pass through raw,
     # and the gradient reaches the whole of z_e
     rng = np.random.default_rng(7)
