@@ -34,13 +34,15 @@ def main():
                       if role == "target")
     model_cfg = effective_model_config(cfg, target)
     params = {name: Tensor(arr) for name, arr in tensors.items()}
-    book = make_codebook(params, model_cfg.target_domain, model_cfg.vq.heads)
     fh = sys.stdout if args.out == "-" else open(args.out, "w")
     for name in sorted(params):
         if not name.startswith("embed.") or \
                 name == f"embed.{model_cfg.target_domain}":
             continue
         domain = name.split(".", 1)[1]
+        items = params[name].data.shape[0] - 1  # the padding row is not quantized
+        book = make_codebook(params, model_cfg.target_domain, model_cfg.vq.heads,
+                             (items,))
         _, _, codes = quantize_domain_matrix(params, domain, book)
         write_code_dump(fh, domain, codes)
     if fh is not sys.stdout:

@@ -252,14 +252,13 @@ def straight_through(z_e, z_q, rows):
     return _out(out, "straight_through", (z_e, z_q), lambda g: (g, None))
 
 
-def vq_loss(z_q, z_e, counts=None):
+def vq_loss(z_q, z_e, counts):
     """The two-term VQ loss ``|z_q - sg[z_e]|^2 + |sg[z_q] - z_e|^2`` over
     equal-shaped (rows, d) tensors as one record. ``counts`` splits the rows
-    into consecutive tasks (by default one); each task's terms are divided by
-    its row count, and the value holds one loss per task (a scalar without
-    ``counts``)."""
+    into consecutive tasks; each task's terms are divided by its row count,
+    and the value holds one loss per task (a scalar for one task)."""
     q, e = z_q.data, z_e.data
-    sizes = (len(q),) if counts is None else tuple(int(c) for c in counts)
+    sizes = tuple(int(c) for c in counts)
     ends = np.cumsum(sizes)
     if q.ndim != 2 or q.shape != e.shape or ends[-1] != len(q) or min(sizes) < 1:
         raise ValueError(f"vq_loss: shape mismatch {q.shape} vs {e.shape} "
@@ -270,16 +269,16 @@ def vq_loss(z_q, z_e, counts=None):
     # a task's rows are contiguous, so each sum adds in np.sum's order for them
     parts = np.array([sq[hi - n:hi].sum() for n, hi in zip(sizes, ends)])
     value = (parts + parts) * weights
+    one = len(sizes) == 1
 
     def vjp(g):
         # the scale both square terms share: g of the row's task over its count
         task = np.repeat(np.arange(len(sizes)), sizes)
         w = Tensor(weights[task][:, None])
-        gw = mul(g, w) if counts is None else mul(gather(g, task[:, None]), w)
+        gw = mul(g, w) if one else mul(gather(g, task[:, None]), w)
         return scaled_diff(gw, z_q, e, 2.0), scaled_diff(gw, z_e, q, 2.0)
 
-    return _out(value.reshape(()) if counts is None else value, "vq_loss", (z_q, z_e),
-                vjp)
+    return _out(value.reshape(()) if one else value, "vq_loss", (z_q, z_e), vjp)
 
 
 def scaled_diff(s, x, c, k):
@@ -443,11 +442,6 @@ def cross_entropy(logits, targets):
 
     return _out((lse - picked).sum(axis=-1) * (1.0 / rows), "cross_entropy",
                 (logits,), vjp)
-
-
-def stop_gradient(x):
-    """``x``'s value as a constant: a new tensor that no record produced."""
-    return Tensor(x.data)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ class DomainDataset:
     train: list          # per user: list of item ids (chronological prefix)
     val: list            # per user: validation item
     test: list           # per user: test item
-    dropped_users: int = 0
 
     @property
     def num_users(self):
@@ -34,9 +33,14 @@ class DomainDataset:
 
 @dataclass
 class TaskBatch:
+    """One batch, or n same-shaped batches on a leading task axis: task i's
+    ids index the i-th of the tables that ``params[embed_key(domain_id)]``
+    holds one after another, and it reads the i-th slice of every encoder
+    weight."""
     domain_id: str
-    inputs: np.ndarray   # (B, T) item-id windows, left-padded with pad_id
-    targets: np.ndarray  # (B,) next-item ids
+    inputs: np.ndarray   # ([n,] B, T) item-id windows, left-padded with pad_id
+    targets: np.ndarray  # ([n,] B) next-item ids
+    counts: tuple        # each table's item count, its padding row excluded
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def k_core_filter(events, k):
 def leave_one_out_split(domain_id, events):
     """Build a DomainDataset: last item is test, second-to-last validation.
 
-    Sequences shorter than 3 are dropped and counted. Item ids are remapped to
+    Sequences shorter than 3 are dropped. Item ids are remapped to
     a dense [0, |I|) space in first-appearance order over kept sequences.
     """
     by_user = {}
@@ -133,18 +137,16 @@ def leave_one_out_split(domain_id, events):
         by_user.setdefault(u, []).append(i)
     item_map = {}
     train, val, test = [], [], []
-    dropped = 0
     for u in sorted(by_user):
         seq = by_user[u]
         if len(seq) < 3:
-            dropped += 1
             continue
         dense = [item_map.setdefault(i, len(item_map)) for i in seq]
         train.append(dense[:-2])
         val.append(dense[-2])
         test.append(dense[-1])
     return DomainDataset(domain_id=domain_id, item_count=len(item_map),
-                         train=train, val=val, test=test, dropped_users=dropped)
+                         train=train, val=val, test=test)
 
 
 def build_domain_dataset(domain_id, events, k):
@@ -178,7 +180,7 @@ def sample_batch(dataset, split, batch_size, max_len, rng):
         cut = int(rng.integers(1, len(seq)))
         inputs[b] = _window(seq[:cut], max_len, dataset.pad_id)
         targets[b] = seq[cut]
-    return TaskBatch(domain_id=dataset.domain_id, inputs=inputs, targets=targets)
+    return TaskBatch(dataset.domain_id, inputs, targets, (dataset.item_count,))
 
 
 def eval_batch(dataset, split, max_len):
@@ -194,7 +196,7 @@ def eval_batch(dataset, split, max_len):
         prefix = dataset.train[u] if split == "val" else dataset.train[u] + [dataset.val[u]]
         inputs[u] = _window(prefix, max_len, pad)
         targets[u] = dataset.val[u] if split == "val" else dataset.test[u]
-    return TaskBatch(domain_id=dataset.domain_id, inputs=inputs, targets=targets)
+    return TaskBatch(dataset.domain_id, inputs, targets, (dataset.item_count,))
 
 
 def _random_transition(rng, n):

@@ -65,13 +65,14 @@ def evaluate(params, dataset, split, k, model_cfg, chunk=256):
     batch = eval_batch(dataset, split, model_cfg.encoder.max_len)
     ranks = []
     with ad.no_record():
-        matrix = domain_item_matrix(params, dataset.domain_id, model_cfg)[0]
-        items = item_rows(matrix)
+        matrix = domain_item_matrix(params, dataset.domain_id, model_cfg,
+                                    batch.counts)[0]
+        items = item_rows(matrix, batch.counts)
         for lo in range(0, batch.inputs.shape[0], chunk):
             hi = min(lo + chunk, batch.inputs.shape[0])
             hidden = backbone.encode_steps(params, model_cfg.encoder, matrix,
                                            batch.inputs[lo:hi])
-            scores = item_scores(hidden, items).data
+            scores = item_scores(hidden, items, batch.counts).data
             ranks.append(rank_of_truth(scores, batch.targets[lo:hi]))
     ranks = np.concatenate(ranks)
     per_user = np.stack(metrics_from_rank(ranks, k), axis=1)

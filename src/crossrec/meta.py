@@ -10,8 +10,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .backbone import embed_key, table_starts
-from .data import sample_batch
-from .objective import TaskStack, batch_loss
+from .data import TaskBatch, sample_batch
+from .objective import batch_loss
 
 NORM_EPS = 1e-12
 
@@ -108,41 +108,44 @@ def _softmax(x):
     return z / z.sum()
 
 
-def rescale_and_update(theta, task_results, cfg, uniform=False):
+def rescale_and_update(theta, layers, cfg, uniform=False):
     """Per-layer similarity-weighted outer update.
 
-    ``task_results`` holds (phi, meta_grads) per task. Per layer, scores are
-    the cosine between each task's flattened meta gradient and its inner
-    displacement phi - theta; softmax at temperature tau turns them into
-    weights (exact 1/n when ``uniform``). Returns (new params, scores dict,
-    weights dict).
+    ``layers[name]`` holds one entry per task: (meta-gradient, inner
+    displacement phi - theta), both shaped like the layer, or ``None`` for a
+    task that left the layer as it was, which scores 0 and adds no term. Per
+    layer, scores are the cosine between each task's flattened meta gradient
+    and its displacement; softmax at temperature tau turns them into weights
+    (exact 1/n when ``uniform``). Returns (new params, scores dict, weights
+    dict).
     """
-    n = len(task_results)
     names = list(theta)
-    for phi, grads in task_results:
-        if set(phi) != set(names) or set(grads) != set(names):
-            raise ValueError("rescale_and_update: layer-name mismatch across tasks")
+    if set(layers) != set(names):
+        raise ValueError("rescale_and_update: layer-name mismatch: "
+                         + ", ".join(sorted(set(names) ^ set(layers))))
     scores = {}
     weights = {}
     new_theta = {}
     for name in names:
-        base = theta[name].data
+        entries = layers[name]
+        n = len(entries)
         s = np.zeros(n)
-        for i, (phi, grads) in enumerate(task_results):
-            g = grads[name].ravel()
-            d = (phi[name].data - base).ravel()
+        for i, entry in enumerate(entries):
+            if entry is None:
+                continue
+            g, d = entry[0].ravel(), entry[1].ravel()
             gn = np.linalg.norm(g)
             dn = np.linalg.norm(d)
-            if gn < NORM_EPS or dn < NORM_EPS:
-                s[i] = 0.0
-            else:
+            if not (gn < NORM_EPS or dn < NORM_EPS):
                 s[i] = float(g @ d) / (gn * dn)
         w = np.full(n, 1.0 / n) if uniform else _softmax(s / cfg.temperature)
         scores[name] = s.tolist()
         weights[name] = w.tolist()
+        base = theta[name].data
         update = np.zeros_like(base)
-        for i, (_, grads) in enumerate(task_results):
-            update += w[i] * grads[name]
+        for wi, entry in zip(w, entries):
+            if entry is not None:
+                update += wi * entry[0]
         new_theta[name] = Tensor(base - cfg.outer_lr * update)
     return new_theta, scores, weights
 
@@ -159,9 +162,9 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
     leading task axis (vectors as (n, 1, d)), the picked source tables sit one
     after another in one flat table, and n copies of the target table in
     another. No task shares a parameter with another, so the gradient of the
-    summed loss is each task's own gradient. Each task's phi and
-    meta-gradient are sliced back out; a source table the task did not pick
-    keeps phi = theta and a zero gradient.
+    summed loss is each task's own gradient. Each task's meta-gradient and
+    displacement are sliced back out for the layers it holds on the stack;
+    a source table the task did not pick gets no entry.
     """
     if not sources:
         raise ValueError("train_iteration: no source domains")
@@ -196,9 +199,10 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
                 (target_key, target_key, np.s_[i * target_rows:(i + 1) * target_rows])]
              for i in range(n)]
 
-    def stack_loss(batches, domain, task_counts, include_vq, task_losses):
-        stack = TaskStack(domain, np.stack([b.inputs for b in batches]),
-                          np.stack([b.targets for b in batches]), task_counts)
+    def stack_loss(batches, domain, include_vq, task_losses):
+        stack = TaskBatch(domain, np.stack([b.inputs for b in batches]),
+                          np.stack([b.targets for b in batches]),
+                          sum((b.counts for b in batches), ()))
 
         def fn(p):
             loss, loss_parts = batch_loss(p, stack, model_cfg, include_vq=include_vq)
@@ -208,29 +212,25 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
 
     inner_losses, meta_losses = [], []
     adapted = inner_adapt(stacked, [
-        stack_loss([b[s] for b in inner], stack_domain, counts, cfg.vq_in_inner,
-                   inner_losses)
+        stack_loss([b[s] for b in inner], stack_domain, cfg.vq_in_inner, inner_losses)
         for s in range(cfg.inner_steps)], cfg)
     grads, _ = meta_gradient(stacked, adapted, stack_loss(
-        meta_batches, model_cfg.target_domain, (target_rows - 1,) * n, True,
-        meta_losses), cfg)
+        meta_batches, model_cfg.target_domain, True, meta_losses), cfg)
 
     report = MetaIterationReport()
-    task_results = []
+    layers = {k: [None] * n for k in theta}
     for i, src in enumerate(picks):
-        phi = dict(theta)
-        task_grads = {k: np.zeros_like(v.data) for k, v in theta.items()}
         for key, leaf, part in parts[i]:
             shape = theta[key].data.shape
-            phi[key] = Tensor(adapted.phi[leaf].data[part].reshape(shape))
             # a fresh copy: the rescale's norms and dot products then see the
             # memory layout a per-task gradient had
-            task_grads[key] = grads[leaf][part].reshape(shape).copy()
+            phi = adapted.phi[leaf].data[part].reshape(shape)
+            layers[key][i] = (grads[leaf][part].reshape(shape).copy(),
+                              phi - theta[key].data)
         report.tasks.append(TaskReport(src.domain_id, [s[i] for s in inner_losses],
                                        meta_losses[0][i]))
-        task_results.append((phi, task_grads))
     new_theta, scores, weights = rescale_and_update(
-        theta, task_results, cfg, uniform=not rescale)
+        theta, layers, cfg, uniform=not rescale)
     report.layer_scores = scores
     report.layer_weights = weights
     report.overall_loss = float(np.mean([t.meta_loss for t in report.tasks]))
@@ -244,8 +244,6 @@ def joint_train_iteration(theta, sources, target, model_cfg, cfg, rng):
     (new params, pooled loss value).
     """
     domains = list(sources) + [target]
-    if not domains:
-        raise ValueError("joint_train_iteration: empty domain pool")
     batches = [sample_batch(d, "train", cfg.inner_batch,
                             model_cfg.encoder.max_len, rng)
                for d in domains]

@@ -1,9 +1,10 @@
 """Per-batch training objective: cross entropy over the full item space plus
 the quantization loss where the VQ path is active.
 
-A loss is taken over one batch or over a ``TaskStack``: n same-shaped batches
+A loss is taken over one ``TaskBatch``: one batch, or n same-shaped batches
 on a leading task axis, each scored with its own encoder weights against its
-own table. Both run the same code; a single batch has no task axis.
+own table. Both run the same code; one table is sliced where several are
+gathered.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import EncoderConfig, embed_key, encode_steps, table_starts
-from .data import TaskBatch
 from .vq import make_codebook, quantize_domain_matrix
 
 
@@ -35,20 +35,10 @@ class ModelConfig:
     target_domain: str = "target"
 
 
-@dataclass(frozen=True)
-class TaskStack:
-    """n batches of one shape; task i reads the i-th of the tables that
-    ``params[embed_key(domain)]`` holds one after another, and the i-th slice
-    of every encoder weight."""
-    domain: str
-    inputs: np.ndarray   # (n, B, T) item ids, local to each task's table
-    targets: np.ndarray  # (n, B)
-    counts: tuple        # each task's item count, its padding row excluded
-
-
-def domain_item_matrix(params, domain, model_cfg, counts=None):
-    """(item matrix with padding rows, vq loss term or None) for a domain's
-    table, or with ``counts`` for the tables of a stack (one vq loss each)."""
+def domain_item_matrix(params, domain, model_cfg, counts):
+    """(item matrix with padding rows, vq loss term or None) for the tables of
+    ``counts`` items that ``params[embed_key(domain)]`` holds one after
+    another (one vq loss each, a scalar for one table)."""
     key = embed_key(domain)
     if key not in params:
         raise KeyError(f"unknown domain {domain!r}")
@@ -59,21 +49,21 @@ def domain_item_matrix(params, domain, model_cfg, counts=None):
     return full, loss
 
 
-def item_rows(matrix, counts=None):
+def item_rows(matrix, counts):
     """The item rows of ``matrix``, padding rows left out: (N, d) for one
-    table, or with ``counts`` (n, N_max, d) for a stack's tables, where the
-    columns past a task's item count read its padding row."""
-    if counts is None:  # one contiguous block: a slice is cheaper than a gather
+    table, (n, N_max, d) for several, where the columns past a table's item
+    count read its padding row."""
+    if len(counts) == 1:  # one contiguous block: a slice is cheaper than a gather
         return ad.slice_axis(matrix, 0, 0, matrix.data.shape[0] - 1)
     return ad.gather(matrix, table_starts(counts)[:, None] + np.minimum(
         np.arange(max(counts)), np.asarray(counts)[:, None]))
 
 
-def item_scores(hidden, items, counts=None):
+def item_scores(hidden, items, counts):
     """Logits of ``items`` (from ``item_rows``) for (..., B, d) encoder
-    outputs; with ``counts``, -inf past a task's item count."""
+    outputs; -inf past a table's item count."""
     logits = ad.matmul(hidden, items, tb=True)
-    if counts is not None and min(counts) < max(counts):
+    if min(counts) < max(counts):
         past = np.arange(max(counts)) >= np.asarray(counts)[:, None, None]
         logits = ad.add(logits, Tensor(np.where(
             np.broadcast_to(past, logits.data.shape), -np.inf, 0.0)))
@@ -81,21 +71,20 @@ def item_scores(hidden, items, counts=None):
 
 
 def batch_loss(params, batch, model_cfg, include_vq=True):
-    """Overall loss on a TaskBatch or a TaskStack: cross entropy (+ vq term
-    when applicable); a stack's loss is the sum of its tasks' losses.
+    """Overall loss on a TaskBatch: cross entropy (+ vq term when
+    applicable); a stack's loss is the sum of its tasks' losses.
 
     Returns (loss tensor, dict of parts: "loss", "ce" and, with a vq term,
-    "vq", each a float for a batch and a list of per-task floats for a stack).
+    "vq", each a float for one batch and a list of per-task floats for a
+    stack; one table's vq term is a float either way).
     """
     if batch.inputs.shape[-2] == 0:
         raise ValueError("batch_loss: empty batch")
-    stacked = not isinstance(batch, TaskBatch)
-    domain = batch.domain if stacked else batch.domain_id
-    counts = batch.counts if stacked else None
-    matrix, vq_term = domain_item_matrix(params, domain, model_cfg, counts)
-    # a stack's ids are local to each task's table
-    rows = batch.inputs if counts is None else \
-        batch.inputs + table_starts(counts)[:, None, None]
+    counts = batch.counts
+    matrix, vq_term = domain_item_matrix(params, batch.domain_id, model_cfg, counts)
+    rows = batch.inputs
+    if len(counts) > 1:  # a stack's ids are local to each task's table
+        rows = rows + table_starts(counts)[:, None, None]
     hidden = encode_steps(params, model_cfg.encoder, matrix, rows)
     # the item gather after the encoder's: the meta sweep adds a table's
     # gradient terms in tape order, and this order keeps them bit-identical
@@ -108,4 +97,4 @@ def batch_loss(params, batch, model_cfg, include_vq=True):
         if include_vq:
             loss = ad.add(ce, vq_term)
     parts["loss"] = loss.data.tolist()
-    return (ad.sum(loss) if stacked else loss), parts
+    return (ad.sum(loss) if loss.data.ndim else loss), parts

@@ -21,12 +21,12 @@ COS_EPS = 1e-12
 
 @dataclass
 class Codebook:
-    """The target table seen as codes, or several copies of it one after
-    another: one per task of a stack, each the codebook of that task's rows."""
+    """The target table seen as codes, in one copy per quantized table held
+    one after another: copy i is the codebook of the i-th block of rows."""
     table: Tensor  # the target embedding table(s), padding rows included
     heads: int
     size: int      # K = |I_target|, excludes the padding row
-    counts: tuple = None  # per copy, the rows quantized against it (None: one copy)
+    counts: tuple  # per copy, the rows quantized against it
 
     @property
     def head_width(self):
@@ -36,24 +36,22 @@ class Codebook:
         return d // self.heads
 
 
-def make_codebook(params, target_domain, heads, counts=None):
+def make_codebook(params, target_domain, heads, counts):
     """The codebook over ``params[embed_key(target_domain)]``, which holds one
-    copy of the target table per entry of ``counts`` (one without)."""
+    copy of the target table per entry of ``counts``."""
     table = params[embed_key(target_domain)]
-    copies = 1 if counts is None else len(counts)
-    return Codebook(table=table, heads=heads, size=table.data.shape[0] // copies - 1,
-                    counts=counts)
+    return Codebook(table=table, heads=heads,
+                    size=table.data.shape[0] // len(counts) - 1, counts=counts)
 
 
 def _head_codes(z, book):
     """Per-head nearest-code rows of ``book.table`` for rows of z (N, H*D);
-    returns (N, H). With ``book.counts`` the rows split into consecutive
-    blocks, block i searching copy i only."""
+    returns (N, H). The rows split into the consecutive blocks of
+    ``book.counts``, block i searching copy i only."""
     h, d = book.heads, book.head_width
     codes = np.empty((z.shape[0], h), dtype=np.int64)
-    counts = (z.shape[0],) if book.counts is None else book.counts
     lo = 0
-    for i, n in enumerate(counts):
+    for i, n in enumerate(book.counts):
         base = i * (book.size + 1)
         book_rows = book.table.data[base:base + book.size]
         block, out = z[lo:lo + n], codes[lo:lo + n]
@@ -78,6 +76,9 @@ def quantize_rows(rows, book):
     if rows.data.shape[1] != book.heads * book.head_width:
         raise ValueError(f"quantize: width {rows.data.shape[1]} != "
                          f"{book.heads}x{book.head_width}")
+    if rows.data.shape[0] != sum(book.counts):
+        raise ValueError(f"quantize: {rows.data.shape[0]} rows for row counts "
+                         f"{book.counts}")
     codes = _head_codes(rows.data, book)
     h, d = book.heads, book.head_width
     # head i of code j is row j*H + i of the table seen as (rows*H, D)
@@ -87,9 +88,9 @@ def quantize_rows(rows, book):
 
 
 def quantize_domain_matrix(params, domain, book):
-    """Quantize every item row of a domain table, or, with ``book.counts``,
-    of the tables that ``params[embed_key(domain)]`` holds one after another
-    (each with its padding row last).
+    """Quantize every item row of the tables of ``book.counts`` items that
+    ``params[embed_key(domain)]`` holds one after another (each with its
+    padding row last).
 
     Returns (item matrix with the raw padding rows, per-table vq loss, codes).
     The returned matrix routes straight-through gradients to the whole table
@@ -99,7 +100,7 @@ def quantize_domain_matrix(params, domain, book):
     if key not in params:
         raise KeyError(f"unknown domain {domain!r}")
     table = params[key]
-    if book.counts is None:  # one table's item rows: a slice is cheaper than a gather
+    if len(book.counts) == 1:  # one table's item rows: a slice is cheaper than a gather
         rows = np.arange(table.data.shape[0] - 1)
         raw = ad.slice_axis(table, 0, 0, len(rows))
     else:

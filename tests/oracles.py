@@ -187,11 +187,20 @@ def draw_tasks(sources, target, model_cfg, cfg, rng):
     return tasks
 
 
+def task_layers(theta, task_results):
+    """(phi, meta-gradients) per task as ``rescale_and_update``'s per-layer
+    entries: every task holds every layer, with its meta-gradient and its
+    displacement phi - theta."""
+    return {k: [(grads[k], phi[k].data - theta[k].data) for phi, grads in task_results]
+            for k in theta}
+
+
 def per_task_train_iteration(theta, sources, target, model_cfg, cfg, rng,
                              rescale=True):
     """Reference meta iteration: each task adapted on its own tape from the
-    untouched theta, with the single-batch loss, then the rescaled update.
-    Returns (new params, MetaIterationReport)."""
+    untouched theta, with the single-batch loss, then the rescaled update
+    with a full entry for every task and layer. Returns (new params,
+    MetaIterationReport)."""
     report = MetaIterationReport()
     task_results = []
     for src, inner, meta_b in draw_tasks(sources, target, model_cfg, cfg, rng):
@@ -203,8 +212,8 @@ def per_task_train_iteration(theta, sources, target, model_cfg, cfg, rng,
             theta, adapted, lambda p: batch_loss(p, meta_b, model_cfg)[0], cfg)
         report.tasks.append(TaskReport(src.domain_id, adapted.inner_losses, meta_loss))
         task_results.append((adapted.phi, grads))
-    new_theta, scores, weights = rescale_and_update(theta, task_results, cfg,
-                                                    uniform=not rescale)
+    new_theta, scores, weights = rescale_and_update(
+        theta, task_layers(theta, task_results), cfg, uniform=not rescale)
     report.layer_scores = scores
     report.layer_weights = weights
     report.overall_loss = float(np.mean([t.meta_loss for t in report.tasks]))

@@ -22,7 +22,7 @@ from crossrec.runconfig import RunConfig, parse_config, effective_model_config
 from crossrec.train import build_datasets, run_ablation, run_training
 
 from oracles import brute_force_rank, fd_grad, nearest_codes_exhaustive, \
-    peel_k_core, rel_err
+    peel_k_core, rel_err, task_layers
 from test_autodiff import OP_CASES, run_grad, scalar_of
 from test_meta import pipeline_value, random_tiny_case
 from test_vq import book_from
@@ -117,8 +117,8 @@ def test_criterion_3_vq_properties():
             ad.Tensor(float(rng.uniform(0.1, 9)) * z[None]), book)
         ok &= np.array_equal(scaled, codes)
         # loss zero iff z_q == z_e
-        ok &= float(ad.vq_loss(ad.Tensor(z[None]), ad.Tensor(z[None])).data) == 0.0
-        ok &= float(ad.vq_loss(z_q, ad.Tensor(z[None])).data) > 0.0 or \
+        ok &= float(ad.vq_loss(ad.Tensor(z[None]), ad.Tensor(z[None]), (1,)).data) == 0.0
+        ok &= float(ad.vq_loss(z_q, ad.Tensor(z[None]), (1,)).data) > 0.0 or \
             np.array_equal(z_q.data[0], z)
         # straight-through == identity-mapping gradient
         w = rng.standard_normal((width, width))
@@ -133,7 +133,8 @@ def test_criterion_3_vq_properties():
                               [ti])
         ok &= np.array_equal(g_st.data, g_id.data)
         # self-quantization identity on angularly unique slices
-        self_q, self_codes = vq.quantize_rows(ad.Tensor(rows), book)
+        self_q, self_codes = vq.quantize_rows(ad.Tensor(rows),
+                                              book_from(rows, heads, quantized=k))
         if np.array_equal(self_codes,
                           np.tile(np.arange(k)[:, None], (1, heads))):
             ok &= np.array_equal(self_q.data, rows)
@@ -154,22 +155,22 @@ def test_criterion_4_rescaling_properties():
         return phi, grads
 
     tasks = [mk_task() for _ in range(3)]
-    _, _, weights = rescale_and_update(theta, tasks, cfg)
+    _, _, weights = rescale_and_update(theta, task_layers(theta, tasks), cfg)
     ok = all(all(x > 0 for x in w) and abs(sum(w) - 1.0) <= 1e-12
              for w in weights.values())
     same = [tasks[0]] * 3
-    _, _, uniform = rescale_and_update(theta, same, cfg)
+    _, _, uniform = rescale_and_update(theta, task_layers(theta, same), cfg)
     ok &= all(w == pytest.approx([1 / 3] * 3, abs=1e-12)
               for w in uniform.values())
     _, scores, sharp = rescale_and_update(
-        theta, tasks, dataclasses.replace(cfg, temperature=1e-3))
+        theta, task_layers(theta, tasks), dataclasses.replace(cfg, temperature=1e-3))
     distinct = all(len(set(np.round(s, 9))) == 3 for s in scores.values())
     ok &= (not distinct) or all(max(w) >= 0.99 for w in sharp.values())
     _, _, flat = rescale_and_update(
-        theta, tasks, dataclasses.replace(cfg, temperature=1e3))
+        theta, task_layers(theta, tasks), dataclasses.replace(cfg, temperature=1e3))
     ok &= all(abs(x - 1 / 3) <= 1e-3 for w in flat.values() for x in w)
     frozen, _, _ = rescale_and_update(
-        theta, tasks, dataclasses.replace(cfg, outer_lr=0.0))
+        theta, task_layers(theta, tasks), dataclasses.replace(cfg, outer_lr=0.0))
     ok &= all(frozen[k].data.tobytes() == theta[k].data.tobytes()
               for k in theta)
     report(4, ok, "positivity/normalization, uniform, tau limits, beta=0")

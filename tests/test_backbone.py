@@ -30,7 +30,8 @@ def test_embed_is_row_lookup():
 def test_embed_errors():
     params = tiny_params()
     with pytest.raises(KeyError):
-        domain_item_matrix(params, "nope", ModelConfig(CFG, VQConfig(enabled=False), "d0"))
+        domain_item_matrix(params, "nope", ModelConfig(CFG, VQConfig(enabled=False), "d0"),
+                           (3,))
     with pytest.raises(IndexError):
         ad.gather(params["embed.d0"], [99])
 

@@ -1,18 +1,21 @@
 """The benchmark's span tracer rebinds crossrec attributes by name from
-outside the package; these tests keep those names and the traced counts
-working. They read ``bench/`` and never change it."""
+outside the package, and its record probe calls crossrec directly; these
+tests keep those names and the traced counts working. They read ``bench/``
+and never change it."""
 import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 from crossrec import train
 from crossrec.meta import MetaConfig
+from crossrec.runconfig import RunConfig
 
 from test_meta import PINNED_JOINT_RECORDS, PINNED_RECORDS, tiny_world
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "bench", "spans.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+SPANS = os.path.join(BENCH, "spans.py")
 
 
 def load_spans():
@@ -49,3 +52,20 @@ def test_traced_iteration_keeps_its_counts():
                         ("objective.batch_loss", 2 + 1 + 3), ("vq.quantize", 2 + 2),
                         ("data.sample_batch", 9 + 3)]:
         assert totals.sums[("train.iteration", name)][0] == calls, name
+
+
+def test_record_probe_keeps_its_counts(monkeypatch):
+    # the traced benchmark's probe: one source and one target batch from
+    # sample_batch, then inner_adapt and meta_gradient over batch_loss at
+    # inner_steps 1-4
+    pytest.importorskip("scipy")  # bench/harness.py stamps its version
+    monkeypatch.syspath_prepend(BENCH)  # harness imports its siblings by name
+    harness = importlib.import_module("harness")
+    workloads = importlib.import_module("workloads")
+    params, sources, target, mc = tiny_world()
+    cfg = RunConfig(seed=7, encoder=mc.encoder, vq=mc.vq,
+                    meta=MetaConfig(inner_batch=4, meta_batch=4))
+    counts = harness.record_probe(cfg, workloads.State(sources, target, params))
+    for phase, pinned in [("inner_adapt", [86, 172, 258, 344]),
+                          ("meta_gradient", [105, 191, 277, 363])]:
+        assert [counts[f"meta.{phase}.records.s{s}"] for s in range(1, 5)] == pinned

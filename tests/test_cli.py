@@ -9,12 +9,16 @@ import numpy as np
 import pytest
 
 from crossrec import cli
+from crossrec.autodiff import Tensor
 from crossrec.checkpoint import load_checkpoint, save_checkpoint
 from crossrec.data import SyntheticSpec, load_interactions, leave_one_out_split
 from crossrec.runconfig import (DataConfig, RunConfig, VARIANTS, load_config,
                                 parse_config,
                                 serialize_config)
 from crossrec.train import build_datasets, load_manifest, run_training
+from crossrec.vq import make_codebook, quantize_domain_matrix
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SMALL_CONFIG = """
 iterations=6
@@ -215,6 +219,28 @@ def test_eval_reproduces_logged_best_validation_ndcg(tmp_path):
               open(os.path.join(out, "metrics.csv")).read().strip().split("\n")
               if l.startswith("eval,")]
     assert float(eval_rows["ndcg@10"]) == max(logged)
+
+
+def test_inspect_codes_dumps_every_source_item(tmp_path):
+    # one "domain item code_1 .. code_H" line per source item, with the codes
+    # quantize_domain_matrix gives that item in the trained checkpoint
+    ckpt = os.path.join(trained_run(tmp_path), "best.ckpt")
+    dump = tmp_path / "codes.txt"
+    subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "inspect_codes.py"),
+                    ckpt, "--out", str(dump)], check=True, capture_output=True,
+                   timeout=120)
+    tensors, config_text = load_checkpoint(ckpt)
+    params = {k: Tensor(v) for k, v in tensors.items()}
+    heads = parse_config(config_text).vq.heads
+    sources, _ = build_datasets(small_cfg())
+    want = []
+    for ds in sources:
+        book = make_codebook(params, "target", heads, (ds.item_count,))
+        codes = quantize_domain_matrix(params, ds.domain_id, book)[2]
+        assert codes.shape == (ds.item_count, heads)
+        want += [" ".join([ds.domain_id, str(i)] + [str(c) for c in row])
+                 for i, row in enumerate(codes.tolist())]
+    assert dump.read_text().splitlines() == want
 
 
 def test_eval_k_override(tmp_path):

@@ -107,7 +107,7 @@ def test_leave_one_out_examples():
     assert ds.train == [[0, 1], [0]]
     assert ds.val == [2, 1]
     assert ds.test == [3, 2]
-    assert ds.dropped_users == 1
+    assert ds.num_users == 2  # user 2's two events are dropped
     assert ds.item_count == 4
     assert ds.pad_id == 4
 
@@ -124,7 +124,6 @@ def test_leave_one_out_partition_property():
     ds = data.leave_one_out_split("d", events)
     kept = [seq for seq in by_user.values() if len(seq) >= 3]
     assert ds.num_users == len(kept)
-    assert ds.dropped_users == len(by_user) - len(kept)
     for u in range(ds.num_users):
         # train + [val, test] is exactly the user's full kept sequence
         full = ds.train[u] + [ds.val[u], ds.test[u]]

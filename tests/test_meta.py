@@ -14,7 +14,7 @@ from crossrec.meta import (MetaConfig, inner_adapt, joint_train_iteration,
 from crossrec.objective import ModelConfig, VQConfig, batch_loss
 
 from oracles import (draw_tasks, fd_grad, first_order_meta_gradient, full_sweep_grad,
-                     per_task_train_iteration, rel_err)
+                     per_task_train_iteration, rel_err, task_layers)
 
 CFG = MetaConfig(inner_lr=0.1, outer_lr=0.1, inner_steps=1)
 
@@ -228,7 +228,7 @@ def test_identical_tasks_give_uniform_weights_and_plain_step():
     g = {"w": rng.standard_normal(5)}
     d = {"w": rng.standard_normal(5)}
     tasks = [task_with(d, g, theta)] * 3
-    new, scores, weights = rescale_and_update(theta, tasks, CFG)
+    new, scores, weights = rescale_and_update(theta, task_layers(theta, tasks), CFG)
     assert weights["w"] == pytest.approx([1 / 3] * 3, abs=1e-12)
     assert np.allclose(new["w"].data, theta["w"].data - CFG.outer_lr * g["w"])
 
@@ -238,7 +238,8 @@ def test_opposed_task_downweighted_by_softmax():
     g = {"w": np.array([1.0, 2.0, -1.0, 0.5])}
     aligned = task_with({"w": g["w"]}, g, theta)       # cos = +1
     opposed = task_with({"w": -g["w"]}, g, theta)      # cos = -1
-    _, scores, weights = rescale_and_update(theta, [aligned, opposed], CFG)
+    _, scores, weights = rescale_and_update(
+        theta, task_layers(theta, [aligned, opposed]), CFG)
     assert scores["w"] == pytest.approx([1.0, -1.0], abs=1e-12)
     e2 = np.exp(2.0)
     assert weights["w"] == pytest.approx([e2 / (e2 + 1), 1 / (e2 + 1)])
@@ -253,7 +254,7 @@ def test_weights_positive_and_normalized():
                        {k: rng.standard_normal(v.data.shape) for k, v in theta.items()},
                        theta)
              for _ in range(4)]
-    _, _, weights = rescale_and_update(theta, tasks, CFG)
+    _, _, weights = rescale_and_update(theta, task_layers(theta, tasks), CFG)
     for w in weights.values():
         assert all(x > 0 for x in w)
         assert abs(sum(w) - 1.0) <= 1e-12
@@ -265,13 +266,13 @@ def test_temperature_limits():
     tasks = [task_with({"w": rng.standard_normal(6)},
                        {"w": rng.standard_normal(6)}, theta)
              for _ in range(3)]
-    _, scores, _ = rescale_and_update(theta, tasks, CFG)
+    _, scores, _ = rescale_and_update(theta, task_layers(theta, tasks), CFG)
     assert len(set(np.round(scores["w"], 6))) == 3  # distinct scores
     _, _, sharp = rescale_and_update(
-        theta, tasks, dataclasses.replace(CFG, temperature=1e-3))
+        theta, task_layers(theta, tasks), dataclasses.replace(CFG, temperature=1e-3))
     assert max(sharp["w"]) >= 0.99
     _, _, flat = rescale_and_update(
-        theta, tasks, dataclasses.replace(CFG, temperature=1e3))
+        theta, task_layers(theta, tasks), dataclasses.replace(CFG, temperature=1e3))
     assert all(abs(x - 1 / 3) <= 1e-3 for x in flat["w"])
 
 
@@ -281,15 +282,50 @@ def test_zero_outer_lr_keeps_theta_bit_identical():
     tasks = [task_with({"w": rng.standard_normal(4)},
                        {"w": rng.standard_normal(4)}, theta)]
     cfg = dataclasses.replace(CFG, outer_lr=0.0)
-    new, _, _ = rescale_and_update(theta, tasks, cfg)
+    new, _, _ = rescale_and_update(theta, task_layers(theta, tasks), cfg)
     assert new["w"].data.tobytes() == theta["w"].data.tobytes()
 
 
 def test_layer_name_mismatch_rejected():
-    theta = {"w": Tensor(np.zeros(2))}
-    bad = ({"v": Tensor(np.zeros(2))}, {"v": np.zeros(2)})
-    with pytest.raises(ValueError, match="layer-name"):
-        rescale_and_update(theta, [bad], CFG)
+    theta = {"u": Tensor(np.zeros(2)), "w": Tensor(np.zeros(2))}
+    entry = (np.ones(2), np.ones(2))
+    # a missing layer fails and names it, as does one theta does not hold
+    with pytest.raises(ValueError, match="layer-name mismatch: u$"):
+        rescale_and_update(theta, {"w": [entry]}, CFG)
+    with pytest.raises(ValueError, match="layer-name mismatch: v$"):
+        rescale_and_update(theta, {"u": [entry], "w": [entry], "v": [entry]}, CFG)
+
+
+def test_none_entry_scores_zero_and_adds_nothing():
+    # a task that left a layer as it was: score 0, weight from that score, and
+    # no term in the update; the same bytes as a zero gradient and displacement
+    rng = np.random.default_rng(6)
+    theta = {"w": Tensor(rng.standard_normal(5))}
+    g, d = rng.standard_normal(5), rng.standard_normal(5)
+    new, scores, weights = rescale_and_update(theta, {"w": [None, (g, d)]}, CFG)
+    cos = float(g @ d) / (np.linalg.norm(g) * np.linalg.norm(d))
+    assert scores["w"] == [0.0, cos]
+    want = np.exp([0.0, cos]) / np.exp([0.0, cos]).sum()
+    assert weights["w"] == pytest.approx(want.tolist(), abs=1e-15)
+    assert new["w"].data.tobytes() == (
+        theta["w"].data - CFG.outer_lr * (weights["w"][1] * g)).tobytes()
+    zero = (np.zeros(5), np.zeros(5))
+    full, full_scores, full_weights = rescale_and_update(
+        theta, {"w": [zero, (g, d)]}, CFG)
+    assert new["w"].data.tobytes() == full["w"].data.tobytes()
+    assert (scores, weights) == (full_scores, full_weights)
+
+
+def test_untouched_layer_keeps_theta_bytes():
+    rng = np.random.default_rng(8)
+    theta = {"a": Tensor(rng.standard_normal(3)),
+             "b": Tensor(rng.standard_normal((2, 2)))}
+    entries = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(3)]
+    new, scores, weights = rescale_and_update(
+        theta, {"a": entries, "b": [None] * 3}, CFG)
+    assert new["b"].data.tobytes() == theta["b"].data.tobytes()
+    assert scores["b"] == [0.0] * 3 and weights["b"] == pytest.approx([1 / 3] * 3)
+    assert new["a"].data.tobytes() != theta["a"].data.tobytes()
 
 
 # ------------------------------------------------------- full iterations
@@ -499,20 +535,21 @@ def test_stacked_meta_gradient_matches_pipeline_fd(steps, monkeypatch):
     captured = []
     real = meta.rescale_and_update
 
-    def capture(theta, task_results, *args, **kwargs):
-        captured.extend(task_results)
-        return real(theta, task_results, *args, **kwargs)
+    def capture(theta, layers, *args, **kwargs):
+        captured.append(layers)
+        return real(theta, layers, *args, **kwargs)
 
     monkeypatch.setattr(meta, "rescale_and_update", capture)
     train_iteration(params, sources, target, mc, cfg, np.random.default_rng(steps))
     tasks = draw_tasks(sources, target, mc, cfg, np.random.default_rng(steps))
     names = sorted(params)
     value_cfg = dataclasses.replace(cfg, second_order=False)  # same phi, less tape
-    for (src, inner, meta_b), (_, grads) in zip(tasks, captured):
+    (layers,) = captured
+    for i, (src, inner, meta_b) in enumerate(tasks):
         step_fns = [lambda p, b=b: batch_loss(p, b, mc)[0] for b in inner]
 
         # the task's own source table and every shared layer; other tables
-        # get exactly zero
+        # get no entry
         checked = [k for k in names if not k.startswith("embed.")
                    or k in (f"embed.{src.domain_id}", f"embed.{target.domain_id}")]
 
@@ -525,6 +562,6 @@ def test_stacked_meta_gradient_matches_pipeline_fd(steps, monkeypatch):
 
         fds = fd_grad(value, [params[k].data for k in checked])
         for k, fd in zip(checked, fds):
-            assert rel_err(grads[k], fd) <= 1e-5, (src.domain_id, k)
+            assert rel_err(layers[k][i][0], fd) <= 1e-5, (src.domain_id, k)
         for k in set(names) - set(checked):
-            assert not grads[k].any(), (src.domain_id, k)
+            assert layers[k][i] is None, (src.domain_id, k)

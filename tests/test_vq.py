@@ -14,11 +14,13 @@ from oracles import (fd_grad, nearest_codes_exhaustive, per_head_quantize_rows,
                      rel_err)
 
 
-def book_from(rows, heads):
-    """Codebook over an explicit table; a padding row is appended."""
+def book_from(rows, heads, quantized=1):
+    """Codebook over an explicit table, for ``quantized`` rows of one table; a
+    padding row is appended."""
     rows = np.asarray(rows, dtype=np.float64)
     table = np.vstack([rows, np.zeros((1, rows.shape[1]))])
-    return vq.Codebook(table=Tensor(table), heads=heads, size=rows.shape[0])
+    return vq.Codebook(table=Tensor(table), heads=heads, size=rows.shape[0],
+                       counts=(quantized,))
 
 
 def test_single_head_nearest_by_angle():
@@ -26,6 +28,10 @@ def test_single_head_nearest_by_angle():
     z_q, codes = vq.quantize_rows(ad.Tensor([[0.9, 0.1]]), book)
     assert np.array_equal(z_q.data, [[1.0, 0.0]])
     assert codes.tolist() == [[0]]
+    # the book's row counts and its width must fit the rows
+    for z in ([[0.9, 0.1], [0.0, 1.0]], [[0.9, 0.1, 0.0]]):
+        with pytest.raises(ValueError, match="quantize"):
+            vq.quantize_rows(ad.Tensor(z), book)
 
 
 def test_two_head_example():
@@ -75,13 +81,16 @@ def test_all_zero_embedding_ties_to_code_zero():
 
 
 def test_vq_loss_values():
-    assert float(ad.vq_loss(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0, 2.0]])).data) == 0.0
-    loss = ad.vq_loss(ad.Tensor([[1.0, 0.0]]), ad.Tensor([[0.0, 0.0]]))
+    assert float(ad.vq_loss(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0, 2.0]]),
+                            (1,)).data) == 0.0
+    loss = ad.vq_loss(ad.Tensor([[1.0, 0.0]]), ad.Tensor([[0.0, 0.0]]), (1,))
     assert float(loss.data) == pytest.approx(2.0)
     # the mean over quantized rows
-    rows = ad.vq_loss(ad.Tensor([[1.0, 0.0], [0.0, 3.0]]), ad.Tensor(np.zeros((2, 2))))
-    assert float(rows.data) == pytest.approx((2.0 + 18.0) / 2)
-    for q, e, counts in [((1, 1), (1, 2), None), ((2,), (2,), None),
+    rows = ad.vq_loss(ad.Tensor([[1.0, 0.0], [0.0, 3.0]]), ad.Tensor(np.zeros((2, 2))),
+                      (2,))
+    assert rows.data.shape == () and float(rows.data) == pytest.approx((2.0 + 18.0) / 2)
+    for q, e, counts in [((1, 1), (1, 2), (1,)), ((2,), (2,), (2,)),
+                         ((2, 2), (2, 2), (3,)),
                          ((3, 2), (3, 2), (2, 2)), ((3, 2), (3, 2), (3, 0))]:
         with pytest.raises(ValueError, match="vq_loss"):
             ad.vq_loss(ad.Tensor(np.zeros(q)), ad.Tensor(np.zeros(e)), counts)
@@ -100,7 +109,7 @@ def test_vq_loss_per_task_equals_separate_losses():
     for i, (lo, hi) in enumerate([(0, 3), (3, 7)]):
         with ad.Tape():
             sq, se = ad.Tensor(zq[lo:hi]), ad.Tensor(ze[lo:hi])
-            one = ad.vq_loss(sq, se)
+            one = ad.vq_loss(sq, se, (hi - lo,))
             rq, re = ad.grad(ad.scale(one, weights[i]), [sq, se])
         assert both.data[i] == one.data
         assert gq.data[lo:hi].tobytes() == rq.data.tobytes()
@@ -112,8 +121,8 @@ def test_vq_loss_zero_iff_equal():
     a = rng.standard_normal((1, 5))
     b = a.copy()
     b[0, 2] += 1e-3
-    assert float(ad.vq_loss(ad.Tensor(a), ad.Tensor(a)).data) == 0.0
-    assert float(ad.vq_loss(ad.Tensor(a), ad.Tensor(b)).data) > 0.0
+    assert float(ad.vq_loss(ad.Tensor(a), ad.Tensor(a), (1,)).data) == 0.0
+    assert float(ad.vq_loss(ad.Tensor(a), ad.Tensor(b), (1,)).data) > 0.0
 
 
 def test_vq_loss_gradient_separation():
@@ -122,7 +131,7 @@ def test_vq_loss_gradient_separation():
     ze = rng.standard_normal((1, 4))
     with ad.Tape():
         tq, te = ad.Tensor(zq), ad.Tensor(ze)
-        gq, ge = ad.grad(ad.vq_loss(tq, te), [tq, te])
+        gq, ge = ad.grad(ad.vq_loss(tq, te, (1,)), [tq, te])
     # z_e sees only the commit term: 2 (z_e - z_q); z_q only the pull term
     assert np.allclose(ge.data, 2 * (ze - zq))
     assert np.allclose(gq.data, 2 * (zq - ze))
@@ -131,14 +140,14 @@ def test_vq_loss_gradient_separation():
     assert rel_err(ge.data, fd) < 1e-6
 
 
-@pytest.mark.parametrize("counts", [None, (2, 1)])
+@pytest.mark.parametrize("counts", [(3,), (2, 1)])
 def test_vq_loss_second_order_keeps_stop_gradients(counts):
     # the vjp is made of recorded ops, and the stop-gradients hold at every
     # order: d/dz_q <c, grad> sees only the pull term's z_q, d/dz_e only the
     # commit term's z_e, each 2 * (task weight / task rows) * c
     rng = np.random.default_rng(5)
     zq, ze = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    weight = rng.standard_normal(() if counts is None else (2,))
+    weight = rng.standard_normal(() if len(counts) == 1 else (2,))
     cq, ce = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
     with ad.Tape():
         tq, te = ad.Tensor(zq), ad.Tensor(ze)
@@ -146,7 +155,7 @@ def test_vq_loss_second_order_keeps_stop_gradients(counts):
         gq, ge = ad.grad(loss, [tq, te], create_graph=True)
         probe = ad.add(ad.sum(ad.mul(gq, ad.Tensor(cq))), ad.sum(ad.mul(ge, ad.Tensor(ce))))
         hq, he = ad.grad(probe, [tq, te])
-    scale = np.full((3, 1), weight / 3) if counts is None else \
+    scale = np.full((3, 1), weight / 3) if len(counts) == 1 else \
         np.array([[weight[0] / 2], [weight[0] / 2], [weight[1]]])
     assert np.allclose(gq.data, 2 * scale * (zq - ze), rtol=0, atol=1e-14)
     assert np.allclose(hq.data, 2 * scale * cq, rtol=0, atol=1e-14)
@@ -215,7 +224,7 @@ def test_straight_through_equals_identity_gradient():
 def test_codebook_is_a_view_of_the_target_table():
     cfg = EncoderConfig(d_model=4, max_len=4)
     params = init_parameters(cfg, {"target": 3, "src0": 2}, seed=0)
-    book = vq.make_codebook(params, "target", heads=2)
+    book = vq.make_codebook(params, "target", heads=2, counts=(1,))
     z = params["embed.src0"].data[:1]
     _, codes_before = vq.quantize_rows(ad.Tensor(z), book)
     # mutate the target table the way a training step would (new tensor, same dict)
@@ -231,7 +240,7 @@ def test_codebook_is_a_view_of_the_target_table():
 def test_target_self_quantization_identity():
     rng = np.random.default_rng(17)
     rows = rng.standard_normal((6, 4))
-    book = book_from(rows, heads=2)
+    book = book_from(rows, heads=2, quantized=6)
     z_q, codes = vq.quantize_rows(ad.Tensor(rows), book)
     assert np.array_equal(codes, np.tile(np.arange(6)[:, None], (1, 2)))
     assert np.array_equal(z_q.data, rows)
@@ -253,10 +262,10 @@ def test_quantized_item_matrix_paths():
     cfg = EncoderConfig(d_model=4, max_len=4)
     params = init_parameters(cfg, {"target": 3, "src0": 1}, seed=2)
     mc = ModelConfig(encoder=cfg, vq=VQConfig(heads=2), target_domain="target")
-    raw, loss = domain_item_matrix(params, "target", mc)
+    raw, loss = domain_item_matrix(params, "target", mc, (3,))
     assert raw is params["embed.target"] and loss is None
-    src, loss = domain_item_matrix(params, "src0", mc)
-    assert loss is not None
+    src, loss = domain_item_matrix(params, "src0", mc, (1,))
+    assert loss is not None and loss.data.shape == ()
     assert src.data.shape == params["embed.src0"].data.shape
     row = src.data[0]
     target_rows = params["embed.target"].data[:3]
@@ -265,18 +274,18 @@ def test_quantized_item_matrix_paths():
     # the padding row stays raw
     assert np.array_equal(src.data[1], params["embed.src0"].data[1])
     off = dataclasses.replace(mc, vq=VQConfig(enabled=False))
-    assert domain_item_matrix(params, "src0", off) == (params["embed.src0"], None)
+    assert domain_item_matrix(params, "src0", off, (1,)) == (params["embed.src0"], None)
     with pytest.raises(KeyError):
-        domain_item_matrix(params, "nope", mc)
+        domain_item_matrix(params, "nope", mc, (1,))
     with pytest.raises(KeyError):
-        domain_item_matrix(params, "nope", off)
+        domain_item_matrix(params, "nope", off, (1,))
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_quantize_rows_matches_per_head_loop(heads):
     rng = np.random.default_rng(heads)
     table = Tensor(rng.standard_normal((6, 2 * heads)))  # 5 codes + padding
-    book = vq.Codebook(table=table, heads=heads, size=5)
+    book = vq.Codebook(table=table, heads=heads, size=5, counts=(4,))
     z = rng.standard_normal((4, 2 * heads))
     z[3] = 2.0 * z[1]  # the same code chosen twice in every head
     weight = Tensor(rng.standard_normal(z.shape))
