@@ -252,11 +252,12 @@ def straight_through(z_e, z_q, rows):
     return _out(out, "straight_through", (z_e, z_q), lambda g: (g, None))
 
 
-def vq_loss(z_q, z_e, counts):
+def vq_loss(z_q, z_e, counts, stacked=False):
     """The two-term VQ loss ``|z_q - sg[z_e]|^2 + |sg[z_q] - z_e|^2`` over
     equal-shaped (rows, d) tensors as one record. ``counts`` splits the rows
     into consecutive tasks; each task's terms are divided by its row count,
-    and the value holds one loss per task (a scalar for one task)."""
+    and the value holds one loss per task: a scalar for one task, unless it
+    is ``stacked`` on a task axis of length one."""
     q, e = z_q.data, z_e.data
     sizes = tuple(int(c) for c in counts)
     ends = np.cumsum(sizes)
@@ -278,7 +279,8 @@ def vq_loss(z_q, z_e, counts):
         gw = mul(g, w) if one else mul(gather(g, task[:, None]), w)
         return scaled_diff(gw, z_q, e, 2.0), scaled_diff(gw, z_e, q, 2.0)
 
-    return _out(value.reshape(()) if one else value, "vq_loss", (z_q, z_e), vjp)
+    return _out(value.reshape(()) if one and not stacked else value, "vq_loss",
+                (z_q, z_e), vjp)
 
 
 def scaled_diff(s, x, c, k):

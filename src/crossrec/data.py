@@ -30,6 +30,11 @@ class DomainDataset:
         """Users whose train prefix holds at least one (input, target) pair."""
         return [u for u in range(self.num_users) if len(self.train[u]) >= 2]
 
+    @cached_property
+    def eval_batches(self):
+        """(split, max_len) -> the ``eval_batch`` built on the first call."""
+        return {}
+
 
 @dataclass
 class TaskBatch:
@@ -184,19 +189,30 @@ def sample_batch(dataset, split, batch_size, max_len, rng):
 
 
 def eval_batch(dataset, split, max_len):
-    """All users of a split, user-id ascending, as one batch."""
+    """All users of a split, user-id ascending, as one batch.
+
+    The windows are a function of the dataset alone, which is not changed
+    after construction, so they are built on the first call for a
+    (split, max_len) and memoized on ``dataset``: every later call returns
+    the same batch, whose arrays are read-only.
+    """
     if split not in ("val", "test"):
         raise ValueError(f"eval_batch: unknown split {split!r}")
     if dataset.num_users == 0:
         raise ValueError(f"eval_batch: empty dataset {dataset.domain_id}")
-    pad = dataset.pad_id
-    inputs = np.empty((dataset.num_users, max_len), dtype=np.int64)
-    targets = np.empty(dataset.num_users, dtype=np.int64)
-    for u in range(dataset.num_users):
-        prefix = dataset.train[u] if split == "val" else dataset.train[u] + [dataset.val[u]]
-        inputs[u] = _window(prefix, max_len, pad)
-        targets[u] = dataset.val[u] if split == "val" else dataset.test[u]
-    return TaskBatch(dataset.domain_id, inputs, targets, (dataset.item_count,))
+    batch = dataset.eval_batches.get((split, max_len))
+    if batch is not None:
+        return batch
+    inputs = np.full((dataset.num_users, max_len), dataset.pad_id, dtype=np.int64)
+    for u, seq in enumerate(dataset.train):
+        window = (seq if split == "val" else seq + [dataset.val[u]])[-max_len:]
+        inputs[u, max_len - len(window):] = window
+    targets = np.array(dataset.val if split == "val" else dataset.test, dtype=np.int64)
+    inputs.flags.writeable = False
+    targets.flags.writeable = False
+    batch = TaskBatch(dataset.domain_id, inputs, targets, (dataset.item_count,))
+    dataset.eval_batches[(split, max_len)] = batch
+    return batch
 
 
 def _random_transition(rng, n):

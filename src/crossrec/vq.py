@@ -27,6 +27,7 @@ class Codebook:
     heads: int
     size: int      # K = |I_target|, excludes the padding row
     counts: tuple  # per copy, the rows quantized against it
+    stacked: bool = False  # one vq loss per copy on a task axis, even for one
 
     @property
     def head_width(self):
@@ -36,12 +37,13 @@ class Codebook:
         return d // self.heads
 
 
-def make_codebook(params, target_domain, heads, counts):
+def make_codebook(params, target_domain, heads, counts, stacked=False):
     """The codebook over ``params[embed_key(target_domain)]``, which holds one
     copy of the target table per entry of ``counts``."""
     table = params[embed_key(target_domain)]
     return Codebook(table=table, heads=heads,
-                    size=table.data.shape[0] // len(counts) - 1, counts=counts)
+                    size=table.data.shape[0] // len(counts) - 1, counts=counts,
+                    stacked=stacked)
 
 
 def _head_codes(z, book):
@@ -92,7 +94,8 @@ def quantize_domain_matrix(params, domain, book):
     ``params[embed_key(domain)]`` holds one after another (each with its
     padding row last).
 
-    Returns (item matrix with the raw padding rows, per-table vq loss, codes).
+    Returns (item matrix with the raw padding rows, per-table vq loss (see
+    ``autodiff.vq_loss`` for its shape), codes).
     The returned matrix routes straight-through gradients to the whole table
     while the vq loss trains the codebook (target table) and the embeddings.
     """
@@ -108,7 +111,8 @@ def quantize_domain_matrix(params, domain, book):
                                zip(book.counts, table_starts(book.counts))])
         raw = ad.gather(table, rows)
     z_q, codes = quantize_rows(raw, book)
-    return ad.straight_through(table, z_q, rows), ad.vq_loss(z_q, raw, book.counts), codes
+    return (ad.straight_through(table, z_q, rows),
+            ad.vq_loss(z_q, raw, book.counts, book.stacked), codes)
 
 
 def write_code_dump(fh, domain, codes):

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from crossrec import train
+from crossrec import evaluation, train
 from crossrec.meta import MetaConfig
 from crossrec.runconfig import RunConfig
 
@@ -52,6 +52,22 @@ def test_traced_iteration_keeps_its_counts():
                         ("objective.batch_loss", 2 + 1 + 3), ("vq.quantize", 2 + 2),
                         ("data.sample_batch", 9 + 3)]:
         assert totals.sums[("train.iteration", name)][0] == calls, name
+
+
+def test_traced_evaluate_sees_its_layers():
+    # eval's per-layer numbers come from evaluation.eval_batch and
+    # evaluation.rank_of_truth, looked up by name on each evaluate call
+    spans = load_spans()
+    tracer = spans.Tracer()
+    params, _, target, mc = tiny_world()
+    with spans.rebound(tracer.bindings()):
+        for split in ("val", "test", "val"):
+            evaluation.evaluate(params, target, split, 5, mc)
+    totals = spans.Totals(tracer)
+    assert totals.nested_ok
+    assert totals.roots == {"evaluation.evaluate": 3}
+    for name in ("data.eval_batch", "evaluation.rank"):
+        assert totals.sums[("evaluation.evaluate", name)][0] >= 1, name
 
 
 def test_record_probe_keeps_its_counts(monkeypatch):

@@ -189,6 +189,24 @@ def test_eval_batch_covers_all_users_ascending():
     assert batch.targets.tolist() == ds.val
 
 
+def test_eval_batch_is_memoized_read_only():
+    ds = toy_dataset()
+    assert not ds.eval_batches  # built on the first call, not before
+    first = data.eval_batch(ds, "val", 10)
+    again = data.eval_batch(ds, "val", 10)
+    assert np.array_equal(again.inputs, first.inputs)
+    assert np.array_equal(again.targets, first.targets)
+    # another split or window length is another batch
+    assert data.eval_batch(ds, "test", 10).targets.tolist() == ds.test
+    assert data.eval_batch(ds, "val", 3).inputs.shape == (2, 3)
+    for array in (first.inputs, first.targets):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert first.inputs[0].tolist() == [6] * 6 + ds.train[0]
+    with pytest.raises(ValueError, match="split"):
+        data.eval_batch(ds, "train", 10)
+
+
 # --------------------------------------------------------------- synthetic
 
 SMALL = data.SyntheticSpec(num_source_domains=2, items_per_domain=12,

@@ -90,6 +90,61 @@ def test_rank_of_matrix_equals_per_row_calls():
         ev.metrics_from_rank(np.array([1, 0]), 5)
 
 
+def oracle_rank(row, truth):
+    """``brute_force_rank`` where NaN ranks neither above nor level with any
+    score: a NaN truth ranks first, and other NaN entries are left out (ids
+    keep their order, so ties still break by id)."""
+    if np.isnan(row[truth]):
+        return 1
+    kept = [i for i in range(len(row)) if not np.isnan(row[i])]
+    return brute_force_rank([row[i] for i in kept], kept.index(truth))
+
+
+def test_rank_of_matrix_matches_sort_oracle_with_heavy_ties():
+    rng = np.random.default_rng(21)
+    specials = np.array([np.nan, np.inf, -np.inf])
+    seen = {"below": 0, "above": 0, "all_equal": 0, "nan": 0, "inf": 0}
+    for case in range(400):
+        rows, n = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        if case % 10 == 0:  # rows compared with numpy's buffer cut to a row
+            n = int(rng.integers(ev.WIDE_ROW, 3 * ev.WIDE_ROW))
+        # a few levels, so most rows hold ties
+        scores = np.round(rng.standard_normal((rows, n)) * rng.integers(1, 3))
+        truths = rng.integers(0, n, rows)
+        for r, t in enumerate(truths):
+            kind = rng.integers(4)
+            if kind == 0:
+                scores[r] = scores[r, 0]
+            elif kind == 1 and n > 1:  # a tie at a lower and at a higher id
+                scores[r, rng.integers(0, n, 2)] = scores[r, t]
+        if case % 4 == 0:
+            mask = rng.random(scores.shape) < 0.15
+            scores[mask] = rng.choice(specials, int(mask.sum()))
+        got = ev.rank_of_truth(scores, truths)
+        assert got.dtype == np.int64 and got.shape == (rows,)
+        for row, t, rank in zip(scores, truths, got):
+            assert rank == oracle_rank(row.tolist(), int(t))
+            equal = row == row[t]
+            seen["below"] += bool(equal[:t].any())
+            seen["above"] += bool(equal[t + 1:].any())
+            seen["all_equal"] += bool(n > 1 and equal.all())
+            seen["nan"] += bool(np.isnan(row).any())
+            seen["inf"] += bool(np.isinf(row[t]))
+        # the 1-D vector and a scalar truth give the same ranks, one at a time
+        row, t = scores[0], int(truths[0])
+        one = ev.rank_of_truth(row, t)
+        assert isinstance(one, np.int64) and one == got[0]
+    assert all(count >= 20 for count in seen.values()), seen
+    # a NaN truth equals nothing, itself included, so it hides no tie elsewhere
+    assert ev.rank_of_truth([[np.nan, 1.0], [2.0, 2.0]], [0, 1]).tolist() == [1, 2]
+
+
+def test_rank_leaves_numpy_buffer_size_as_it_was():
+    size = np.getbufsize()
+    ev.rank_of_truth(np.zeros((3, 4 * ev.WIDE_ROW)), [0, 1, 2])
+    assert np.getbufsize() == size
+
+
 # ---------------------------------------------------------- evaluate()
 
 def oracle_model(item_count, train, val, test):
@@ -166,3 +221,21 @@ def test_evaluate_chunking_is_invisible():
     a = ev.evaluate(params, ds, "test", 3, mc, chunk=2)
     b = ev.evaluate(params, ds, "test", 3, mc, chunk=512)
     assert a == b
+
+
+def test_evaluate_memo_is_invisible():
+    cfg = EncoderConfig(d_model=6, num_blocks=1, max_len=4)
+    params = init_parameters(cfg, {"target": 9}, seed=5)
+    mc = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False), target_domain="target")
+
+    def fresh():
+        return DomainDataset("target", 9,
+                             train=[[i % 9, (i + 4) % 9, (i + 1) % 9] for i in range(11)],
+                             val=[(i + 2) % 9 for i in range(11)],
+                             test=[(i + 5) % 9 for i in range(11)])
+    ds = fresh()
+    got = [ev.evaluate(params, ds, split, 3, mc, chunk=4)
+           for split in ("val", "test", "val")]
+    assert got == [ev.evaluate(params, fresh(), split, 3, mc, chunk=4)
+                   for split in ("val", "test", "val")]
+    assert got[0] != got[1]

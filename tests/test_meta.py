@@ -384,10 +384,8 @@ def test_train_iteration_reports_and_theta_untouched():
     assert any(new[k].data.tobytes() != params[k].data.tobytes() for k in params)
 
 
-def test_iteration_record_counts_are_pinned(monkeypatch):
-    # a timing-free perf guard: run time is about tape records x a few us, and
-    # the count depends on the op structure alone, so a change that adds
-    # records to an iteration fails here, with no host noise
+def counting_tapes(monkeypatch):
+    """The tapes entered from now on, each listed once."""
     tapes = []
 
     class CountingTape(meta.Tape):
@@ -397,6 +395,14 @@ def test_iteration_record_counts_are_pinned(monkeypatch):
             return super().__enter__()
 
     monkeypatch.setattr(meta, "Tape", CountingTape)
+    return tapes
+
+
+def test_iteration_record_counts_are_pinned(monkeypatch):
+    # a timing-free perf guard: run time is about tape records x a few us, and
+    # the count depends on the op structure alone, so a change that adds
+    # records to an iteration fails here, with no host noise
+    tapes = counting_tapes(monkeypatch)
     run_once(7)
     assert len(tapes) == 1  # one adaptation tape for the whole stack of tasks
     assert sum(len(t.records) for t in tapes) == PINNED_RECORDS
@@ -405,6 +411,27 @@ def test_iteration_record_counts_are_pinned(monkeypatch):
     joint_train_iteration(params, sources, target, mc, MetaConfig(inner_batch=4),
                           np.random.default_rng(7))
     assert sum(len(t.records) for t in tapes) == PINNED_JOINT_RECORDS
+
+
+def test_one_task_stack_keeps_the_task_axis(monkeypatch):
+    # a stack of one task: its VQ term has the task axis like its cross
+    # entropy, so no unbroadcast sum is recorded and every part is a list
+    tapes = counting_tapes(monkeypatch)
+    parts = []
+
+    def loss(*args, **kwargs):
+        out = batch_loss(*args, **kwargs)
+        parts.append(out[1])
+        return out
+    monkeypatch.setattr(meta, "batch_loss", loss)
+    run_once(7, n_tasks=1)
+    assert sum(len(t.records) for t in tapes) == PINNED_RECORDS
+    # two inner steps on the source stack, then the meta loss on the target,
+    # which has no VQ term
+    assert [sorted(p) for p in parts] == [["ce", "loss", "vq"]] * 2 + [["ce", "loss"]]
+    for part in parts:
+        for value in part.values():
+            assert isinstance(value, list) and len(value) == 1
 
 
 def test_train_iteration_uniform_when_rescale_off():

@@ -89,6 +89,10 @@ def test_vq_loss_values():
     rows = ad.vq_loss(ad.Tensor([[1.0, 0.0], [0.0, 3.0]]), ad.Tensor(np.zeros((2, 2))),
                       (2,))
     assert rows.data.shape == () and float(rows.data) == pytest.approx((2.0 + 18.0) / 2)
+    # a stack of one task keeps its task axis
+    stacked = ad.vq_loss(ad.Tensor([[1.0, 0.0], [0.0, 3.0]]), ad.Tensor(np.zeros((2, 2))),
+                         (2,), stacked=True)
+    assert stacked.data.shape == (1,) and stacked.data[0] == rows.data
     for q, e, counts in [((1, 1), (1, 2), (1,)), ((2,), (2,), (2,)),
                          ((2, 2), (2, 2), (3,)),
                          ((3, 2), (3, 2), (2, 2)), ((3, 2), (3, 2), (3, 0))]:
