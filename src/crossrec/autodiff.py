@@ -308,7 +308,7 @@ def gather(table, indices):
     n = table.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"gather: index out of range for table with {n} rows")
-    return _out(table.data[idx], "gather", (table,),
+    return _out(np.take(table.data, idx, axis=0), "gather", (table,),
                 lambda g: (scatter_rows(g, idx, n),))
 
 

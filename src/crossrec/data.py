@@ -222,13 +222,13 @@ def _random_transition(rng, n):
 
 
 def domain_chain(rng, base, rho):
-    """One domain's (permutation, cumulative transition rows), in one n x n buffer."""
+    """One domain's (permutation, cumulative transition rows), in one n x n
+    buffer: the base chain is relabeled into it a row at a time."""
     perm = rng.permutation(len(base))
-    relabeled = base[np.ix_(perm, perm)]
     cum = _random_transition(rng, len(base))
     cum *= 1.0 - rho
-    relabeled *= rho
-    cum += relabeled
+    for i, p in enumerate(perm):
+        cum[i] += base[p, perm] * rho
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
     return perm, cum

@@ -17,6 +17,9 @@ from .autodiff import Tensor
 from .backbone import embed_key, table_starts
 
 COS_EPS = 1e-12
+# floats in the code search's score buffer (512 KB): it holds the scores of
+# every head for a block of rows, so memory stays flat as catalogs grow
+BLOCK_FLOATS = 1 << 16
 
 
 @dataclass
@@ -49,22 +52,25 @@ def make_codebook(params, target_domain, heads, counts, stacked=False):
 def _head_codes(z, book):
     """Per-head nearest-code rows of ``book.table`` for rows of z (N, H*D);
     returns (N, H). The rows split into the consecutive blocks of
-    ``book.counts``, block i searching copy i only."""
-    h, d = book.heads, book.head_width
+    ``book.counts``, block i searching copy i only. All heads of a run of
+    rows are scored by one matmul into a buffer of about ``BLOCK_FLOATS``."""
+    h, d, k = book.heads, book.head_width, book.size
     codes = np.empty((z.shape[0], h), dtype=np.int64)
+    step = max(1, BLOCK_FLOATS // (h * k))
+    buf = np.empty((h, step, k))
     lo = 0
     for i, n in enumerate(book.counts):
-        base = i * (book.size + 1)
-        book_rows = book.table.data[base:base + book.size]
-        block, out = z[lo:lo + n], codes[lo:lo + n]
-        for j in range(h):
-            cs = book_rows[:, j * d:(j + 1) * d]
-            # dividing a row by |z| > 0 would not move its argmax: normalize codes only
-            unit = cs / np.maximum(np.linalg.norm(cs, axis=1, keepdims=True), COS_EPS)
-            # argmax takes the lowest index on ties
-            out[:, j] = np.argmax(block[:, j * d:(j + 1) * d] @ unit.T, axis=1)
-        if base:
-            out += base
+        base = i * (k + 1)
+        cs = book.table.data[base:base + k].reshape(k, h, d)
+        # dividing a row by |z| > 0 would not move its argmax: normalize codes only
+        unit = cs / np.maximum(np.linalg.norm(cs, axis=2, keepdims=True), COS_EPS)
+        unit = np.ascontiguousarray(unit.transpose(1, 2, 0))  # (H, D, K)
+        for s in range(lo, lo + n, step):
+            e = min(s + step, lo + n)
+            sim = np.matmul(z[s:e].reshape(e - s, h, d).transpose(1, 0, 2), unit,
+                            out=buf[:, :e - s])
+            # every row sees all K codes: argmax takes the lowest index on ties
+            codes[s:e] = sim.argmax(axis=2).T + base
         lo += n
     return codes
 

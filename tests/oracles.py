@@ -5,7 +5,7 @@ import numpy as np
 
 from crossrec import autodiff as ad
 from crossrec.backbone import _rms_norm
-from crossrec.data import sample_batch
+from crossrec.data import _random_transition, sample_batch
 from crossrec.meta import (MetaIterationReport, TaskReport, inner_adapt,
                            meta_gradient, rescale_and_update)
 from crossrec.objective import batch_loss
@@ -83,6 +83,20 @@ def nearest_codes_exhaustive(z, book_rows, heads):
                 best, best_sim = j, sim
         codes.append(best)
     return codes
+
+
+def relabeled_chain(rng, base, rho):
+    """Reference ``data.domain_chain``: the whole relabeled base chain as one
+    array, ``base[np.ix_(perm, perm)]``, blended into the fresh matrix."""
+    perm = rng.permutation(len(base))
+    relabeled = base[np.ix_(perm, perm)]
+    cum = _random_transition(rng, len(base))
+    cum *= 1.0 - rho
+    relabeled *= rho
+    cum += relabeled
+    cum /= cum.sum(axis=1, keepdims=True)
+    np.cumsum(cum, axis=1, out=cum)
+    return perm, cum
 
 
 def full_sweep_grad(output, wrt, create_graph=False):

@@ -226,21 +226,30 @@ def test_inspect_codes_dumps_every_source_item(tmp_path):
     # quantize_domain_matrix gives that item in the trained checkpoint
     ckpt = os.path.join(trained_run(tmp_path), "best.ckpt")
     dump = tmp_path / "codes.txt"
-    subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "inspect_codes.py"),
-                    ckpt, "--out", str(dump)], check=True, capture_output=True,
-                   timeout=120)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "inspect_codes.py"),
+                           ckpt, "--out", str(dump)], check=True, capture_output=True,
+                          text=True, timeout=120)
     tensors, config_text = load_checkpoint(ckpt)
     params = {k: Tensor(v) for k, v in tensors.items()}
     heads = parse_config(config_text).vq.heads
     sources, _ = build_datasets(small_cfg())
-    want = []
+    want, summary = [], []
     for ds in sources:
         book = make_codebook(params, "target", heads, (ds.item_count,))
         codes = quantize_domain_matrix(params, ds.domain_id, book)[2]
         assert codes.shape == (ds.item_count, heads)
         want += [" ".join([ds.domain_id, str(i)] + [str(c) for c in row])
                  for i, row in enumerate(codes.tolist())]
+        # per head: codes used of K, exp(entropy) of the code counts, dead codes
+        for h in range(heads):
+            counts = np.bincount(codes[:, h], minlength=book.size)
+            p = counts[counts > 0] / ds.item_count
+            used = int(np.count_nonzero(counts))
+            summary.append(f"{ds.domain_id} head {h}: {used}/{book.size} codes used, "
+                           f"perplexity {np.exp(-np.sum(p * np.log(p))):.2f}, "
+                           f"{book.size - used} dead")
     assert dump.read_text().splitlines() == want
+    assert proc.stderr.splitlines() == summary
 
 
 def test_eval_k_override(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossrec import data
 
-from oracles import peel_k_core
+from oracles import peel_k_core, relabeled_chain
 
 
 def write(tmp_path, text, name="log.tsv"):
@@ -224,6 +224,19 @@ def chains(seed, n, rho, count):
         perm, cum = data.domain_chain(rng, base, rho)
         out.append((perm, np.diff(cum, axis=1, prepend=0.0)))
     return base, out
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("rho", [0.0, 0.9, 1.0])
+def test_domain_chain_matches_whole_matrix_relabeling(n, rho):
+    # relabeling a row at a time gives the bytes of the whole-matrix formula
+    base = data._random_transition(np.random.default_rng(n), n)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(2):
+        perm, cum = data.domain_chain(rng, base, rho)
+        ref_perm, ref_cum = relabeled_chain(ref_rng, base, rho)
+        assert np.array_equal(perm, ref_perm)
+        assert cum.tobytes() == ref_cum.tobytes()
 
 
 def test_synthetic_shapes_and_row_sums():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,58 @@ def test_codes_match_exhaustive_oracle_and_scale_invariance(seed, heads, k, c):
     # every head-slice of z_q is bit-identical to some codebook slice
     for h, j in enumerate(codes[0]):
         assert np.array_equal(z_q.data[0, h * 2:(h + 1) * 2], rows[j][h * 2:(h + 1) * 2])
+
+
+@pytest.mark.parametrize("block_floats", [vq.BLOCK_FLOATS, 5 * 2 * 9, 1])
+def test_blocked_code_search_matches_exhaustive_oracle(monkeypatch, block_floats):
+    # three stacked copies of a 9-code table, rows (11, 1, 7); at 5 rows a
+    # block, a copy's rows end in a remainder block, of one row for the first
+    # copy; at 1 float every block is one row
+    monkeypatch.setattr(vq, "BLOCK_FLOATS", block_floats)
+    rng = np.random.default_rng(23)
+    heads, width, k, counts = 2, 3, 9, (11, 1, 7)
+    copies = []
+    for _ in counts:
+        codes = rng.standard_normal((k, heads * width))
+        codes[5] = codes[2]  # a duplicated code
+        codes[7, width:] = codes[1, width:]  # a duplicated head slice
+        codes[4] = 0.0  # an all-zero code
+        codes[6, :width] = 0.0  # an all-zero head slice
+        copies.append(codes)
+    table = np.vstack([np.vstack([c, np.zeros((1, heads * width))]) for c in copies])
+    book = vq.Codebook(table=Tensor(table), heads=heads, size=k, counts=counts)
+    z = rng.standard_normal((sum(counts), heads * width))
+    z[0] = 2.0 * copies[0][2]  # ties codes 2 and 5 in both heads
+    z[3, width:] = copies[0][1, width:]  # ties codes 1 and 7 in head 1
+    z[5] = 0.0  # an all-zero row ties every code
+    z[12] = 0.5 * copies[2][5]
+    _, got = vq.quantize_rows(Tensor(z), book)
+    lo = 0
+    for i, (n, codes) in enumerate(zip(counts, copies)):
+        for r in range(lo, lo + n):
+            want = [c + i * (k + 1) for c in nearest_codes_exhaustive(z[r], codes, heads)]
+            assert got[r].tolist() == want, r
+        lo += n
+    assert got[0].tolist() == [2, 2] and got[3, 1] == 1 and got[5].tolist() == [0, 0]
+    assert got[12].tolist() == [2 + 2 * (k + 1)] * 2
+
+
+def test_code_search_memory_stays_flat():
+    # N = K = 2048 rows of 4 heads: one head's whole N x K score array alone
+    # would be 33.5 MB
+    rng = np.random.default_rng(29)
+    n, heads = 2048, 4
+    table = Tensor(rng.standard_normal((n + 1, heads * 4)))
+    book = vq.Codebook(table=table, heads=heads, size=n, counts=(n,))
+    z = rng.standard_normal((n, heads * 4))
+    tracemalloc.start()
+    try:
+        codes = vq._head_codes(z, book)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (n, heads)
+    assert peak < 4 * 2**20, peak
 
 
 def test_all_zero_embedding_ties_to_code_zero():
