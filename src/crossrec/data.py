@@ -234,13 +234,26 @@ def domain_chain(rng, base, rho):
     return perm, cum
 
 
+def _next_items(cum, items, draws):
+    """``min(np.searchsorted(cum[i], r, side="right"), n - 1)`` for each pair
+    (i, r), in step: one binary search over the first n - 1 entries per row."""
+    pos, size, flat = items * cum.shape[1], cum.shape[1] - 1, cum.reshape(-1)
+    while size:
+        half = (size + 1) // 2
+        pos += half * (flat[pos + (half - 1)] <= draws)
+        size //= 2
+    return pos - items * cum.shape[1]
+
+
 def generate_synthetic(spec):
     """M source domains plus one target, sampled from blended Markov chains.
 
     Each domain's transition matrix is rho * (permuted base) + (1 - rho) *
     (fresh random matrix), row-normalized; the target gets an order of
     magnitude fewer users than each source. Item-id spaces are domain-local by
-    construction.
+    construction. Draws come in a fixed order, whatever ``rho``: the n x n base
+    uniforms; per domain the permutation, then its n x n fresh uniforms; per
+    user the length, the first item, then one uniform per step (last unused).
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.items_per_domain
@@ -251,14 +264,21 @@ def generate_synthetic(spec):
         _, cum = domain_chain(rng, base, spec.rho)
         users = spec.users_per_domain if domain != "target" \
             else max(1, spec.users_per_domain // 10)
-        events = []
+        lengths = np.empty(users, dtype=np.int64)
+        items = np.empty((spec.seq_len_max, users), dtype=np.int64)
+        draws = np.zeros((spec.seq_len_max, users))
         for u in range(users):
-            length = int(rng.integers(spec.seq_len_min, spec.seq_len_max + 1))
-            item = int(rng.integers(n))
-            for t in range(length):
-                events.append((u, item, t))
-                item = int(np.searchsorted(cum[item], rng.random(), side="right"))
-        result.events[domain] = events
+            length = lengths[u] = rng.integers(spec.seq_len_min, spec.seq_len_max + 1)
+            items[0, u] = rng.integers(n)
+            draws[:length, u] = rng.random(length)
+        for t in range(1, spec.seq_len_max):
+            items[t] = _next_items(cum, items[t - 1], draws[t - 1])
+        del cum, draws
+        items = np.array(range(n), dtype=object)[items]  # events share n int objects
+        result.events[domain] = events = []
+        for u, length in enumerate(lengths.tolist()):
+            events += zip([u] * length, items[:length, u].tolist(), range(length))
+        del items, lengths
         result.datasets.append(leave_one_out_split(domain, events))
     return result
 

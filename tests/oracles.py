@@ -5,7 +5,8 @@ import numpy as np
 
 from crossrec import autodiff as ad
 from crossrec.backbone import _rms_norm
-from crossrec.data import _random_transition, sample_batch
+from crossrec.data import (SyntheticResult, _random_transition, domain_chain,
+                           leave_one_out_split, sample_batch)
 from crossrec.meta import (MetaIterationReport, TaskReport, inner_adapt,
                            meta_gradient, rescale_and_update)
 from crossrec.objective import batch_loss
@@ -97,6 +98,31 @@ def relabeled_chain(rng, base, rho):
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
     return perm, cum
+
+
+def scalar_synthetic(spec):
+    """Reference ``data.generate_synthetic``: one scalar draw and one
+    ``np.searchsorted`` per event, the step clamped to the last item."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.items_per_domain
+    base = _random_transition(rng, n)
+    domains = [f"src{i}" for i in range(spec.num_source_domains)] + ["target"]
+    result = SyntheticResult(datasets=[])
+    for domain in domains:
+        _, cum = domain_chain(rng, base, spec.rho)
+        users = spec.users_per_domain if domain != "target" \
+            else max(1, spec.users_per_domain // 10)
+        events = []
+        for u in range(users):
+            length = int(rng.integers(spec.seq_len_min, spec.seq_len_max + 1))
+            item = int(rng.integers(n))
+            for t in range(length):
+                events.append((u, item, t))
+                item = min(int(np.searchsorted(cum[item], rng.random(), side="right")),
+                           n - 1)
+        result.events[domain] = events
+        result.datasets.append(leave_one_out_split(domain, events))
+    return result
 
 
 def full_sweep_grad(output, wrt, create_graph=False):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossrec import data
 
-from oracles import peel_k_core, relabeled_chain
+from oracles import peel_k_core, relabeled_chain, scalar_synthetic
 
 
 def write(tmp_path, text, name="log.tsv"):
@@ -237,6 +237,67 @@ def test_domain_chain_matches_whole_matrix_relabeling(n, rho):
         ref_perm, ref_cum = relabeled_chain(ref_rng, base, rho)
         assert np.array_equal(perm, ref_perm)
         assert cum.tobytes() == ref_cum.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 9))
+def test_row_search_matches_clamped_searchsorted(seed, n):
+    # rows drawn from a few levels repeat entries; probes hit entries exactly,
+    # 0.0, values past the last entry, and values between entries
+    rng = np.random.default_rng(seed)
+    levels = np.array([0.0, 0.25, 0.5, 0.5 + 2**-40, 1.0 - 2**-52, 1.0])
+    ends = rng.choice([1.0 - 2**-52, 1.0], (4, 1))
+    cum = np.sort(np.hstack([rng.choice(levels, (4, n - 1)), ends]), axis=1)
+    probes = np.concatenate([levels, [1.0 - 2**-53, 1.5], rng.random(8)])
+    items = np.repeat(np.arange(4), len(probes))
+    draws = np.tile(probes, 4)
+    want = [min(np.searchsorted(cum[i], r, side="right"), n - 1)
+            for i, r in zip(items, draws)]
+    assert data._next_items(cum, items, draws).tolist() == want
+
+
+def test_row_search_clamps_a_row_ending_below_one():
+    # a draw at or past a row's last entry stays on the last item instead of
+    # indexing past the end of the chain
+    rng = np.random.default_rng(0)
+    _, cum = data.domain_chain(rng, data._random_transition(rng, 64), 0.9)
+    rows = np.flatnonzero(cum[:, -1] < 1.0)
+    assert rows.size
+    draws = np.full(rows.size, 1.0 - 2**-53)
+    assert np.searchsorted(cum[rows[0]], draws[0], side="right") == 64
+    assert data._next_items(cum, rows, draws).tolist() == [63] * rows.size
+
+
+SPECS = [dict(items_per_domain=1, users_per_domain=10),
+         dict(items_per_domain=7, users_per_domain=50, rho=0.0),
+         dict(items_per_domain=64, users_per_domain=300, rho=1.0),
+         dict(items_per_domain=64, users_per_domain=200, seq_len_min=4,
+              seq_len_max=4, seed=3),
+         dict(items_per_domain=512, users_per_domain=500, num_source_domains=1,
+              seed=1)]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_generator_matches_scalar_oracle(spec):
+    # the array sampler gives the bytes of one scalar draw per event
+    spec = data.SyntheticSpec(**spec)
+    got, want = data.generate_synthetic(spec), scalar_synthetic(spec)
+    assert got.events == want.events
+    for a, b in zip(got.datasets, want.datasets, strict=True):
+        assert (a.domain_id, a.item_count, a.train, a.val, a.test) == \
+            (b.domain_id, b.item_count, b.train, b.val, b.test)
+
+
+def test_rho_leaves_lengths_and_first_items_unchanged():
+    # rho blends the chains but takes no draws of its own, so the per-user
+    # draws (length, first item) are the same at every rho
+    def starts(rho):
+        result = data.generate_synthetic(data.SyntheticSpec(
+            items_per_domain=16, users_per_domain=100, rho=rho, seed=9))
+        return {d: ([i for _, i, t in ev if t == 0],
+                    np.bincount([u for u, _, _ in ev]).tolist())
+                for d, ev in result.events.items()}
+    assert starts(0.0) == starts(0.5) == starts(0.95)
 
 
 def test_synthetic_shapes_and_row_sums():
