@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Hashes of the standard contract runs, to check that a change keeps every
+byte of training and evaluation.
+
+Prints one line per run: its label, then the sha256 (first 16 hex digits) of
+its metrics CSV rows, of its final parameters and of its best parameters.
+Every run has 200 users per source domain and 20 iterations. A last line
+gives the val and test EvalResult of freshly initialized parameters on a
+4000-user, 1024-item target. BLAS runs on one thread, since the thread count
+can change the rounding of long reductions.
+
+Run it at the parent commit and at the change, then diff the two outputs:
+    python3 scripts/contract_hashes.py > after.txt
+"""
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads BLAS
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import dataclasses
+import hashlib
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from crossrec.backbone import init_parameters
+from crossrec.data import SyntheticSpec
+from crossrec.evaluation import evaluate
+from crossrec.runconfig import VARIANTS, effective_model_config, parse_config
+from crossrec.train import build_datasets, run_training
+
+BASE = """
+iterations=20
+eval_every=10
+synthetic.users_per_domain=200
+"""
+
+# label -> extra config lines on top of BASE
+RUNS = {variant: f"variant={variant}" for variant in VARIANTS}
+RUNS.update({f"full inner_steps={s}": f"meta.inner_steps={s}" for s in (1, 3, 4)})
+RUNS.update({f"{v} n_tasks={n}": f"variant={v}\nmeta.n_tasks={n}"
+             for v in ("full", "no_vq") for n in (1, 5)})
+RUNS.update({
+    "full second_order=false": "meta.second_order=false",
+    "full vq_in_inner=false": "meta.vq_in_inner=false",
+    "full items=512 inner_steps=3": "synthetic.items_per_domain=512\nmeta.inner_steps=3",
+    "full num_blocks=2": "encoder.num_blocks=2",
+})
+
+
+def digest(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()[:16]
+
+
+def params_digest(params):
+    return digest(part for name in sorted(params)
+                  for part in (name.encode(), params[name].tobytes()))
+
+
+def main():
+    for label, extra in RUNS.items():
+        result = run_training(parse_config(BASE + extra))
+        csv = "\n".join(result.csv_rows).encode()
+        final = {k: v.data for k, v in result.final_params.items()}
+        print(f"{label}: csv={digest([csv])} "
+              f"final={params_digest(final)} "
+              f"best={params_digest(result.best_params)}", flush=True)
+    cfg = dataclasses.replace(parse_config(""), synthetic=SyntheticSpec(
+        num_source_domains=1, users_per_domain=40000, items_per_domain=1024))
+    sources, target = build_datasets(cfg)
+    params = init_parameters(cfg.encoder, {d.domain_id: d.item_count
+                                           for d in sources + [target]}, cfg.seed)
+    model_cfg = effective_model_config(cfg, target.domain_id)
+    results = [evaluate(params, target, split, cfg.k, model_cfg)
+               for split in ("val", "test")]
+    print(f"evaluate {target.num_users} users: " + " ".join(map(repr, results)))
+
+
+if __name__ == "__main__":
+    main()

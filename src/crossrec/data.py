@@ -158,11 +158,6 @@ def build_domain_dataset(domain_id, events, k):
     return leave_one_out_split(domain_id, k_core_filter(events, k))
 
 
-def _window(seq, max_len, pad_id):
-    w = seq[-max_len:]
-    return [pad_id] * (max_len - len(w)) + w
-
-
 def sample_batch(dataset, split, batch_size, max_len, rng):
     """Uniform-with-replacement user sampling into a training (window, target)
     batch; windows cut at a random position inside the train prefix.
@@ -177,13 +172,14 @@ def sample_batch(dataset, split, batch_size, max_len, rng):
     eligible = dataset.eligible_users
     if not eligible:
         raise ValueError(f"sample_batch: no train pairs in {dataset.domain_id}")
-    inputs = np.empty((batch_size, max_len), dtype=np.int64)
+    inputs = np.full((batch_size, max_len), dataset.pad_id, dtype=np.int64)
     targets = np.empty(batch_size, dtype=np.int64)
     for b in range(batch_size):
         u = eligible[int(rng.integers(len(eligible)))]
         seq = dataset.train[u]
         cut = int(rng.integers(1, len(seq)))
-        inputs[b] = _window(seq[:cut], max_len, dataset.pad_id)
+        window = seq[max(0, cut - max_len):cut]
+        inputs[b, max_len - len(window):] = window
         targets[b] = seq[cut]
     return TaskBatch(dataset.domain_id, inputs, targets, (dataset.item_count,))
 

@@ -55,20 +55,21 @@ class MetaIterationReport:
 @dataclass
 class AdaptResult:
     phi: dict                # name -> Tensor
-    inner_losses: list       # float per inner step
+    inner_losses: list       # per inner step: a float, or one per task
     tape: Tape               # records the unrolled updates
 
 
 def inner_adapt(theta, step_loss_fns, cfg):
     """Run inner gradient-descent steps from theta; theta is never mutated.
 
-    ``step_loss_fns`` supplies one loss callable (params -> scalar tensor) per
-    inner step. Every update ``phi - inner_lr * g`` is recorded on one tape, so
-    phi stays a differentiable function of theta; a parameter the step loss
-    cannot reach (its gradient is ``None``) is carried over unchanged. In
-    second-order mode ``g`` is recorded with ``create_graph``; in first-order
-    mode it is a constant, so the meta-gradient passes through the updates
-    unchanged (Finn et al. 2017, arXiv:1703.03400).
+    ``step_loss_fns`` supplies one loss callable per inner step: params -> a
+    scalar, or one loss per task, whose sum is differentiated. Every update
+    ``phi - inner_lr * g`` is recorded on one tape, so phi stays a
+    differentiable function of theta; a parameter the step loss cannot reach
+    (its gradient is ``None``) is carried over unchanged. In second-order mode
+    ``g`` is recorded with ``create_graph``; in first-order mode it is a
+    constant, so the meta-gradient passes through the updates unchanged (Finn
+    et al. 2017, arXiv:1703.03400).
     """
     if not step_loss_fns:
         raise ValueError("inner_adapt: no inner batches")
@@ -79,9 +80,9 @@ def inner_adapt(theta, step_loss_fns, cfg):
         phi = dict(theta)
         for fn in step_loss_fns:
             loss = fn(phi)
-            losses.append(float(loss.data))
-            grads = ad.grad(loss, [phi[k] for k in names],
-                            create_graph=cfg.second_order)
+            losses.append(loss.data.tolist())
+            grads = ad.grad(ad.sum(loss) if loss.data.ndim else loss,
+                            [phi[k] for k in names], create_graph=cfg.second_order)
             phi = {k: phi[k] if g is None else ad.step(phi[k], g, cfg.inner_lr)
                    for k, g in zip(names, grads)}
     return AdaptResult(phi, losses, tape)
@@ -91,16 +92,18 @@ def meta_gradient(theta, adapted, meta_loss_fn, cfg):
     """d meta_loss(phi) / d theta per layer name, through the updates that
     ``inner_adapt`` recorded on ``adapted.tape``.
 
-    ``cfg`` is unused: the gradient order was fixed by ``inner_adapt``.
-    Returns (name -> ndarray, meta loss value); a layer the meta loss cannot
+    ``cfg`` is unused: the gradient order was fixed by ``inner_adapt``. A
+    per-task meta loss is differentiated as its sum. Returns (name -> ndarray,
+    meta loss value: a float, or one per task); a layer the meta loss cannot
     reach gets zeros.
     """
     names = list(theta)
     with adapted.tape:
         loss = meta_loss_fn(adapted.phi)
-        grads = ad.grad(loss, [theta[k] for k in names])
+        grads = ad.grad(ad.sum(loss) if loss.data.ndim else loss,
+                        [theta[k] for k in names])
     return ({k: np.zeros_like(theta[k].data) if g is None else g.data.copy()
-             for k, g in zip(names, grads)}, float(loss.data))
+             for k, g in zip(names, grads)}, loss.data.tolist())
 
 
 def _softmax(x):
@@ -199,27 +202,20 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
                 (target_key, target_key, np.s_[i * target_rows:(i + 1) * target_rows])]
              for i in range(n)]
 
-    def stack_loss(batches, domain, include_vq, task_losses):
+    def stack_loss(batches, domain, include_vq):
         stack = TaskBatch(domain, np.stack([b.inputs for b in batches]),
                           np.stack([b.targets for b in batches]),
                           sum((b.counts for b in batches), ()))
+        return lambda p: batch_loss(p, stack, model_cfg, include_vq=include_vq)[0]
 
-        def fn(p):
-            loss, loss_parts = batch_loss(p, stack, model_cfg, include_vq=include_vq)
-            task_losses.append(loss_parts["loss"])
-            return loss
-        return fn
-
-    inner_losses, meta_losses = [], []
     adapted = inner_adapt(stacked, [
-        stack_loss([b[s] for b in inner], stack_domain, cfg.vq_in_inner, inner_losses)
+        stack_loss([b[s] for b in inner], stack_domain, cfg.vq_in_inner)
         for s in range(cfg.inner_steps)], cfg)
-    grads, _ = meta_gradient(stacked, adapted, stack_loss(
-        meta_batches, model_cfg.target_domain, True, meta_losses), cfg)
+    grads, meta_losses = meta_gradient(stacked, adapted, stack_loss(
+        meta_batches, model_cfg.target_domain, True), cfg)
 
-    report = MetaIterationReport()
     layers = {k: [None] * n for k in theta}
-    for i, src in enumerate(picks):
+    for i in range(n):
         for key, leaf, part in parts[i]:
             shape = theta[key].data.shape
             # a fresh copy: the rescale's norms and dot products then see the
@@ -227,21 +223,19 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
             phi = adapted.phi[leaf].data[part].reshape(shape)
             layers[key][i] = (grads[leaf][part].reshape(shape).copy(),
                               phi - theta[key].data)
-        report.tasks.append(TaskReport(src.domain_id, [s[i] for s in inner_losses],
-                                       meta_losses[0][i]))
     new_theta, scores, weights = rescale_and_update(
         theta, layers, cfg, uniform=not rescale)
-    report.layer_scores = scores
-    report.layer_weights = weights
-    report.overall_loss = float(np.mean([t.meta_loss for t in report.tasks]))
-    return new_theta, report
+    tasks = [TaskReport(src.domain_id, [s[i] for s in adapted.inner_losses],
+                        meta_losses[i]) for i, src in enumerate(picks)]
+    return new_theta, MetaIterationReport(tasks, scores, weights,
+                                          float(np.mean(meta_losses)))
 
 
 def joint_train_iteration(theta, sources, target, model_cfg, cfg, rng):
     """One plain gradient step on a batch pooled across all domains.
 
     The meta-transfer ablation baseline: no inner loop, no rescaling. Returns
-    (new params, pooled loss value).
+    (new params, MetaIterationReport with the pooled loss and no tasks).
     """
     domains = list(sources) + [target]
     batches = [sample_batch(d, "train", cfg.inner_batch,
@@ -259,4 +253,4 @@ def joint_train_iteration(theta, sources, target, model_cfg, cfg, rng):
     new_theta = {k: Tensor(theta[k].data - cfg.outer_lr *
                            (np.zeros_like(theta[k].data) if g is None else g.data))
                  for k, g in zip(names, grads)}
-    return new_theta, float(total.data)
+    return new_theta, MetaIterationReport(overall_loss=float(total.data))

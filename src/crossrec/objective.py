@@ -74,11 +74,12 @@ def item_scores(hidden, items, counts):
 
 def batch_loss(params, batch, model_cfg, include_vq=True):
     """Overall loss on a TaskBatch: cross entropy (+ vq term when
-    applicable); a stack's loss is the sum of its tasks' losses.
+    applicable).
 
-    Returns (loss tensor, dict of parts: "loss", "ce" and, with a vq term,
-    "vq", each a float for one batch and a list of per-task floats for a
-    stack, a stack of one task included).
+    Returns (loss tensor, dict of parts). The loss is a scalar for one batch
+    and one value per task for a stack, a stack of one task included. The
+    parts are "ce" and, with a vq term, "vq", each a float for one batch and
+    a list of per-task floats for a stack.
     """
     if batch.inputs.shape[-2] == 0:
         raise ValueError("batch_loss: empty batch")
@@ -99,5 +100,4 @@ def batch_loss(params, batch, model_cfg, include_vq=True):
         parts["vq"] = vq_term.data.tolist()
         if include_vq:
             loss = ad.add(ce, vq_term)
-    parts["loss"] = loss.data.tolist()
-    return (ad.sum(loss) if loss.data.ndim else loss), parts
+    return loss, parts

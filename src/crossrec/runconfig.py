@@ -63,7 +63,10 @@ def _parse_value(raw, typ):
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"expected boolean, got {raw!r}")
-    return typ(raw)
+    try:
+        return typ(raw)
+    except ValueError:
+        raise ValueError(f"expected {typ.__name__}, got {raw!r}") from None
 
 
 def _format_value(value):
@@ -75,30 +78,38 @@ def _format_value(value):
 
 
 def parse_config(text):
-    """Parse flat key=value text into a RunConfig; unknown keys are rejected."""
+    """Parse flat key=value text into a RunConfig; unknown and repeated keys
+    are rejected, and errors name the line (and the key, if one was read)."""
     top = {}
     nested = {name: {} for name in _SECTIONS}
     top_fields = {f.name: f for f in fields(RunConfig)}
+    scalar_fields = {k: f for k, f in top_fields.items() if k not in _SECTIONS}
+    seen = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"config line {lineno}"
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{where}: expected key=value, got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
         if "." in key:
             section, name = key.split(".", 1)
             if section not in _SECTIONS:
-                raise ValueError(f"config line {lineno}: unknown section {section!r}")
+                raise ValueError(f"{where}: unknown section {section!r}")
             sub_type = top_fields[section].default_factory().__class__
-            sub_fields = {f.name: f for f in fields(sub_type)}
-            if name not in sub_fields:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            nested[section][name] = _parse_value(raw, _field_type(sub_fields[name]))
+            known, values = {f.name: f for f in fields(sub_type)}, nested[section]
         else:
-            if key not in top_fields or key in _SECTIONS:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            top[key] = _parse_value(raw, _field_type(top_fields[key]))
+            name, known, values = key, scalar_fields, top
+        if name not in known:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{where}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
+        try:
+            values[name] = _parse_value(raw, _field_type(known[name]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: key {key!r}: {exc}") from None
     kwargs = dict(top)
     for section in _SECTIONS:
         if nested[section]:

@@ -80,13 +80,18 @@ def load_manifest(path):
 def build_datasets(cfg):
     """(source datasets, target dataset) from manifest files or inline synthesis.
 
-    A manifest domain that k-core filtering leaves without users is rejected.
+    A manifest domain with no rows in its TSV, or that k-core filtering leaves
+    without users, is rejected, and so is a manifest without a source row
+    under a meta-transfer variant.
     """
     if cfg.data.manifest:
         sources, target = [], None
         for domain, role, path in load_manifest(cfg.data.manifest):
-            events = load_interactions(path).get(domain, [])
-            ds = build_domain_dataset(domain, events, cfg.k_core)
+            per_domain = load_interactions(path)
+            if domain not in per_domain:
+                raise ValueError(f"{path}: no rows for domain {domain!r}; the file "
+                                 f"has domains {sorted(per_domain)}")
+            ds = build_domain_dataset(domain, per_domain[domain], cfg.k_core)
             if ds.num_users == 0:
                 raise ValueError(f"{path}: domain {domain!r} has no users left "
                                  f"after k-core filtering with k_core={cfg.k_core}")
@@ -94,6 +99,9 @@ def build_datasets(cfg):
                 target = ds
             else:
                 sources.append(ds)
+        if not sources and cfg.variant != "no_meta":
+            raise ValueError(f"{cfg.data.manifest}: no row has role 'source', "
+                             f"which variant {cfg.variant!r} needs")
         return sources, target
     result = generate_synthetic(cfg.synthetic)
     return result.datasets[:-1], result.datasets[-1]
@@ -103,16 +111,17 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _check_finite(it, loss, params, tasks=()):
+def _check_finite(it, report, params):
     """Raise FloatingPointError when an iteration left a non-finite loss or
     parameter, naming the iteration, the tasks' source domains and the first
     non-finite layer."""
+    tasks = report.tasks
     bad_tasks = [t for t in tasks if not np.isfinite(t.meta_loss)]
     layer = next((k for k, v in params.items() if not np.all(np.isfinite(v.data))),
                  None)
-    if layer is None and not bad_tasks and np.isfinite(loss):
+    if layer is None and not bad_tasks and np.isfinite(report.overall_loss):
         return
-    where = f"iteration {it}: loss {loss!r}"
+    where = f"iteration {it}: loss {report.overall_loss!r}"
     if tasks:
         domains = ", ".join(t.source_domain for t in bad_tasks or tasks)
         where += f", tasks from source domains {domains}"
@@ -139,21 +148,18 @@ def run_training(cfg, datasets=None):
     best_iter = -1
     for it in range(1, cfg.iterations + 1):
         if cfg.variant == "no_meta":
-            params, loss = joint_train_iteration(
+            params, report = joint_train_iteration(
                 params, sources, target, model_cfg, cfg.meta, rng)
-            _check_finite(it, loss, params)
-            rows.append(f"iter,{it},{_fmt(loss)},,,,,")
-            reports.append(None)
         else:
             params, report = train_iteration(
                 params, sources, target, model_cfg, cfg.meta, rng,
                 rescale=cfg.variant != "no_rescale")
-            _check_finite(it, report.overall_loss, params, report.tasks)
-            task_losses = "|".join(_fmt(t.meta_loss) for t in report.tasks)
-            mmw = float(np.mean([max(w) for w in report.layer_weights.values()]))
-            rows.append(f"iter,{it},{_fmt(report.overall_loss)},{task_losses},"
-                        f"{_fmt(mmw)},,,")
-            reports.append(report)
+        _check_finite(it, report, params)
+        task_losses = "|".join(_fmt(t.meta_loss) for t in report.tasks)
+        weights = report.layer_weights.values()
+        mmw = _fmt(np.mean([max(w) for w in weights])) if weights else ""
+        rows.append(f"iter,{it},{_fmt(report.overall_loss)},{task_losses},{mmw},,,")
+        reports.append(report)
         if it % cfg.eval_every == 0 or it == cfg.iterations:
             res = evaluate(params, target, "val", cfg.k, model_cfg)
             rows.append(f"eval,{it},,,,{_fmt(res.ndcg_at_k)},"

@@ -12,6 +12,7 @@ from crossrec import cli
 from crossrec.autodiff import Tensor
 from crossrec.checkpoint import load_checkpoint, save_checkpoint
 from crossrec.data import SyntheticSpec, load_interactions, leave_one_out_split
+from crossrec.meta import MetaIterationReport
 from crossrec.runconfig import (DataConfig, RunConfig, VARIANTS, load_config,
                                 parse_config,
                                 serialize_config)
@@ -40,6 +41,14 @@ meta.meta_batch=4
 
 def small_cfg(**over):
     return dataclasses.replace(parse_config(SMALL_CONFIG), **over)
+
+
+def with_setting(setting):
+    """SMALL_CONFIG with ``setting`` (key=value) in place of the key's own line:
+    a repeated key is an error."""
+    key = setting.split("=", 1)[0]
+    kept = [l for l in SMALL_CONFIG.splitlines() if not l.startswith(key + "=")]
+    return "\n".join(kept + [setting]) + "\n"
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -71,6 +80,20 @@ def test_config_comments_and_errors():
         parse_config("meta.second_order=maybe\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("seed=0\niterations=abc\n", "config line 2: key 'iterations': expected int, got 'abc'"),
+    ("meta.inner_lr=fast\n", "config line 1: key 'meta.inner_lr': expected float, "
+                              "got 'fast'"),
+    ("\nmeta.second_order=maybe\n", "config line 2: key 'meta.second_order': "
+                                    "expected boolean, got 'maybe'"),
+    ("seed=1\n# again\nseed=2\n", "config line 3: key 'seed' already set on line 1"),
+    ("vq.heads=2\nvq.heads=2\n", "config line 2: key 'vq.heads' already set on line 1"),
+], ids=["bad_int", "bad_float", "bad_bool", "repeated_key", "repeated_dotted_key"])
+def test_config_errors_name_line_and_key(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(text)
+
+
 def test_variant_divisibility_validation():
     with pytest.raises(ValueError, match="divisible"):
         parse_config("encoder.d_model=10\nvq.heads=4\n")
@@ -83,7 +106,7 @@ def test_variant_divisibility_validation():
 ])
 def test_out_of_range_config_is_one_line_error_before_training(tmp_path, capsys,
                                                                setting):
-    cfg_path = write_config(tmp_path, SMALL_CONFIG + setting + "\n")
+    cfg_path = write_config(tmp_path, with_setting(setting))
     out = tmp_path / "out"
     assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 2
     key, value = setting.split("=")
@@ -106,7 +129,7 @@ def test_out_of_range_config_is_one_line_error_before_training(tmp_path, capsys,
 def test_bad_synthetic_spec_is_one_line_error_before_any_data(tmp_path, capsys,
                                                               command, setting,
                                                               message):
-    cfg_path = write_config(tmp_path, SMALL_CONFIG + setting + "\n")
+    cfg_path = write_config(tmp_path, with_setting(setting))
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
@@ -164,6 +187,16 @@ def test_train_outputs_and_determinism(tmp_path):
     iters = [l for l in lines if l.startswith("iter,")]
     evals = [l for l in lines if l.startswith("eval,")]
     assert len(iters) == 6 and len(evals) == 2  # evals at 3 and 6
+
+
+def test_no_meta_reports_carry_the_loss_and_rows_keep_eight_fields():
+    result = run_training(small_cfg(variant="no_meta"))
+    assert len(result.reports) == 6
+    iters = [l for l in result.csv_rows if l.startswith("iter,")]
+    for it, (row, report) in enumerate(zip(iters, result.reports), start=1):
+        assert isinstance(report, MetaIterationReport)
+        assert report.tasks == [] and report.layer_weights == {}
+        assert row == f"iter,{it},{report.overall_loss!r},,,,,"
 
 
 def test_train_seed_flag_overrides_config(tmp_path):
@@ -250,6 +283,20 @@ def test_inspect_codes_dumps_every_source_item(tmp_path):
                            f"{book.size - used} dead")
     assert dump.read_text().splitlines() == want
     assert proc.stderr.splitlines() == summary
+
+
+def test_contract_hashes_prints_one_line_per_run():
+    # 16 runs: the 5 variants, 3 more inner-step counts, 2 variants at 2 task
+    # counts and 4 single settings; then one line of evaluate results
+    proc = subprocess.run([sys.executable,
+                           os.path.join(ROOT, "scripts", "contract_hashes.py")],
+                          check=True, capture_output=True, text=True, timeout=300)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 17
+    hashes = r"[\w .=]+: csv=[0-9a-f]{16} final=[0-9a-f]{16} best=[0-9a-f]{16}"
+    assert all(re.fullmatch(hashes, line) for line in lines[:16])
+    assert len({line.split(":")[0] for line in lines[:16]}) == 16
+    assert lines[16].startswith("evaluate 4000 users: EvalResult(")
 
 
 def test_eval_k_override(tmp_path):
@@ -385,10 +432,15 @@ def test_train_from_generated_manifest(tmp_path):
     assert os.path.exists(os.path.join(out, "metrics.csv"))
 
 
-def test_target_domain_takes_any_name(tmp_path):
+def generated_data(tmp_path):
     data_out = tmp_path / "data"
     cli.main(["generate", "--config", write_config(tmp_path, SMALL_CONFIG),
               "--out", str(data_out)])
+    return data_out
+
+
+def test_target_domain_takes_any_name(tmp_path):
+    data_out = generated_data(tmp_path)
     text = (data_out / "target.tsv").read_text()
     (data_out / "books.tsv").write_text(re.sub(r"^target\t", "books\t", text, flags=re.M))
     manifest = data_out / "manifest.tsv"
@@ -449,6 +501,37 @@ def test_domain_emptied_by_k_core_rejected_at_load(tmp_path):
             f"{target_tsv}: domain 'target' has no users left after k-core "
             f"filtering with k_core=2")):
         build_datasets(cfg)
+
+
+def test_manifest_domain_without_rows_is_one_line_error(tmp_path, capsys):
+    data_out = generated_data(tmp_path)
+    manifest = data_out / "manifest.tsv"
+    manifest.write_text(manifest.read_text().replace(
+        "target\ttarget\ttarget.tsv", "books\ttarget\ttarget.tsv"))
+    cfg_path = write_config(tmp_path, SMALL_CONFIG + f"data.manifest={manifest}\n"
+                            "k_core=1\n", "books.cfg")
+    assert cli.main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data_out / 'target.tsv'}: no rows for domain 'books'; "
+        f"the file has domains ['target']\n")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_manifest_without_sources_is_one_line_error(tmp_path, capsys, command):
+    data_out = generated_data(tmp_path)
+    manifest = data_out / "target_only.tsv"
+    manifest.write_text(TARGET_ROW)
+    text = SMALL_CONFIG + f"data.manifest={manifest}\nk_core=1\n"
+    argv = [command, "--config", write_config(tmp_path, text),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: no row has role 'source', which variant 'full' needs\n")
+    # the joint baseline trains on the target alone; the ablation runs every
+    # variant, so it still needs a source
+    argv[2] = write_config(tmp_path, text + "variant=no_meta\n", "joint.cfg")
+    assert cli.main(argv) == (0 if command == "train" else 2)
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "ablate"])

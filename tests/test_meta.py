@@ -415,23 +415,25 @@ def test_iteration_record_counts_are_pinned(monkeypatch):
 
 def test_one_task_stack_keeps_the_task_axis(monkeypatch):
     # a stack of one task: its VQ term has the task axis like its cross
-    # entropy, so no unbroadcast sum is recorded and every part is a list
+    # entropy, so no unbroadcast sum is recorded, the loss keeps its task axis
+    # and every part is a list
     tapes = counting_tapes(monkeypatch)
-    parts = []
+    outs = []
 
     def loss(*args, **kwargs):
         out = batch_loss(*args, **kwargs)
-        parts.append(out[1])
+        outs.append(out)
         return out
     monkeypatch.setattr(meta, "batch_loss", loss)
     run_once(7, n_tasks=1)
     assert sum(len(t.records) for t in tapes) == PINNED_RECORDS
     # two inner steps on the source stack, then the meta loss on the target,
     # which has no VQ term
-    assert [sorted(p) for p in parts] == [["ce", "loss", "vq"]] * 2 + [["ce", "loss"]]
-    for part in parts:
-        for value in part.values():
-            assert isinstance(value, list) and len(value) == 1
+    assert [sorted(p) for _, p in outs] == [["ce", "vq"]] * 2 + [["ce"]]
+    for value, part in outs:
+        assert value.data.shape == (1,)
+        for entry in part.values():
+            assert isinstance(entry, list) and len(entry) == 1
 
 
 def test_train_iteration_uniform_when_rescale_off():
@@ -455,8 +457,8 @@ def test_train_iteration_requires_sources():
 def test_joint_single_domain_is_plain_sgd():
     params, _, target, mc = tiny_world()
     cfg = MetaConfig(inner_batch=4)
-    new, loss = joint_train_iteration(params, [], target, mc, cfg,
-                                      np.random.default_rng(11))
+    new, report = joint_train_iteration(params, [], target, mc, cfg,
+                                        np.random.default_rng(11))
     # independent recomputation: one recorded step on the same sampled batch
     batch = sample_batch(target, "train", cfg.inner_batch,
                          mc.encoder.max_len, np.random.default_rng(11))
@@ -464,7 +466,7 @@ def test_joint_single_domain_is_plain_sgd():
     with ad.Tape():
         ref_loss = batch_loss(params, batch, mc, include_vq=True)[0]
         grads = ad.grad(ref_loss, [params[k] for k in names])
-    assert loss == pytest.approx(float(ref_loss.data), abs=1e-12)
+    assert report.overall_loss == pytest.approx(float(ref_loss.data), abs=1e-12)
     for k, g in zip(names, grads):
         if g is None:  # a source table the target batch cannot reach
             assert new[k].data.tobytes() == params[k].data.tobytes()
@@ -501,9 +503,9 @@ def test_joint_training_loss_decreases():
     rng = np.random.default_rng(0)
     losses = []
     for _ in range(50):
-        params, loss = joint_train_iteration(params, sources, target, mc,
-                                             cfg, rng)
-        losses.append(loss)
+        params, report = joint_train_iteration(params, sources, target, mc,
+                                               cfg, rng)
+        losses.append(report.overall_loss)
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
