@@ -4,10 +4,12 @@ byte of training and evaluation.
 
 Prints one line per run: its label, then the sha256 (first 16 hex digits) of
 its metrics CSV rows, of its final parameters and of its best parameters.
-Every run has 200 users per source domain and 20 iterations. A last line
+Every run has 200 users per source domain and 20 iterations. The next line
 gives the val and test EvalResult of freshly initialized parameters on a
-4000-user, 1024-item target. BLAS runs on one thread, since the thread count
-can change the rounding of long reductions.
+4000-user, 1024-item target. Then one line per synthetic world shaped like a
+benchmark workload, at seed 0: the digest of each domain's dataset
+(item_count, train, val, test) and one of all its events. BLAS runs on one
+thread, since the thread count can change the rounding of long reductions.
 
 Run it at the parent commit and at the change, then diff the two outputs:
     python3 scripts/contract_hashes.py > after.txt
@@ -24,7 +26,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from crossrec.backbone import init_parameters
-from crossrec.data import SyntheticSpec
+from crossrec.data import SyntheticSpec, generate_synthetic
 from crossrec.evaluation import evaluate
 from crossrec.runconfig import VARIANTS, effective_model_config, parse_config
 from crossrec.train import build_datasets, run_training
@@ -47,12 +49,24 @@ RUNS.update({
     "full num_blocks=2": "encoder.num_blocks=2",
 })
 
+# label -> the synthetic world of the benchmark workload of that name
+WORLDS = {
+    "meta-default": SyntheticSpec(),
+    "meta-deep-wide": SyntheticSpec(items_per_domain=512),
+    "eval-wide": SyntheticSpec(num_source_domains=1, users_per_domain=20000,
+                               items_per_domain=1024),
+}
+
 
 def digest(chunks):
     h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk)
     return h.hexdigest()[:16]
+
+
+def repr_digest(value):
+    return digest([repr(value).encode()])
 
 
 def params_digest(params):
@@ -76,7 +90,14 @@ def main():
     model_cfg = effective_model_config(cfg, target.domain_id)
     results = [evaluate(params, target, split, cfg.k, model_cfg)
                for split in ("val", "test")]
-    print(f"evaluate {target.num_users} users: " + " ".join(map(repr, results)))
+    print(f"evaluate {target.num_users} users: " + " ".join(map(repr, results)),
+          flush=True)
+    for label, spec in WORLDS.items():
+        result = generate_synthetic(spec)
+        parts = [f"{d.domain_id}={repr_digest((d.item_count, d.train, d.val, d.test))}"
+                 for d in result.datasets]
+        print(f"data {label}: {' '.join(parts)} events={repr_digest(result.events)}",
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ sampling, and a synthetic multi-domain Markov-chain generator with a
 controllable source-target similarity knob."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,8 +76,23 @@ class SyntheticSpec:
 
 @dataclass
 class SyntheticResult:
-    datasets: list                   # M sources then the target, in order
-    events: dict = field(default_factory=dict)  # domain id -> raw event list
+    """Sampled datasets and sequences; ``events`` is built on first access."""
+    datasets: list   # M sources then the target, in order
+    sequences: dict  # domain id -> (user-major items, per-user lengths)
+
+    @cached_property
+    def events(self):
+        """Domain id -> its (user, item, position) events, user-major."""
+        events = {}
+        for domain, (items, lengths) in self.sequences.items():
+            # every event shares one int object per item id
+            ids = np.array(range(items.max() + 1), dtype=object)[items].tolist()
+            events[domain] = out = []
+            start = 0
+            for u, length in enumerate(lengths.tolist()):
+                out += zip([u] * length, ids[start:start + length], range(length))
+                start += length
+        return events
 
 
 def load_interactions(path):
@@ -103,6 +119,8 @@ def load_interactions(path):
                 ts = int(ts)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer timestamp {ts!r}") from None
+            if not -2**63 <= ts < 2**63:  # the split reads events as int64
+                raise ValueError(f"{path}:{lineno}: timestamp {ts} outside int64")
             users = user_ids.setdefault(domain, {})
             items = item_ids.setdefault(domain, {})
             uid = users.setdefault(user, len(users))
@@ -134,24 +152,32 @@ def k_core_filter(events, k):
 def leave_one_out_split(domain_id, events):
     """Build a DomainDataset: last item is test, second-to-last validation.
 
-    Sequences shorter than 3 are dropped. Item ids are remapped to
-    a dense [0, |I|) space in first-appearance order over kept sequences.
+    A user's sequence is their events' items in list order. Sequences shorter
+    than 3 are dropped. Item ids are remapped to a dense [0, |I|) space in
+    first-appearance order over kept sequences.
     """
-    by_user = {}
-    for u, i, ts in events:
-        by_user.setdefault(u, []).append(i)
-    item_map = {}
-    train, val, test = [], [], []
-    for u in sorted(by_user):
-        seq = by_user[u]
-        if len(seq) < 3:
-            continue
-        dense = [item_map.setdefault(i, len(item_map)) for i in seq]
-        train.append(dense[:-2])
-        val.append(dense[-2])
-        test.append(dense[-1])
-    return DomainDataset(domain_id=domain_id, item_count=len(item_map),
-                         train=train, val=val, test=test)
+    flat = np.fromiter(itertools.chain.from_iterable(events), np.int64, 3 * len(events))
+    users, items = flat[0::3], flat[1::3]
+    order = np.argsort(users, kind="stable")
+    _, lengths = np.unique(users, return_counts=True)
+    return _split_sequences(domain_id, items[order], lengths)
+
+
+def _split_sequences(domain_id, items, lengths):
+    """``leave_one_out_split`` of user-major ``items`` in runs of ``lengths``."""
+    keep = lengths >= 3
+    items, lengths = items[np.repeat(keep, lengths)], lengths[keep]
+    ids, inverse = np.unique(items, return_inverse=True)
+    first = np.full(len(ids), len(items))  # each id's first position
+    np.minimum.at(first, inverse, np.arange(len(items)))
+    rank = np.argsort(np.argsort(first))  # id -> first-appearance rank
+    # every user's lists share one int object per dense id
+    dense = np.array(range(len(ids)), dtype=object)[rank[inverse]].tolist()
+    ends = np.cumsum(lengths).tolist()
+    return DomainDataset(domain_id=domain_id, item_count=len(ids),
+                         train=[dense[e - n:e - 2] for e, n in zip(ends, lengths.tolist())],
+                         val=[dense[e - 2] for e in ends],
+                         test=[dense[e - 1] for e in ends])
 
 
 def build_domain_dataset(domain_id, events, k):
@@ -250,12 +276,14 @@ def generate_synthetic(spec):
     construction. Draws come in a fixed order, whatever ``rho``: the n x n base
     uniforms; per domain the permutation, then its n x n fresh uniforms; per
     user the length, the first item, then one uniform per step (last unused).
+    The datasets are split from the sampled arrays; the result builds its
+    ``events`` lists only when they are first read.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.items_per_domain
     base = _random_transition(rng, n)
     domains = [f"src{i}" for i in range(spec.num_source_domains)] + ["target"]
-    result = SyntheticResult(datasets=[])
+    result = SyntheticResult(datasets=[], sequences={})
     for domain in domains:
         _, cum = domain_chain(rng, base, spec.rho)
         users = spec.users_per_domain if domain != "target" \
@@ -270,12 +298,9 @@ def generate_synthetic(spec):
         for t in range(1, spec.seq_len_max):
             items[t] = _next_items(cum, items[t - 1], draws[t - 1])
         del cum, draws
-        items = np.array(range(n), dtype=object)[items]  # events share n int objects
-        result.events[domain] = events = []
-        for u, length in enumerate(lengths.tolist()):
-            events += zip([u] * length, items[:length, u].tolist(), range(length))
-        del items, lengths
-        result.datasets.append(leave_one_out_split(domain, events))
+        items = items.T[np.arange(spec.seq_len_max) < lengths[:, None]]
+        result.sequences[domain] = items, lengths
+        result.datasets.append(_split_sequences(domain, items, lengths))
     return result
 
 

@@ -1,7 +1,9 @@
-"""Flat key=value run configuration (dotted keys, '#' comments)."""
+"""Flat key=value run configuration (dotted keys; '#' starts a comment at the
+start of a line or after whitespace)."""
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field, fields
 
 from .backbone import EncoderConfig
@@ -86,7 +88,7 @@ def parse_config(text):
     scalar_fields = {k: f for k, f in top_fields.items() if k not in _SECTIONS}
     seen = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue
         where = f"config line {lineno}"

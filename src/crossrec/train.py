@@ -85,13 +85,16 @@ def build_datasets(cfg):
     under a meta-transfer variant.
     """
     if cfg.data.manifest:
-        sources, target = [], None
+        sources, target, parsed = [], None, {}  # parsed: path -> its one parse
         for domain, role, path in load_manifest(cfg.data.manifest):
-            per_domain = load_interactions(path)
+            if path not in parsed:
+                parsed[path] = load_interactions(path)
+            per_domain = parsed[path]
             if domain not in per_domain:
                 raise ValueError(f"{path}: no rows for domain {domain!r}; the file "
                                  f"has domains {sorted(per_domain)}")
             ds = build_domain_dataset(domain, per_domain[domain], cfg.k_core)
+            per_domain[domain] = None  # a domain is listed once: free its events
             if ds.num_users == 0:
                 raise ValueError(f"{path}: domain {domain!r} has no users left "
                                  f"after k-core filtering with k_core={cfg.k_core}")

@@ -1,12 +1,13 @@
 """Independent numerical oracles shared across the test suite."""
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 
 from crossrec import autodiff as ad
 from crossrec.backbone import _rms_norm
-from crossrec.data import (SyntheticResult, _random_transition, domain_chain,
-                           leave_one_out_split, sample_batch)
+from crossrec.data import (DomainDataset, _random_transition, domain_chain,
+                           sample_batch)
 from crossrec.meta import (MetaIterationReport, TaskReport, inner_adapt,
                            meta_gradient, rescale_and_update)
 from crossrec.objective import batch_loss
@@ -68,6 +69,26 @@ def peel_k_core(events, k):
     return kept
 
 
+def per_event_split(domain_id, events):
+    """Reference ``data.leave_one_out_split``: events grouped by user in a
+    dict, each item remapped through ``setdefault`` one at a time."""
+    by_user = {}
+    for u, i, ts in events:
+        by_user.setdefault(u, []).append(i)
+    item_map = {}
+    train, val, test = [], [], []
+    for u in sorted(by_user):
+        seq = by_user[u]
+        if len(seq) < 3:
+            continue
+        dense = [item_map.setdefault(i, len(item_map)) for i in seq]
+        train.append(dense[:-2])
+        val.append(dense[-2])
+        test.append(dense[-1])
+    return DomainDataset(domain_id=domain_id, item_count=len(item_map),
+                         train=train, val=val, test=test)
+
+
 def nearest_codes_exhaustive(z, book_rows, heads):
     """Per-head nearest code by looping over every (head, code) pair."""
     width = z.shape[0] // heads
@@ -102,12 +123,13 @@ def relabeled_chain(rng, base, rho):
 
 def scalar_synthetic(spec):
     """Reference ``data.generate_synthetic``: one scalar draw and one
-    ``np.searchsorted`` per event, the step clamped to the last item."""
+    ``np.searchsorted`` per event, the step clamped to the last item, and
+    the events split by ``per_event_split``."""
     rng = np.random.default_rng(spec.seed)
     n = spec.items_per_domain
     base = _random_transition(rng, n)
     domains = [f"src{i}" for i in range(spec.num_source_domains)] + ["target"]
-    result = SyntheticResult(datasets=[])
+    result = SimpleNamespace(datasets=[], events={})
     for domain in domains:
         _, cum = domain_chain(rng, base, spec.rho)
         users = spec.users_per_domain if domain != "target" \
@@ -121,7 +143,7 @@ def scalar_synthetic(spec):
                 item = min(int(np.searchsorted(cum[item], rng.random(), side="right")),
                            n - 1)
         result.events[domain] = events
-        result.datasets.append(leave_one_out_split(domain, events))
+        result.datasets.append(per_event_split(domain, events))
     return result
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from crossrec import cli
+from crossrec import cli, train
 from crossrec.autodiff import Tensor
 from crossrec.checkpoint import load_checkpoint, save_checkpoint
 from crossrec.data import SyntheticSpec, load_interactions, leave_one_out_split
@@ -68,6 +68,9 @@ def test_config_round_trip_is_identity():
 def test_config_comments_and_errors():
     cfg = parse_config("# comment\nseed=9  # trailing\n\nmeta.inner_lr=0.05\n")
     assert cfg.seed == 9 and cfg.meta.inner_lr == 0.05
+    # '#' inside a value is kept: a comment starts a line or follows whitespace
+    cfg = parse_config("out_dir=runs#3\n  # indented comment\nseed=4\t# tab\n")
+    assert cfg.out_dir == "runs#3" and cfg.seed == 4
     with pytest.raises(ValueError, match="line 1"):
         parse_config("no_equals_here\n")
     with pytest.raises(ValueError, match="unknown key"):
@@ -287,16 +290,20 @@ def test_inspect_codes_dumps_every_source_item(tmp_path):
 
 def test_contract_hashes_prints_one_line_per_run():
     # 16 runs: the 5 variants, 3 more inner-step counts, 2 variants at 2 task
-    # counts and 4 single settings; then one line of evaluate results
+    # counts and 4 single settings; then one line of evaluate results and one
+    # of dataset digests per workload-shaped world
     proc = subprocess.run([sys.executable,
                            os.path.join(ROOT, "scripts", "contract_hashes.py")],
                           check=True, capture_output=True, text=True, timeout=300)
     lines = proc.stdout.splitlines()
-    assert len(lines) == 17
+    assert len(lines) == 20
     hashes = r"[\w .=]+: csv=[0-9a-f]{16} final=[0-9a-f]{16} best=[0-9a-f]{16}"
     assert all(re.fullmatch(hashes, line) for line in lines[:16])
     assert len({line.split(":")[0] for line in lines[:16]}) == 16
     assert lines[16].startswith("evaluate 4000 users: EvalResult(")
+    worlds = r"data ([\w-]+): (?:\w+=[0-9a-f]{16} )+events=[0-9a-f]{16}"
+    assert [re.fullmatch(worlds, line)[1] for line in lines[17:]] == \
+        ["meta-default", "meta-deep-wide", "eval-wide"]
 
 
 def test_eval_k_override(tmp_path):
@@ -501,6 +508,29 @@ def test_domain_emptied_by_k_core_rejected_at_load(tmp_path):
             f"{target_tsv}: domain 'target' has no users left after k-core "
             f"filtering with k_core=2")):
         build_datasets(cfg)
+
+
+def test_shared_tsv_is_parsed_once(tmp_path, monkeypatch):
+    rows = [f"{d}\tu{u}\ti{(u + t) % 5}\t{t}" for d in ("src0", "target")
+            for u in range(6) for t in range(5)]
+    (tmp_path / "both.tsv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "manifest.tsv").write_text("src0\tsource\tboth.tsv\n"
+                                           "target\ttarget\tboth.tsv\n")
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_interactions(path)
+
+    monkeypatch.setattr(train, "load_interactions", counted)
+    cfg = small_cfg(data=DataConfig(manifest=str(tmp_path / "manifest.tsv")), k_core=1)
+    (source,), target = build_datasets(cfg)
+    assert len(calls) == 1
+    parsed = load_interactions(str(tmp_path / "both.tsv"))
+    for ds in (source, target):
+        want = leave_one_out_split(ds.domain_id, parsed[ds.domain_id])
+        assert (ds.item_count, ds.train, ds.val, ds.test) == \
+            (want.item_count, want.train, want.val, want.test)
 
 
 def test_manifest_domain_without_rows_is_one_line_error(tmp_path, capsys):

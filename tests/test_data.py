@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossrec import data
 
-from oracles import peel_k_core, relabeled_chain, scalar_synthetic
+from oracles import peel_k_core, per_event_split, relabeled_chain, scalar_synthetic
 
 
 def write(tmp_path, text, name="log.tsv"):
@@ -44,6 +44,8 @@ def test_load_malformed_lines_report_position(tmp_path):
         data.load_interactions(write(tmp_path, "d\ta\tx\t1\nd\ta\tx\n"))
     with pytest.raises(ValueError, match=r":1:.*timestamp"):
         data.load_interactions(write(tmp_path, "d\ta\tx\tnoon\n"))
+    with pytest.raises(ValueError, match=r":2: timestamp 9223372036854775808 outside"):
+        data.load_interactions(write(tmp_path, f"d\ta\tx\t1\nd\ta\tx\t{2**63}\n"))
 
 
 def test_tsv_round_trip(tmp_path):
@@ -130,6 +132,27 @@ def test_leave_one_out_partition_property():
         assert len(full) == len(kept[u])
         assert full[-1] == ds.test[u] and full[-2] == ds.val[u]
         assert len(ds.train[u]) == len(full) - 2
+
+
+@st.composite
+def event_lists(draw):
+    """Events over a few sparse user and item ids, in timestamp order with
+    ties, so users interleave and some have only one or two events."""
+    ids = st.integers(-2**62, 2**62)
+    users = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    items = draw(st.lists(ids, min_size=1, max_size=12, unique=True))
+    events = draw(st.lists(st.tuples(st.sampled_from(users), st.sampled_from(items),
+                                     st.integers(0, 6)), max_size=60))
+    return sorted(events, key=lambda e: e[2])
+
+
+@settings(deadline=None, max_examples=200)
+@given(event_lists())
+def test_leave_one_out_matches_per_event_oracle(events):
+    got, want = data.leave_one_out_split("d", events), per_event_split("d", events)
+    assert (got.item_count, got.train, got.val, got.test) == \
+        (want.item_count, want.train, want.val, want.test)
+    assert {type(i) for i in sum(got.train, got.val + got.test)} <= {int}
 
 
 # ----------------------------------------------------------------- batches
