@@ -8,8 +8,11 @@ Every run has 200 users per source domain and 20 iterations. The next line
 gives the val and test EvalResult of freshly initialized parameters on a
 4000-user, 1024-item target. Then one line per synthetic world shaped like a
 benchmark workload, at seed 0: the digest of each domain's dataset
-(item_count, train, val, test) and one of all its events. BLAS runs on one
-thread, since the thread count can change the rounding of long reductions.
+(item_count, train, val, test) and one of all its events. The last line reads
+the joint-default world back from TSVs through a manifest, one file per domain,
+then src0 and target again from one shared file that interleaves src0's lines
+with target's in reverse, and digests each dataset. BLAS runs on one thread,
+since the thread count can change the rounding of long reductions.
 
 Run it at the parent commit and at the change, then diff the two outputs:
     python3 scripts/contract_hashes.py > after.txt
@@ -22,13 +25,16 @@ os.environ["OMP_NUM_THREADS"] = "1"
 import dataclasses
 import hashlib
 import sys
+import tempfile
+from itertools import zip_longest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from crossrec.backbone import init_parameters
-from crossrec.data import SyntheticSpec, generate_synthetic
+from crossrec.data import SyntheticSpec, generate_synthetic, write_domain_tsv
 from crossrec.evaluation import evaluate
-from crossrec.runconfig import VARIANTS, effective_model_config, parse_config
+from crossrec.runconfig import (VARIANTS, DataConfig, RunConfig, effective_model_config,
+                                parse_config)
 from crossrec.train import build_datasets, run_training
 
 BASE = """
@@ -74,6 +80,38 @@ def params_digest(params):
                   for part in (name.encode(), params[name].tobytes()))
 
 
+def manifest_digests(manifest, rows):
+    """Digests of the datasets ``build_datasets`` reads through a manifest."""
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{domain}\t{role}\t{name}\n" for domain, role, name in rows)
+    sources, target = build_datasets(RunConfig(data=DataConfig(manifest=manifest)))
+    return [f"{d.domain_id}={repr_digest((d.item_count, d.train, d.val, d.test))}"
+            for d in sources + [target]]
+
+
+def tsv_digests(spec):
+    """Dataset digests of ``spec``'s world written as TSVs, one per domain, and
+    of src0 and target read back from one shared TSV."""
+    result = generate_synthetic(spec)
+    with tempfile.TemporaryDirectory() as work_dir:
+        rows, lines = [], {}
+        for ds in result.datasets:
+            path = os.path.join(work_dir, f"{ds.domain_id}.tsv")
+            write_domain_tsv(path, ds.domain_id, result.events[ds.domain_id])
+            with open(path, encoding="utf-8") as fh:
+                lines[ds.domain_id] = fh.readlines()
+            role = "target" if ds is result.datasets[-1] else "source"
+            rows.append((ds.domain_id, role, f"{ds.domain_id}.tsv"))
+        per_file = manifest_digests(os.path.join(work_dir, "manifest.tsv"), rows)
+        with open(os.path.join(work_dir, "shared.tsv"), "w", encoding="utf-8") as fh:
+            for pair in zip_longest(lines["src0"], lines["target"][::-1], fillvalue=""):
+                fh.writelines(pair)
+        shared = manifest_digests(os.path.join(work_dir, "shared_manifest.tsv"),
+                                  [("src0", "source", "shared.tsv"),
+                                   ("target", "target", "shared.tsv")])
+    return per_file, shared
+
+
 def main():
     for label, extra in RUNS.items():
         result = run_training(parse_config(BASE + extra))
@@ -98,6 +136,9 @@ def main():
                  for d in result.datasets]
         print(f"data {label}: {' '.join(parts)} events={repr_digest(result.events)}",
               flush=True)
+    per_file, shared = tsv_digests(SyntheticSpec())
+    print(f"tsv joint-default: {' '.join(per_file)} shared: {' '.join(shared)}",
+          flush=True)
 
 
 if __name__ == "__main__":

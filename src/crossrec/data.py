@@ -4,6 +4,7 @@ controllable source-target similarity knob."""
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,86 +96,136 @@ class SyntheticResult:
         return events
 
 
+LINES_PER_SLICE = 1 << 10  # lines parsed at once: bounds the field strings alive
+
+
+@contextmanager
+def open_text(path):
+    """``open(path)`` for reading UTF-8 text; a byte that does not decode
+    raises ValueError naming the file and the line that holds it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # bytes.splitlines cuts lines as text mode does
+            lines = fh.read().splitlines()
+        lineno = next((n for n, line in enumerate(lines, start=1)  # valid UTF-8 round-trips
+                       if line.decode("utf-8", "replace").encode() != line), "?")
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
 def load_interactions(path):
     """Parse a TSV of "domain<TAB>user<TAB>item<TAB>timestamp" lines.
 
-    Returns domain -> list of (user_id, item_id, timestamp) with tags mapped to
-    dense integer ids per domain in first-appearance order, sorted by timestamp
-    (stable on ties). '#' comment lines and blank lines are skipped.
+    Returns domain -> (n, 3) int64 array of (user, item, timestamp) rows, with
+    tags mapped to dense ids per domain in first-appearance order and rows
+    sorted by timestamp (stable: file order on ties). '#' comment lines and
+    blank lines are skipped. The file is parsed column-wise in slices of
+    ``LINES_PER_SLICE`` lines; an error names the first bad line.
     """
-    per_domain = {}
-    user_ids = {}
-    item_ids = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+    tag_codes = {}, {}, {}  # domain, user and item tags -> codes over the file
+    slices = []
+    with open_text(path) as fh:
+        start = 1
+        while lines := list(itertools.islice(fh, LINES_PER_SLICE)):
+            slices.append(_parse_slice(path, start, lines, tag_codes))
+            start += len(lines)
+    if not tag_codes[0]:
+        return {}
+    domains, users, items, stamps = map(np.concatenate, zip(*slices))
+    events = {}
+    for code, domain in enumerate(tag_codes[0]):
+        rows = np.flatnonzero(domains == code)  # ids are dense in file order
+        columns = _first_appearance(users[rows])[0], _first_appearance(items[rows])[0]
+        events[domain] = np.stack([*columns, stamps[rows]], 1)[
+            np.argsort(stamps[rows], kind="stable")]
+    return events
+
+
+def _parse_slice(path, start, lines, tag_codes):
+    """The domain, user, item and timestamp columns of ``lines`` (line
+    ``start`` first); a new tag takes the next code in ``tag_codes``."""
+    rows = [line for line in lines if line[0] not in "#\n"]
+    fields = "\t".join(rows).split("\t") if rows else []  # int() drops a stamp's "\n"
+    try:
+        if any(row.count("\t") != 3 for row in rows):
+            raise ValueError  # found and named by the line-by-line scan below
+        stamps = np.fromiter(map(int, fields[3::4]), np.int64, len(rows))
+    except (ValueError, OverflowError):
+        for lineno, line in enumerate(lines, start=start):
+            fields, where = line.rstrip("\n").split("\t"), f"{path}:{lineno}"
+            if line[0] in "#\n":
                 continue
-            fields = line.split("\t")
             if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, "
-                                 f"got {len(fields)}")
-            domain, user, item, ts = fields
+                raise ValueError(f"{where}: expected 4 tab-separated fields, "
+                                 f"got {len(fields)}") from None
             try:
-                ts = int(ts)
+                ts = int(fields[3])
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer timestamp {ts!r}") from None
-            if not -2**63 <= ts < 2**63:  # the split reads events as int64
-                raise ValueError(f"{path}:{lineno}: timestamp {ts} outside int64")
-            users = user_ids.setdefault(domain, {})
-            items = item_ids.setdefault(domain, {})
-            uid = users.setdefault(user, len(users))
-            iid = items.setdefault(item, len(items))
-            per_domain.setdefault(domain, []).append((uid, iid, ts))
-    for events in per_domain.values():
-        events.sort(key=lambda e: e[2])  # stable: file order preserved on ties
-    return per_domain
+                raise ValueError(f"{where}: non-integer timestamp {fields[3]!r}") from None
+            if not -2**63 <= ts < 2**63:
+                raise ValueError(f"{where}: timestamp {ts} outside int64") from None
+        raise
+    columns = []
+    for tags, codes in zip((fields[0::4], fields[1::4], fields[2::4]), tag_codes):
+        for tag in dict.fromkeys(tags):
+            codes.setdefault(tag, len(codes))
+        columns.append(np.fromiter(map(codes.__getitem__, tags), np.int64, len(rows)))
+    return columns + [stamps]
 
 
 def k_core_filter(events, k):
-    """Iteratively drop users/items with < k interactions until a fixed point."""
+    """Iteratively drop users/items with < k interactions until a fixed point.
+
+    ``events`` is any (n, 3) array-like of (user, item, timestamp) rows; the
+    kept rows come back as an int64 array, in input order. Ids may be any
+    int64 values, negative or sparse.
+    """
     if k < 1:
         raise ValueError(f"k_core_filter: k must be >= 1, got {k}")
-    kept = list(events)
+    kept = np.asarray(events, dtype=np.int64).reshape(-1, 3)
     while True:
-        user_counts = {}
-        item_counts = {}
-        for u, i, _ in kept:
-            user_counts[u] = user_counts.get(u, 0) + 1
-            item_counts[i] = item_counts.get(i, 0) + 1
-        bad_users = {u for u, c in user_counts.items() if c < k}
-        bad_items = {i for i, c in item_counts.items() if c < k}
-        if not bad_users and not bad_items:
+        keep = np.ones(len(kept), dtype=bool)
+        for ids in kept[:, 0], kept[:, 1]:
+            _, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
+            keep &= counts[inverse] >= k
+        if keep.all():
             return kept
-        kept = [e for e in kept if e[0] not in bad_users and e[1] not in bad_items]
+        kept = kept[keep]
 
 
 def leave_one_out_split(domain_id, events):
     """Build a DomainDataset: last item is test, second-to-last validation.
 
-    A user's sequence is their events' items in list order. Sequences shorter
-    than 3 are dropped. Item ids are remapped to a dense [0, |I|) space in
+    ``events`` is any (n, 3) array-like of (user, item, timestamp) rows; a
+    user's sequence is their rows' items in row order. Sequences shorter than
+    3 are dropped. Item ids are remapped to a dense [0, |I|) space in
     first-appearance order over kept sequences.
     """
-    flat = np.fromiter(itertools.chain.from_iterable(events), np.int64, 3 * len(events))
-    users, items = flat[0::3], flat[1::3]
-    order = np.argsort(users, kind="stable")
-    _, lengths = np.unique(users, return_counts=True)
-    return _split_sequences(domain_id, items[order], lengths)
+    events = np.asarray(events, dtype=np.int64).reshape(-1, 3)
+    order = np.argsort(events[:, 0], kind="stable")
+    _, lengths = np.unique(events[:, 0], return_counts=True)
+    return _split_sequences(domain_id, events[order, 1], lengths)
+
+
+def _first_appearance(values):
+    """Dense ids of ``values`` in first-appearance order, and their count."""
+    ids, inverse = np.unique(values, return_inverse=True)
+    first = np.full(len(ids), len(values))  # each id's first position
+    np.minimum.at(first, inverse, np.arange(len(values)))
+    rank = np.argsort(np.argsort(first))  # id -> first-appearance rank
+    return rank[inverse], len(ids)
 
 
 def _split_sequences(domain_id, items, lengths):
     """``leave_one_out_split`` of user-major ``items`` in runs of ``lengths``."""
     keep = lengths >= 3
     items, lengths = items[np.repeat(keep, lengths)], lengths[keep]
-    ids, inverse = np.unique(items, return_inverse=True)
-    first = np.full(len(ids), len(items))  # each id's first position
-    np.minimum.at(first, inverse, np.arange(len(items)))
-    rank = np.argsort(np.argsort(first))  # id -> first-appearance rank
+    codes, count = _first_appearance(items)
     # every user's lists share one int object per dense id
-    dense = np.array(range(len(ids)), dtype=object)[rank[inverse]].tolist()
+    dense = np.array(range(count), dtype=object)[codes].tolist()
     ends = np.cumsum(lengths).tolist()
-    return DomainDataset(domain_id=domain_id, item_count=len(ids),
+    return DomainDataset(domain_id=domain_id, item_count=count,
                          train=[dense[e - n:e - 2] for e, n in zip(ends, lengths.tolist())],
                          val=[dense[e - 2] for e in ends],
                          test=[dense[e - 1] for e in ends])

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .backbone import EncoderConfig
-from .data import SyntheticSpec
+from .data import SyntheticSpec, open_text
 from .meta import MetaConfig
 from .objective import ModelConfig, VQConfig
 
@@ -81,7 +81,8 @@ def _format_value(value):
 
 def parse_config(text):
     """Parse flat key=value text into a RunConfig; unknown and repeated keys
-    are rejected, and errors name the line (and the key, if one was read)."""
+    are rejected, and errors name the line (and the key, if one was read). A
+    value out of range names the line that set its key."""
     top = {}
     nested = {name: {} for name in _SECTIONS}
     top_fields = {f.name: f for f in fields(RunConfig)}
@@ -113,16 +114,22 @@ def parse_config(text):
         except ValueError as exc:
             raise ValueError(f"{where}: key {key!r}: {exc}") from None
     kwargs = dict(top)
-    for section in _SECTIONS:
-        if nested[section]:
-            base = top_fields[section].default_factory()
-            kwargs[section] = dataclasses.replace(base, **nested[section])
-    return RunConfig(**kwargs)
+    try:
+        for section in _SECTIONS:
+            if nested[section]:
+                base = top_fields[section].default_factory()
+                kwargs[section] = dataclasses.replace(base, **nested[section])
+        return RunConfig(**kwargs)
+    except ValueError as exc:  # a range error's message starts with its key
+        key = re.match(r"[\w.]*", str(exc))[0]
+        if key not in seen:
+            raise
+        raise ValueError(f"config line {seen[key]}: {exc}") from None
 
 
 def load_config(path):
     """``parse_config`` of a file; errors name the path."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read()
     try:
         return parse_config(text)

@@ -18,7 +18,8 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import init_parameters
 from .checkpoint import save_checkpoint
-from .data import build_domain_dataset, generate_synthetic, load_interactions
+from .data import (build_domain_dataset, generate_synthetic, load_interactions,
+                   open_text)
 from .evaluation import evaluate
 from .meta import joint_train_iteration, train_iteration
 from .runconfig import VARIANTS, effective_model_config, serialize_config
@@ -48,7 +49,7 @@ def load_manifest(path):
     rows = []
     seen = {}
     target_line = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

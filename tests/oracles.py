@@ -50,6 +50,39 @@ def brute_force_rank(scores, truth):
     return order.index(truth) + 1
 
 
+def per_line_interactions(path):
+    """Reference ``data.load_interactions``: one line at a time, each event a
+    (user, item, timestamp) tuple, tags coded per domain through
+    ``setdefault``; the lists are sorted by timestamp, file order on ties."""
+    per_domain = {}
+    user_ids = {}
+    item_ids = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, "
+                                 f"got {len(fields)}")
+            domain, user, item, ts = fields
+            try:
+                ts = int(ts)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer timestamp {ts!r}") from None
+            if not -2**63 <= ts < 2**63:
+                raise ValueError(f"{path}:{lineno}: timestamp {ts} outside int64")
+            users = user_ids.setdefault(domain, {})
+            items = item_ids.setdefault(domain, {})
+            uid = users.setdefault(user, len(users))
+            iid = items.setdefault(item, len(items))
+            per_domain.setdefault(domain, []).append((uid, iid, ts))
+    for events in per_domain.values():
+        events.sort(key=lambda e: e[2])
+    return per_domain
+
+
 def peel_k_core(events, k):
     """Reference k-core by repeated single-element peeling."""
     kept = list(events)

@@ -206,9 +206,9 @@ def test_criterion_6_data_pipeline():
         events = [(int(rng.integers(users)), int(rng.integers(items)), t)
                   for t in range(n)]
         k = int(rng.integers(1, 5))
-        got = k_core_filter(events, k)
-        ok &= sorted(got) == sorted(peel_k_core(events, k))
-        ok &= k_core_filter(got, k) == got  # idempotence
+        got = k_core_filter(events, k).tolist()
+        ok &= sorted(got) == sorted(map(list, peel_k_core(events, k)))
+        ok &= k_core_filter(got, k).tolist() == got  # idempotence
         ds = leave_one_out_split("d", events)
         by_user = {}
         for u, i, _ in events:

@@ -98,8 +98,11 @@ def test_config_errors_name_line_and_key(text, message):
 
 
 def test_variant_divisibility_validation():
-    with pytest.raises(ValueError, match="divisible"):
+    with pytest.raises(ValueError, match="config line 1: encoder.d_model=10 not divisible"):
         parse_config("encoder.d_model=10\nvq.heads=4\n")
+    # the message's leading key was not set in the text: no line to name
+    with pytest.raises(ValueError, match="^encoder.d_model=16 not divisible"):
+        parse_config("vq.heads=5\n")
 
 
 @pytest.mark.parametrize("setting", [
@@ -109,12 +112,14 @@ def test_variant_divisibility_validation():
 ])
 def test_out_of_range_config_is_one_line_error_before_training(tmp_path, capsys,
                                                                setting):
-    cfg_path = write_config(tmp_path, with_setting(setting))
+    text = with_setting(setting)
+    cfg_path = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 2
     key, value = setting.split("=")
-    assert capsys.readouterr().err == (f"error: {cfg_path}: {key} must be "
-                                       f">= 1, got {value}\n")
+    line = text.splitlines().index(setting) + 1
+    assert capsys.readouterr().err == (f"error: {cfg_path}: config line {line}: "
+                                       f"{key} must be >= 1, got {value}\n")
     assert not out.exists()
 
 
@@ -132,10 +137,13 @@ def test_out_of_range_config_is_one_line_error_before_training(tmp_path, capsys,
 def test_bad_synthetic_spec_is_one_line_error_before_any_data(tmp_path, capsys,
                                                               command, setting,
                                                               message):
-    cfg_path = write_config(tmp_path, with_setting(setting))
+    text = with_setting(setting)
+    cfg_path = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+    line = text.splitlines().index(setting) + 1
+    assert capsys.readouterr().err == \
+        f"error: {cfg_path}: config line {line}: {message}\n"
     assert not out.exists()
 
 
@@ -290,20 +298,22 @@ def test_inspect_codes_dumps_every_source_item(tmp_path):
 
 def test_contract_hashes_prints_one_line_per_run():
     # 16 runs: the 5 variants, 3 more inner-step counts, 2 variants at 2 task
-    # counts and 4 single settings; then one line of evaluate results and one
-    # of dataset digests per workload-shaped world
+    # counts and 4 single settings; then one line of evaluate results, one of
+    # dataset digests per workload-shaped world and one of the TSV-read datasets
     proc = subprocess.run([sys.executable,
                            os.path.join(ROOT, "scripts", "contract_hashes.py")],
                           check=True, capture_output=True, text=True, timeout=300)
     lines = proc.stdout.splitlines()
-    assert len(lines) == 20
+    assert len(lines) == 21
     hashes = r"[\w .=]+: csv=[0-9a-f]{16} final=[0-9a-f]{16} best=[0-9a-f]{16}"
     assert all(re.fullmatch(hashes, line) for line in lines[:16])
     assert len({line.split(":")[0] for line in lines[:16]}) == 16
     assert lines[16].startswith("evaluate 4000 users: EvalResult(")
     worlds = r"data ([\w-]+): (?:\w+=[0-9a-f]{16} )+events=[0-9a-f]{16}"
-    assert [re.fullmatch(worlds, line)[1] for line in lines[17:]] == \
+    assert [re.fullmatch(worlds, line)[1] for line in lines[17:20]] == \
         ["meta-default", "meta-deep-wide", "eval-wide"]
+    digests = r"(?: \w+=[0-9a-f]{16})+"
+    assert re.fullmatch(rf"tsv joint-default:{digests} shared:{digests}", lines[20])
 
 
 def test_eval_k_override(tmp_path):
@@ -545,6 +555,22 @@ def test_manifest_domain_without_rows_is_one_line_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {data_out / 'target.tsv'}: no rows for domain 'books'; "
         f"the file has domains ['target']\n")
+
+
+@pytest.mark.parametrize("reader", ["config", "manifest", "tsv"])
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys, reader):
+    data_out = generated_data(tmp_path)
+    cfg_path = write_config(tmp_path, SMALL_CONFIG +
+                            f"data.manifest={data_out / 'manifest.tsv'}\n")
+    path = {"config": cfg_path, "manifest": data_out / "manifest.tsv",
+            "tsv": data_out / "target.tsv"}[reader]
+    lines = open(path, "rb").read().splitlines()
+    # lines 1 and 2 end in \r\n and a lone \r; line 3 holds a Latin-1 byte
+    with open(path, "wb") as fh:
+        fh.write(b"\r\n".join(lines[:2]) + b"\r# caf\xe9\n" + b"\n".join(lines[2:]) + b"\n")
+    argv = ["train", "--config", cfg_path, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossrec import data
 
-from oracles import peel_k_core, per_event_split, relabeled_chain, scalar_synthetic
+from oracles import (peel_k_core, per_event_split, per_line_interactions,
+                     relabeled_chain, scalar_synthetic)
 
 
 def write(tmp_path, text, name="log.tsv"):
@@ -31,7 +34,7 @@ def test_load_duplicates_kept_and_ids_dense(tmp_path):
                            "d\ta\tx\t1\n"
                            "d\tb\tx\t2\n")
     events = data.load_interactions(path)["d"]
-    assert events == [(0, 0, 1), (0, 0, 1), (1, 0, 2)]
+    assert events.tolist() == [[0, 0, 1], [0, 0, 1], [1, 0, 2]]
 
 
 def test_load_empty_file(tmp_path):
@@ -46,6 +49,72 @@ def test_load_malformed_lines_report_position(tmp_path):
         data.load_interactions(write(tmp_path, "d\ta\tx\tnoon\n"))
     with pytest.raises(ValueError, match=r":2: timestamp 9223372036854775808 outside"):
         data.load_interactions(write(tmp_path, f"d\ta\tx\t1\nd\ta\tx\t{2**63}\n"))
+
+
+def test_load_reports_first_bad_line_across_slices(tmp_path, monkeypatch):
+    good = "d\ta\tx\t1\n"
+    # one slice: the short line fails the slice's tab check, yet the bad
+    # timestamp before it is the first bad line
+    with pytest.raises(ValueError, match=r":2: non-integer timestamp 'noon'"):
+        data.load_interactions(write(tmp_path, good + "d\ta\tx\tnoon\nd\ta\n"))
+    # the bad timestamp ends one slice, the short line starts the next
+    n = data.LINES_PER_SLICE
+    text = good * (n - 1) + f"d\ta\tx\t{2**63}\n" + "d\ta\n" + good
+    with pytest.raises(ValueError, match=rf":{n}: timestamp {2**63} outside int64"):
+        data.load_interactions(write(tmp_path, text))
+    monkeypatch.setattr(data, "LINES_PER_SLICE", 3)
+    text = good * 3 + "# c\td\n\nd\ta\tx\t1\t2\n" + "d\ta\tx\t+\n"
+    with pytest.raises(ValueError, match=r":6: expected 4 tab-separated fields, got 5"):
+        data.load_interactions(write(tmp_path, text))
+
+
+def _stamp(n, form):
+    return {"plain": str(n), "spaced": f" {n} ", "signed": f"+{n}" if n >= 0 else str(n),
+            "underscored": f"{n}_0"}[form]
+
+
+@st.composite
+def tsv_files(draw):
+    """TSV text with comments (some holding tabs), blank lines, \\n, \\r\\n and
+    lone \\r line ends, interleaved domains sharing tags, tied and negative
+    timestamps in several int() forms, and now and then a bad line."""
+    tags = st.sampled_from(["u0", "u1", "x", "i0"])
+    event = st.builds(lambda d, u, i, n, form: f"{d}\t{u}\t{i}\t{_stamp(n, form)}",
+                      st.sampled_from(["a", "b"]), tags, tags,
+                      st.integers(-2, 2) | st.sampled_from([2**63 - 1, -2**63]),
+                      st.sampled_from(["plain", "spaced", "signed", "underscored"]))
+    other = st.sampled_from(["", "#", "# comment\twith\ttabs", "#a\tb\tc\t1"])
+    bad = st.sampled_from(["a\tu0\ti0", "a\tu0\ti0\t1\t2", "a\tu0\ti0\tnoon",
+                           f"a\tu0\ti0\t{2**63}", "a\tu0\ti0\t", " "])
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    n = draw(st.integers(0, 60))  # sizes drawn evenly: long files bring many ties
+    lines = draw(st.lists(st.tuples(event | event | other, end), min_size=n, max_size=n))
+    for pos, line in draw(st.lists(st.tuples(st.integers(0, 60), st.tuples(bad, end)),
+                                   max_size=1)):
+        lines.insert(pos % (len(lines) + 1), line)
+    if draw(st.booleans()):  # copies past one slice of the default size
+        lines *= data.LINES_PER_SLICE // max(1, len(lines)) + 1
+    text = "".join(line + end for line, end in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def _outcome(load, path, rows):
+    try:
+        return [(d, rows(events)) for d, events in load(path).items()]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(tsv_files(), st.sampled_from([1, 2, 5, None]))
+def test_load_matches_per_line_oracle(tmp_path_factory, text, lines_per_slice):
+    path = tmp_path_factory.mktemp("tsv") / "log.tsv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(data, "LINES_PER_SLICE",
+                           lines_per_slice or data.LINES_PER_SLICE):
+        got = _outcome(data.load_interactions, str(path), np.ndarray.tolist)
+    assert got == _outcome(per_line_interactions, str(path),
+                           lambda events: [list(e) for e in events])
 
 
 def test_tsv_round_trip(tmp_path):
@@ -63,17 +132,17 @@ def test_tsv_round_trip(tmp_path):
 
 def test_k_core_chain_collapses():
     events = [(1, 1, 0), (2, 1, 1)]
-    assert data.k_core_filter(events, 2) == []
+    assert data.k_core_filter(events, 2).tolist() == []
 
 
 def test_k_core_complete_bipartite_untouched():
     events = [(u, i, u * 3 + i) for u in range(3) for i in range(3)]
-    assert data.k_core_filter(events, 3) == events
+    assert data.k_core_filter(events, 3).tolist() == [list(e) for e in events]
 
 
 def test_k_core_k1_identity_and_k0_rejected():
     events = [(0, 0, 0), (1, 1, 1)]
-    assert data.k_core_filter(events, 1) == events
+    assert data.k_core_filter(events, 1).tolist() == [list(e) for e in events]
     with pytest.raises(ValueError):
         data.k_core_filter(events, 0)
 
@@ -84,9 +153,9 @@ def test_k_core_matches_peel_oracle_and_is_idempotent(seed, k):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 60))
     events = [(int(rng.integers(8)), int(rng.integers(8)), t) for t in range(n)]
-    got = data.k_core_filter(events, k)
-    assert sorted(got) == sorted(peel_k_core(events, k))
-    assert data.k_core_filter(got, k) == got
+    got = data.k_core_filter(events, k).tolist()
+    assert sorted(got) == sorted(map(list, peel_k_core(events, k)))
+    assert data.k_core_filter(got, k).tolist() == got
 
 
 def test_k_core_result_set_invariant_to_event_order():
@@ -94,8 +163,8 @@ def test_k_core_result_set_invariant_to_event_order():
     events = [(int(rng.integers(6)), int(rng.integers(6)), t) for t in range(40)]
     shuffled = list(events)
     rng.shuffle(shuffled)
-    a = data.k_core_filter(events, 2)
-    b = data.k_core_filter(shuffled, 2)
+    a = data.k_core_filter(events, 2).tolist()
+    b = data.k_core_filter(shuffled, 2).tolist()
     assert sorted(a) == sorted(b)
 
 
