@@ -134,8 +134,10 @@ def main():
         result = generate_synthetic(spec)
         parts = [f"{d.domain_id}={repr_digest((d.item_count, d.train, d.val, d.test))}"
                  for d in result.datasets]
-        print(f"data {label}: {' '.join(parts)} events={repr_digest(result.events)}",
-              flush=True)
+        # digested as lists of (user, item, position) tuples, so the line
+        # compares with checkouts whose events were such lists
+        events = {d: list(map(tuple, ev.tolist())) for d, ev in result.events.items()}
+        print(f"data {label}: {' '.join(parts)} events={repr_digest(events)}", flush=True)
     per_file, shared = tsv_digests(SyntheticSpec())
     print(f"tsv joint-default: {' '.join(per_file)} shared: {' '.join(shared)}",
           flush=True)

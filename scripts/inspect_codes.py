@@ -4,8 +4,10 @@
 Each output line is "domain item_id code_1 ... code_H". Useful for eyeballing
 how source items share the target-aliased codebook. A summary goes to stderr,
 one line per domain and head: the codes used out of K, the perplexity of the
-code counts (exp of their entropy; K when every code is used equally) and the
-dead codes, which no item picked.
+code counts (exp of their entropy; K when every code is used equally), the
+dead codes, which no item picked, and the smallest gap over the items between
+the cosine of their best code and of their second best. That gap bounds how far
+rounding in the code search's matmul may move a score before a code changes.
 
 Example:
     python3 scripts/inspect_codes.py run/best.ckpt
@@ -22,18 +24,42 @@ from crossrec.autodiff import Tensor
 from crossrec.checkpoint import load_checkpoint
 from crossrec.runconfig import parse_config, effective_model_config
 from crossrec.train import load_manifest
-from crossrec.vq import make_codebook, quantize_domain_matrix, write_code_dump
+from crossrec.vq import COS_EPS, make_codebook, quantize_domain_matrix, write_code_dump
 
 
-def summarize(domain, codes, size):
-    """Per head of ``codes`` (items, H): codes used, perplexity, dead codes."""
-    for head, column in enumerate(codes.T):
+def unit_slices(rows, heads):
+    """(N, H, D) head slices of (N, H*D) ``rows``, each scaled to unit length."""
+    slices = rows.reshape(len(rows), heads, -1)
+    return slices / np.maximum(np.linalg.norm(slices, axis=2, keepdims=True), COS_EPS)
+
+
+def code_gaps(rows, book):
+    """Per head: the smallest gap, over ``rows``, between the cosine of a
+    row's best code and of its second best (nan for a codebook of one code)."""
+    z = unit_slices(rows, book.heads)
+    codes = unit_slices(book.table.data[:book.size], book.heads)
+    gaps = []
+    for head in range(book.heads):
+        cos = z[:, head] @ codes[:, head].T
+        if cos.shape[1] < 2:
+            gaps.append(float("nan"))
+            continue
+        top = np.partition(cos, -2, axis=1)[:, -2:]
+        gaps.append(float((top[:, 1] - top[:, 0]).min()))
+    return gaps
+
+
+def summarize(domain, codes, size, gaps):
+    """Per head of ``codes`` (items, H): codes used, perplexity, dead codes
+    and the smallest best-to-second cosine gap."""
+    for head, (column, gap) in enumerate(zip(codes.T, gaps)):
         counts = np.bincount(column, minlength=size)
         p = counts[counts > 0] / len(column)
         used = len(p)
         perplexity = float(np.exp(-np.sum(p * np.log(p))))
         print(f"{domain} head {head}: {used}/{size} codes used, "
-              f"perplexity {perplexity:.2f}, {size - used} dead", file=sys.stderr)
+              f"perplexity {perplexity:.2f}, {size - used} dead, "
+              f"smallest best-to-second cosine gap {gap:.3e}", file=sys.stderr)
 
 
 def main():
@@ -61,7 +87,8 @@ def main():
                              (items,))
         _, _, codes = quantize_domain_matrix(params, domain, book)
         write_code_dump(fh, domain, codes)
-        summarize(domain, codes, book.size)
+        summarize(domain, codes, book.size,
+                  code_gaps(params[name].data[:items], book))
     if fh is not sys.stdout:
         fh.close()
 

@@ -57,6 +57,9 @@ class Tape:
 
     def __init__(self):
         self.records = []
+        self._scanned = 0  # records whose reads ``release`` has taken in
+        self._read = set()  # tensors that the vjps of those records read
+        self._kept = []  # outputs of those records that only ``keep`` spared
 
     def __enter__(self):
         _stack.append(self)
@@ -65,6 +68,28 @@ class Tape:
     def __exit__(self, *exc):
         _stack.pop()
         return False
+
+    def release(self, keep=()):
+        """Set ``.data`` to None on every recorded output that no recorded
+        vjp reads (see ``_READS``) and that is not in ``keep``. Every later
+        ``grad`` gives the same bits; reading a released array fails. A call
+        scans only the records added since the last one: the reads of the
+        earlier records are already held, and no later record can read a
+        released array."""
+        new = self.records[self._scanned:]
+        self._scanned = len(self.records)
+        for rec in new:
+            for i in _READS.get(rec.op, ()):
+                self._read.add(rec.out if i < 0 else rec.inputs[i])
+        keep, spared = set(keep), self._kept
+        self._kept = []
+        for t in [*spared, *(rec.out for rec in new)]:
+            if t in self._read:
+                continue
+            if t in keep:
+                self._kept.append(t)
+            else:
+                t.data = None
 
 
 @contextmanager
@@ -76,8 +101,16 @@ def no_record():
         _stack.pop()
 
 
+# the tensors each op's vjp reads beyond shapes and indices: input positions,
+# and -1 for the op's own output; an op not listed reads none
+_READS = {"mul": (0, 1), "matmul": (0, 1), "vq_loss": (0, 1), "scaled_diff": (0, 1),
+          "square": (0,), "cross_entropy": (0,), "rms_inv": (0, -1),
+          "linear_scan": (1, -1), "sigmoid": (-1,), "softmax_rows": (-1,)}
+
+
 def _out(data, op, inputs, vjp):
-    # ``vjp`` may read the tensor returned here: grad calls it only later
+    # ``vjp`` may read the tensor returned here, as ``_READS`` lists for ``op``:
+    # grad calls it only later
     t = Tensor.__new__(Tensor)
     t.data = data
     if _stack and _stack[-1] is not None:

@@ -83,16 +83,13 @@ class SyntheticResult:
 
     @cached_property
     def events(self):
-        """Domain id -> its (user, item, position) events, user-major."""
+        """Domain id -> its (n, 3) int64 array of (user, item, position)
+        rows, user-major."""
         events = {}
         for domain, (items, lengths) in self.sequences.items():
-            # every event shares one int object per item id
-            ids = np.array(range(items.max() + 1), dtype=object)[items].tolist()
-            events[domain] = out = []
-            start = 0
-            for u, length in enumerate(lengths.tolist()):
-                out += zip([u] * length, ids[start:start + length], range(length))
-                start += length
+            firsts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            events[domain] = np.stack([np.repeat(np.arange(len(lengths)), lengths),
+                                       items, np.arange(len(items)) - firsts], 1)
         return events
 
 
@@ -107,11 +104,18 @@ def open_text(path):
         with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError:
-        with open(path, "rb") as fh:  # bytes.splitlines cuts lines as text mode does
-            lines = fh.read().splitlines()
-        lineno = next((n for n, line in enumerate(lines, start=1)  # valid UTF-8 round-trips
-                       if line.decode("utf-8", "replace").encode() != line), "?")
+        lineno = len(_utf8_lines(path)) + 1
         raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
+def _utf8_lines(path):
+    """The lines of ``path`` ahead of its first line that is not UTF-8, as
+    text mode reads them."""
+    with open(path, "rb") as fh:  # bytes.splitlines cuts lines as text mode does
+        lines = fh.read().splitlines()
+    # a line of valid UTF-8 round-trips through a lenient decode
+    return [line.decode() + "\n" for line in itertools.takewhile(
+        lambda line: line.decode("utf-8", "replace").encode() == line, lines)]
 
 
 def load_interactions(path):
@@ -127,9 +131,17 @@ def load_interactions(path):
     slices = []
     with open_text(path) as fh:
         start = 1
-        while lines := list(itertools.islice(fh, LINES_PER_SLICE)):
-            slices.append(_parse_slice(path, start, lines, tag_codes))
-            start += len(lines)
+        try:
+            while lines := list(itertools.islice(fh, LINES_PER_SLICE)):
+                slices.append(_parse_slice(path, start, lines, tag_codes))
+                start += len(lines)
+        except UnicodeDecodeError:
+            # the reader decodes ahead of the slice: check the lines before the
+            # undecodable one, so that an earlier malformed line is named first
+            ahead = _utf8_lines(path)[start - 1:]
+            for i in range(0, len(ahead), LINES_PER_SLICE):
+                _parse_slice(path, start + i, ahead[i:i + LINES_PER_SLICE], tag_codes)
+            raise
     if not tag_codes[0]:
         return {}
     domains, users, items, stamps = map(np.concatenate, zip(*slices))
@@ -328,7 +340,7 @@ def generate_synthetic(spec):
     uniforms; per domain the permutation, then its n x n fresh uniforms; per
     user the length, the first item, then one uniform per step (last unused).
     The datasets are split from the sampled arrays; the result builds its
-    ``events`` lists only when they are first read.
+    ``events`` arrays only when they are first read.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.items_per_domain
@@ -356,8 +368,12 @@ def generate_synthetic(spec):
 
 
 def write_domain_tsv(path, domain, events):
-    """Serialize one domain's events to the shared TSV input format."""
+    """Serialize one domain's events, any (n, 3) array-like of (user, item,
+    timestamp) rows, to the shared TSV input format, ``LINES_PER_SLICE``
+    lines at a time."""
+    events = np.asarray(events, dtype=np.int64).reshape(-1, 3)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# domain {domain}\n")
-        for u, i, ts in events:
-            fh.write(f"{domain}\tu{u}\ti{i}\t{ts}\n")
+        for start in range(0, len(events), LINES_PER_SLICE):
+            fh.writelines(f"{domain}\tu{u}\ti{i}\t{ts}\n" for u, i, ts in
+                          events[start:start + LINES_PER_SLICE].tolist())

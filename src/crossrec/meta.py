@@ -70,11 +70,16 @@ def inner_adapt(theta, step_loss_fns, cfg):
     ``g`` is recorded with ``create_graph``; in first-order mode it is a
     constant, so the meta-gradient passes through the updates unchanged (Finn
     et al. 2017, arXiv:1703.03400).
+
+    After each step the tape releases the arrays that no vjp reads
+    (``Tape.release``): a tensor made inside a step keeps its array only if
+    a recorded vjp reads it, it is a step loss, or it is the new phi; theta
+    is never released. The meta-gradient and the values keep every bit.
     """
     if not step_loss_fns:
         raise ValueError("inner_adapt: no inner batches")
     names = list(theta)
-    losses = []
+    losses, kept = [], []
     tape = Tape()
     with tape:
         phi = dict(theta)
@@ -85,6 +90,8 @@ def inner_adapt(theta, step_loss_fns, cfg):
                             [phi[k] for k in names], create_graph=cfg.second_order)
             phi = {k: phi[k] if g is None else ad.step(phi[k], g, cfg.inner_lr)
                    for k, g in zip(names, grads)}
+            kept.append(loss)
+            tape.release([*kept, *phi.values()])
     return AdaptResult(phi, losses, tape)
 
 

@@ -383,6 +383,79 @@ def test_grad_frees_adjoints_it_has_swept():
     assert np.array_equal(gy.data, [3.0, 3.0]) and np.array_equal(gx.data, [6.0, 12.0])
 
 
+# the ops whose records are insulated below; scale does the insulating
+INSULATED_OPS = ("add", "sub", "mul", "step", "add_scalar", "matmul", "reshape",
+                 "expand", "sum", "slice_axis", "pad_axis", "straight_through",
+                 "vq_loss", "scaled_diff", "gather", "scatter_rows", "linear_scan",
+                 "sigmoid", "relu", "square", "rms_inv", "softmax_rows",
+                 "cross_entropy")
+RELEASE_CASES = {
+    **OP_CASES,
+    "vq_loss": (lambda ts: ad.sum(ad.vq_loss(ts[0], ts[1], (2, 1))), [(3, 4), (3, 4)]),
+    "straight_through": (
+        lambda ts: ad.sum(ad.square(ad.straight_through(ts[0], ts[1], [2, 0]))),
+        [(4, 3), (2, 3)]),
+}
+
+
+def second_grad_bytes(build, arrays, probes, release):
+    """Bytes of d <probes, d build / d leaves> / d leaves; with ``release``
+    the tape releases all but the leaves and the output before each grad."""
+    with ad.Tape() as tape:
+        leaves = [ad.Tensor(a) for a in arrays]
+        out = build([ad.scale(t, 1.0) for t in leaves])
+        if release:
+            tape.release([out])
+            assert any(r.out.data is None for r in tape.records)
+        firsts = [ad.sum(ad.mul(g, ad.Tensor(c))) for g, c in
+                  zip(ad.grad(out, leaves, create_graph=True), probes) if g is not None]
+        total = firsts[0]
+        for term in firsts[1:]:
+            total = ad.add(total, term)
+        if release:
+            tape.release([total])
+        return [None if g is None else g.data.tobytes() for g in ad.grad(total, leaves)]
+
+
+@pytest.mark.parametrize("name", sorted(RELEASE_CASES))
+def test_release_keeps_what_every_vjp_reads(monkeypatch, name):
+    # every op's output and inputs pass through a scale, which reads nothing,
+    # so an array survives a release only through the entry of the op that
+    # made it or consumes it: a missing entry leaves a vjp reading None
+    for op in INSULATED_OPS:
+        monkeypatch.setattr(ad, op, lambda *a, _op=getattr(ad, op), **k:
+                            ad.scale(_op(*a, **k), 1.0))
+    build, shapes = RELEASE_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    arrays = [rng.standard_normal(s) for s in shapes]
+    probes = [rng.standard_normal(s) for s in shapes]
+    assert second_grad_bytes(build, arrays, probes, True) == \
+        second_grad_bytes(build, arrays, probes, False)
+
+
+def test_release_after_every_step_drops_what_one_full_scan_drops():
+    # the arrays released step by step are those that no vjp on the whole
+    # tape reads and that the last keep does not hold: the phi of an earlier
+    # step is released once a later step no longer keeps it
+    rng = np.random.default_rng(4)
+    theta = {"table": ad.Tensor(rng.standard_normal((5, 3))),
+             "w": ad.Tensor(rng.standard_normal((3, 2)))}
+    losses = []
+
+    def step_loss(p):
+        rows = ad.sigmoid(ad.gather(p["table"], [4, 0, 2, 0]))
+        losses.append(ad.sum(ad.square(ad.matmul(rows, p["w"]))))
+        return losses[-1]
+
+    adapted = meta.inner_adapt(theta, [step_loss] * 3, MetaConfig(inner_steps=3))
+    records = adapted.tape.records
+    read = {r.out if i < 0 else r.inputs[i] for r in records
+            for i in ad._READS.get(r.op, ())}
+    kept = read | {*theta.values(), *losses, *adapted.phi.values()}
+    assert [r.out.data is None for r in records] == [r.out not in kept for r in records]
+    assert any(r.op == "step" and r.out.data is None for r in records)
+
+
 def test_non_scalar_grad_rejected():
     with ad.Tape():
         x = ad.Tensor([1.0, 2.0])

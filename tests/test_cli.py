@@ -10,6 +10,7 @@ import pytest
 
 from crossrec import cli, train
 from crossrec.autodiff import Tensor
+from crossrec.backbone import embed_key
 from crossrec.checkpoint import load_checkpoint, save_checkpoint
 from crossrec.data import SyntheticSpec, load_interactions, leave_one_out_split
 from crossrec.meta import MetaIterationReport
@@ -284,16 +285,26 @@ def test_inspect_codes_dumps_every_source_item(tmp_path):
         assert codes.shape == (ds.item_count, heads)
         want += [" ".join([ds.domain_id, str(i)] + [str(c) for c in row])
                  for i, row in enumerate(codes.tolist())]
-        # per head: codes used of K, exp(entropy) of the code counts, dead codes
+        # per head: codes used of K, exp(entropy) of the code counts, dead
+        # codes, and the least margin of an item's code over its runner-up
+        rows = params[embed_key(ds.domain_id)].data[:-1]
+        d = rows.shape[1] // heads
         for h in range(heads):
             counts = np.bincount(codes[:, h], minlength=book.size)
             p = counts[counts > 0] / ds.item_count
             used = int(np.count_nonzero(counts))
-            summary.append(f"{ds.domain_id} head {h}: {used}/{book.size} codes used, "
-                           f"perplexity {np.exp(-np.sum(p * np.log(p))):.2f}, "
-                           f"{book.size - used} dead")
+            z, c = rows[:, h * d:(h + 1) * d], book.table.data[:book.size, h * d:(h + 1) * d]
+            cos = np.sort((z @ c.T) / np.outer(np.linalg.norm(z, axis=1),
+                                               np.linalg.norm(c, axis=1)), axis=1)
+            summary.append((f"{ds.domain_id} head {h}: {used}/{book.size} codes used, "
+                            f"perplexity {np.exp(-np.sum(p * np.log(p))):.2f}, "
+                            f"{book.size - used} dead", (cos[:, -1] - cos[:, -2]).min()))
     assert dump.read_text().splitlines() == want
-    assert proc.stderr.splitlines() == summary
+    got = [line.split(", smallest best-to-second cosine gap ")
+           for line in proc.stderr.splitlines()]
+    assert [text for text, _ in got] == [text for text, _ in summary]
+    assert [float(gap) for _, gap in got] == \
+        pytest.approx([gap for _, gap in summary], rel=1e-3)
 
 
 def test_contract_hashes_prints_one_line_per_run():

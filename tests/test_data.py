@@ -68,6 +68,25 @@ def test_load_reports_first_bad_line_across_slices(tmp_path, monkeypatch):
         data.load_interactions(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("lines_per_slice", [None, 3])
+def test_load_names_malformed_line_before_undecodable_byte(tmp_path, monkeypatch,
+                                                           lines_per_slice):
+    # the text reader decodes 8 KB ahead, past the slice being filled: a short
+    # line 11 is still named ahead of the byte 0xff on line 412
+    if lines_per_slice:
+        monkeypatch.setattr(data, "LINES_PER_SLICE", lines_per_slice)
+    lines = [b"d\ta\tx\t1\n"] * 420
+    lines[10], lines[411] = b"d\ta\n", b"d\ta\tx\xff\t1\n"
+    path = tmp_path / "log.tsv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=r":11: expected 4 tab-separated fields, got 2"):
+        data.load_interactions(str(path))
+    lines[10] = lines[0]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=r":412: not UTF-8 text"):
+        data.load_interactions(str(path))
+
+
 def _stamp(n, form):
     return {"plain": str(n), "spaced": f" {n} ", "signed": f"+{n}" if n >= 0 else str(n),
             "underscored": f"{n}_0"}[form]
@@ -374,7 +393,8 @@ def test_generator_matches_scalar_oracle(spec):
     # the array sampler gives the bytes of one scalar draw per event
     spec = data.SyntheticSpec(**spec)
     got, want = data.generate_synthetic(spec), scalar_synthetic(spec)
-    assert got.events == want.events
+    assert {d: ev.tolist() for d, ev in got.events.items()} == \
+        {d: [list(e) for e in ev] for d, ev in want.events.items()}
     for a, b in zip(got.datasets, want.datasets, strict=True):
         assert (a.domain_id, a.item_count, a.train, a.val, a.test) == \
             (b.domain_id, b.item_count, b.train, b.val, b.test)
@@ -386,8 +406,7 @@ def test_rho_leaves_lengths_and_first_items_unchanged():
     def starts(rho):
         result = data.generate_synthetic(data.SyntheticSpec(
             items_per_domain=16, users_per_domain=100, rho=rho, seed=9))
-        return {d: ([i for _, i, t in ev if t == 0],
-                    np.bincount([u for u, _, _ in ev]).tolist())
+        return {d: (ev[ev[:, 2] == 0, 1].tolist(), np.bincount(ev[:, 0]).tolist())
                 for d, ev in result.events.items()}
     assert starts(0.0) == starts(0.5) == starts(0.95)
 
@@ -430,6 +449,7 @@ def test_synthetic_invalid_rho():
 def test_synthetic_deterministic():
     a = data.generate_synthetic(SMALL)
     b = data.generate_synthetic(SMALL)
-    assert a.events == b.events
+    assert {d: ev.tolist() for d, ev in a.events.items()} == \
+        {d: ev.tolist() for d, ev in b.events.items()}
     for d0, d1 in zip(a.datasets, b.datasets):
         assert (d0.train, d0.val, d0.test) == (d1.train, d1.val, d1.test)
