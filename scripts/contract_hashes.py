@@ -75,6 +75,15 @@ def repr_digest(value):
     return digest([repr(value).encode()])
 
 
+def dataset_digest(ds):
+    """``ds``'s digest in the list form (item_count, train, val, test), so the
+    line compares with checkouts whose datasets held such lists."""
+    bounds = ds.offsets.tolist()
+    seqs = [ds.items[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    return repr_digest((ds.item_count, [s[:-2] for s in seqs], [s[-2] for s in seqs],
+                        [s[-1] for s in seqs]))
+
+
 def params_digest(params):
     return digest(part for name in sorted(params)
                   for part in (name.encode(), params[name].tobytes()))
@@ -85,8 +94,7 @@ def manifest_digests(manifest, rows):
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.writelines(f"{domain}\t{role}\t{name}\n" for domain, role, name in rows)
     sources, target = build_datasets(RunConfig(data=DataConfig(manifest=manifest)))
-    return [f"{d.domain_id}={repr_digest((d.item_count, d.train, d.val, d.test))}"
-            for d in sources + [target]]
+    return [f"{d.domain_id}={dataset_digest(d)}" for d in sources + [target]]
 
 
 def tsv_digests(spec):
@@ -132,8 +140,7 @@ def main():
           flush=True)
     for label, spec in WORLDS.items():
         result = generate_synthetic(spec)
-        parts = [f"{d.domain_id}={repr_digest((d.item_count, d.train, d.val, d.test))}"
-                 for d in result.datasets]
+        parts = [f"{d.domain_id}={dataset_digest(d)}" for d in result.datasets]
         # digested as lists of (user, item, position) tuples, so the line
         # compares with checkouts whose events were such lists
         events = {d: list(map(tuple, ev.tolist())) for d, ev in result.events.items()}

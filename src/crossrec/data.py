@@ -13,15 +13,17 @@ import numpy as np
 
 @dataclass
 class DomainDataset:
+    """One domain after the leave-one-out split. User u's sequence is
+    ``items[offsets[u]:offsets[u + 1]]``: the test item last, the validation
+    item second to last, the train prefix before them."""
     domain_id: str
     item_count: int
-    train: list          # per user: list of item ids (chronological prefix)
-    val: list            # per user: validation item
-    test: list           # per user: test item
+    items: np.ndarray    # int64 dense item ids, user-major
+    offsets: np.ndarray  # int64, one entry per user plus one
 
     @property
     def num_users(self):
-        return len(self.train)
+        return len(self.offsets) - 1
 
     @property
     def pad_id(self):
@@ -30,12 +32,7 @@ class DomainDataset:
     @cached_property
     def eligible_users(self):
         """Users whose train prefix holds at least one (input, target) pair."""
-        return [u for u in range(self.num_users) if len(self.train[u]) >= 2]
-
-    @cached_property
-    def eval_batches(self):
-        """(split, max_len) -> the ``eval_batch`` built on the first call."""
-        return {}
+        return np.flatnonzero(np.diff(self.offsets) >= 4)
 
 
 @dataclass
@@ -234,17 +231,7 @@ def _split_sequences(domain_id, items, lengths):
     keep = lengths >= 3
     items, lengths = items[np.repeat(keep, lengths)], lengths[keep]
     codes, count = _first_appearance(items)
-    # every user's lists share one int object per dense id
-    dense = np.array(range(count), dtype=object)[codes].tolist()
-    ends = np.cumsum(lengths).tolist()
-    return DomainDataset(domain_id=domain_id, item_count=count,
-                         train=[dense[e - n:e - 2] for e, n in zip(ends, lengths.tolist())],
-                         val=[dense[e - 2] for e in ends],
-                         test=[dense[e - 1] for e in ends])
-
-
-def build_domain_dataset(domain_id, events, k):
-    return leave_one_out_split(domain_id, k_core_filter(events, k))
+    return DomainDataset(domain_id, count, codes, np.concatenate([[0], np.cumsum(lengths)]))
 
 
 def sample_batch(dataset, split, batch_size, max_len, rng):
@@ -255,49 +242,38 @@ def sample_batch(dataset, split, batch_size, max_len, rng):
     """
     if split != "train":
         raise ValueError(f"sample_batch: unknown split {split!r}")
-    users = dataset.num_users
-    if users == 0:
+    if dataset.num_users == 0:
         raise ValueError(f"sample_batch: empty dataset {dataset.domain_id}")
     eligible = dataset.eligible_users
-    if not eligible:
+    if not len(eligible):
         raise ValueError(f"sample_batch: no train pairs in {dataset.domain_id}")
-    inputs = np.full((batch_size, max_len), dataset.pad_id, dtype=np.int64)
-    targets = np.empty(batch_size, dtype=np.int64)
+    starts = np.empty(batch_size, dtype=np.int64)
+    ends = np.empty(batch_size, dtype=np.int64)
     for b in range(batch_size):
         u = eligible[int(rng.integers(len(eligible)))]
-        seq = dataset.train[u]
-        cut = int(rng.integers(1, len(seq)))
-        window = seq[max(0, cut - max_len):cut]
-        inputs[b, max_len - len(window):] = window
-        targets[b] = seq[cut]
-    return TaskBatch(dataset.domain_id, inputs, targets, (dataset.item_count,))
+        start, stop = dataset.offsets[u:u + 2].tolist()
+        starts[b], ends[b] = start, start + int(rng.integers(1, stop - 2 - start))
+    return _windows(dataset, starts, ends, max_len)
 
 
 def eval_batch(dataset, split, max_len):
-    """All users of a split, user-id ascending, as one batch.
-
-    The windows are a function of the dataset alone, which is not changed
-    after construction, so they are built on the first call for a
-    (split, max_len) and memoized on ``dataset``: every later call returns
-    the same batch, whose arrays are read-only.
-    """
+    """All users of a split, user-id ascending, as one batch: the val target
+    after the train prefix, the test target after the prefix and val item."""
     if split not in ("val", "test"):
         raise ValueError(f"eval_batch: unknown split {split!r}")
     if dataset.num_users == 0:
         raise ValueError(f"eval_batch: empty dataset {dataset.domain_id}")
-    batch = dataset.eval_batches.get((split, max_len))
-    if batch is not None:
-        return batch
-    inputs = np.full((dataset.num_users, max_len), dataset.pad_id, dtype=np.int64)
-    for u, seq in enumerate(dataset.train):
-        window = (seq if split == "val" else seq + [dataset.val[u]])[-max_len:]
-        inputs[u, max_len - len(window):] = window
-    targets = np.array(dataset.val if split == "val" else dataset.test, dtype=np.int64)
-    inputs.flags.writeable = False
-    targets.flags.writeable = False
-    batch = TaskBatch(dataset.domain_id, inputs, targets, (dataset.item_count,))
-    dataset.eval_batches[(split, max_len)] = batch
-    return batch
+    ends = dataset.offsets[1:] - (2 if split == "val" else 1)
+    return _windows(dataset, dataset.offsets[:-1], ends, max_len)
+
+
+def _windows(dataset, starts, ends, max_len):
+    """Row b: the last ``max_len`` of ``items[starts[b]:ends[b]]``, left-padded
+    with pad_id, and target ``items[ends[b]]``."""
+    pos = ends[:, None] + np.arange(-max_len, 0)
+    inputs = np.where(pos >= starts[:, None], dataset.items[np.maximum(pos, 0)],
+                      dataset.pad_id)
+    return TaskBatch(dataset.domain_id, inputs, dataset.items[ends], (dataset.item_count,))
 
 
 def _random_transition(rng, n):

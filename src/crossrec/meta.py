@@ -121,18 +121,15 @@ def _softmax(x):
 def rescale_and_update(theta, layers, cfg, uniform=False):
     """Per-layer similarity-weighted outer update.
 
-    ``layers[name]`` holds one entry per task: (meta-gradient, inner
-    displacement phi - theta), both shaped like the layer, or ``None`` for a
-    task that left the layer as it was, which scores 0 and adds no term. Per
-    layer, scores are the cosine between each task's flattened meta gradient
-    and its displacement; softmax at temperature tau turns them into weights
-    (exact 1/n when ``uniform``). Returns (new params, scores dict, weights
-    dict).
+    ``layers`` has every layer name of ``theta``; ``layers[name]`` holds one
+    entry per task: (meta-gradient, inner displacement phi - theta), both
+    shaped like the layer, or ``None`` for a task that left the layer as it
+    was, which scores 0 and adds no term. Per layer, scores are the cosine
+    between each task's flattened meta gradient and its displacement;
+    softmax at temperature tau turns them into weights (exact 1/n when
+    ``uniform``). Returns (new params, scores dict, weights dict).
     """
     names = list(theta)
-    if set(layers) != set(names):
-        raise ValueError("rescale_and_update: layer-name mismatch: "
-                         + ", ".join(sorted(set(names) ^ set(layers))))
     scores = {}
     weights = {}
     new_theta = {}

@@ -18,8 +18,8 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import init_parameters
 from .checkpoint import save_checkpoint
-from .data import (build_domain_dataset, generate_synthetic, load_interactions,
-                   open_text)
+from .data import (generate_synthetic, k_core_filter, leave_one_out_split,
+                   load_interactions, open_text)
 from .evaluation import evaluate
 from .meta import joint_train_iteration, train_iteration
 from .runconfig import VARIANTS, effective_model_config, serialize_config
@@ -94,7 +94,7 @@ def build_datasets(cfg):
             if domain not in per_domain:
                 raise ValueError(f"{path}: no rows for domain {domain!r}; the file "
                                  f"has domains {sorted(per_domain)}")
-            ds = build_domain_dataset(domain, per_domain[domain], cfg.k_core)
+            ds = leave_one_out_split(domain, k_core_filter(per_domain[domain], cfg.k_core))
             per_domain[domain] = None  # a domain is listed once: free its events
             if ds.num_users == 0:
                 raise ValueError(f"{path}: domain {domain!r} has no users left "

@@ -118,8 +118,41 @@ def per_event_split(domain_id, events):
         train.append(dense[:-2])
         val.append(dense[-2])
         test.append(dense[-1])
-    return DomainDataset(domain_id=domain_id, item_count=len(item_map),
-                         train=train, val=val, test=test)
+    return dataset_from_lists(domain_id, len(item_map), train, val, test)
+
+
+def dataset_from_lists(domain_id, item_count, train, val, test):
+    """A DomainDataset from per-user lists: train prefixes, val and test items."""
+    seqs = [list(t) + [v, s] for t, v, s in zip(train, val, test, strict=True)]
+    return DomainDataset(domain_id, item_count,
+                         np.array([i for seq in seqs for i in seq], dtype=np.int64),
+                         np.cumsum([0] + [len(seq) for seq in seqs], dtype=np.int64))
+
+
+def list_sample_batch(train, pad_id, batch_size, max_len, rng):
+    """Reference ``data.sample_batch`` over per-user train lists: one
+    window sliced from a list and copied into a pad-filled row per draw.
+    Returns (inputs, targets)."""
+    eligible = [u for u in range(len(train)) if len(train[u]) >= 2]
+    inputs = np.full((batch_size, max_len), pad_id, dtype=np.int64)
+    targets = np.empty(batch_size, dtype=np.int64)
+    for b in range(batch_size):
+        seq = train[eligible[int(rng.integers(len(eligible)))]]
+        cut = int(rng.integers(1, len(seq)))
+        window = seq[max(0, cut - max_len):cut]
+        inputs[b, max_len - len(window):] = window
+        targets[b] = seq[cut]
+    return inputs, targets
+
+
+def list_eval_batch(train, val, test, pad_id, split, max_len):
+    """Reference ``data.eval_batch`` over per-user lists: one slice
+    assignment per user. Returns (inputs, targets)."""
+    inputs = np.full((len(train), max_len), pad_id, dtype=np.int64)
+    for u, seq in enumerate(train):
+        window = (seq if split == "val" else seq + [val[u]])[-max_len:]
+        inputs[u, max_len - len(window):] = window
+    return inputs, np.array(val if split == "val" else test, dtype=np.int64)
 
 
 def nearest_codes_exhaustive(z, book_rows, heads):

@@ -216,8 +216,9 @@ def test_criterion_6_data_pipeline():
         kept = [s for _, s in sorted(by_user.items()) if len(s) >= 3]
         ok &= ds.num_users == len(kept)
         for u, seq in enumerate(kept):  # partition of each kept sequence
-            ok &= len(ds.train[u] + [ds.val[u], ds.test[u]]) == len(seq)
-            ok &= len(ds.train[u]) == len(seq) - 2
+            full = ds.items[ds.offsets[u]:ds.offsets[u + 1]]  # train, val, test
+            ok &= len(full) == len(seq)
+            ok &= len(full[:-2]) == len(seq) - 2
     report(6, ok, "100 random bipartite graphs, peel oracle + partition")
 
 

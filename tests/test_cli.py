@@ -167,8 +167,8 @@ def test_generate_files_and_round_trip(tmp_path):
         parsed = leave_one_out_split(domain, load_interactions(path)[domain])
         ref = direct_target if domain == "target" else \
             direct_sources[int(domain[-1])]
-        assert (parsed.train, parsed.val, parsed.test) == \
-            (ref.train, ref.val, ref.test)
+        assert (parsed.items.tolist(), parsed.offsets.tolist()) == \
+            (ref.items.tolist(), ref.offsets.tolist())
 
 
 def test_generate_byte_identical_reruns(tmp_path):
@@ -550,8 +550,8 @@ def test_shared_tsv_is_parsed_once(tmp_path, monkeypatch):
     parsed = load_interactions(str(tmp_path / "both.tsv"))
     for ds in (source, target):
         want = leave_one_out_split(ds.domain_id, parsed[ds.domain_id])
-        assert (ds.item_count, ds.train, ds.val, ds.test) == \
-            (want.item_count, want.train, want.val, want.test)
+        assert (ds.item_count, ds.items.tolist(), ds.offsets.tolist()) == \
+            (want.item_count, want.items.tolist(), want.offsets.tolist())
 
 
 def test_manifest_domain_without_rows_is_one_line_error(tmp_path, capsys):

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from crossrec import data
 
-from oracles import (peel_k_core, per_event_split, per_line_interactions,
-                     relabeled_chain, scalar_synthetic)
+from oracles import (dataset_from_lists, list_eval_batch, list_sample_batch, peel_k_core,
+                     per_event_split, per_line_interactions, relabeled_chain,
+                     scalar_synthetic)
 
 
 def write(tmp_path, text, name="log.tsv"):
@@ -144,7 +145,8 @@ def test_tsv_round_trip(tmp_path):
     # ids are relabeled densely but per-user sequences survive the round trip
     ref = data.leave_one_out_split("d", events)
     got = data.leave_one_out_split("d", parsed)
-    assert (got.train, got.val, got.test) == (ref.train, ref.val, ref.test)
+    assert (got.items.tolist(), got.offsets.tolist()) == \
+        (ref.items.tolist(), ref.offsets.tolist())
 
 
 # ------------------------------------------------------------------ k-core
@@ -194,9 +196,9 @@ def test_leave_one_out_examples():
               (1, 10, 0), (1, 11, 1), (1, 12, 2),
               (2, 10, 0), (2, 11, 1)]
     ds = data.leave_one_out_split("d", events)
-    assert ds.train == [[0, 1], [0]]
-    assert ds.val == [2, 1]
-    assert ds.test == [3, 2]
+    # train [0, 1] and [0], val 2 and 1, test 3 and 2
+    assert ds.items.tolist() == [0, 1, 2, 3, 0, 1, 2]
+    assert ds.offsets.tolist() == [0, 4, 7]
     assert ds.num_users == 2  # user 2's two events are dropped
     assert ds.item_count == 4
     assert ds.pad_id == 4
@@ -214,12 +216,15 @@ def test_leave_one_out_partition_property():
     ds = data.leave_one_out_split("d", events)
     kept = [seq for seq in by_user.values() if len(seq) >= 3]
     assert ds.num_users == len(kept)
+    relabel = {}
     for u in range(ds.num_users):
-        # train + [val, test] is exactly the user's full kept sequence
-        full = ds.train[u] + [ds.val[u], ds.test[u]]
+        # the user's slice is their full kept sequence under one relabeling:
+        # train prefix, then val, then test
+        full = ds.items[ds.offsets[u]:ds.offsets[u + 1]].tolist()
         assert len(full) == len(kept[u])
-        assert full[-1] == ds.test[u] and full[-2] == ds.val[u]
-        assert len(ds.train[u]) == len(full) - 2
+        assert all(relabel.setdefault(i, d) == d for i, d in zip(kept[u], full))
+    assert ds.eligible_users.tolist() == [u for u in range(ds.num_users)
+                                          if len(kept[u]) >= 4]
 
 
 @st.composite
@@ -238,17 +243,18 @@ def event_lists(draw):
 @given(event_lists())
 def test_leave_one_out_matches_per_event_oracle(events):
     got, want = data.leave_one_out_split("d", events), per_event_split("d", events)
-    assert (got.item_count, got.train, got.val, got.test) == \
-        (want.item_count, want.train, want.val, want.test)
-    assert {type(i) for i in sum(got.train, got.val + got.test)} <= {int}
+    assert (got.item_count, got.items.tolist(), got.offsets.tolist()) == \
+        (want.item_count, want.items.tolist(), want.offsets.tolist())
+    assert got.items.dtype == got.offsets.dtype == np.int64
 
 
 # ----------------------------------------------------------------- batches
 
+TOY_TRAIN, TOY_VAL, TOY_TEST = [[0, 1, 2, 3], [4, 5, 0]], [4, 1], [5, 2]
+
+
 def toy_dataset():
-    return data.DomainDataset(
-        domain_id="d", item_count=6,
-        train=[[0, 1, 2, 3], [4, 5, 0]], val=[4, 1], test=[5, 2])
+    return dataset_from_lists("d", 6, TOY_TRAIN, TOY_VAL, TOY_TEST)
 
 
 def test_sample_batch_train_pairs_are_contiguous():
@@ -261,23 +267,23 @@ def test_sample_batch_train_pairs_are_contiguous():
             # scan oracle: window + target occurs contiguously in some sequence
             probe = window + [int(tgt)]
             assert any(seq[j:j + len(probe)] == probe
-                       for seq in ds.train
+                       for seq in TOY_TRAIN
                        for j in range(len(seq) - len(probe) + 1))
 
 
 def test_eval_batch_left_padding_and_targets():
     ds = toy_dataset()
     val = data.eval_batch(ds, "val", 10)
-    assert val.targets.tolist() == ds.val
+    assert val.targets.tolist() == TOY_VAL
     for u, row in enumerate(val.inputs):
         seq = [x for x in row.tolist() if x != ds.pad_id]
-        assert seq == ds.train[u]
+        assert seq == TOY_TRAIN[u]
         assert np.all(row[:10 - len(seq)] == ds.pad_id)
     test = data.eval_batch(ds, "test", 10)
-    assert test.targets.tolist() == ds.test
+    assert test.targets.tolist() == TOY_TEST
     for u, row in enumerate(test.inputs):
         assert [x for x in row.tolist() if x != ds.pad_id] == \
-            ds.train[u] + [ds.val[u]]
+            TOY_TRAIN[u] + [TOY_VAL[u]]
 
 
 def test_sample_batch_seeded_reproducible_and_errors():
@@ -288,7 +294,7 @@ def test_sample_batch_seeded_reproducible_and_errors():
     for split in ("val", "test", "future"):
         with pytest.raises(ValueError, match="split"):
             data.sample_batch(ds, split, 1, 6, np.random.default_rng(0))
-    empty = data.DomainDataset("e", 0, [], [], [])
+    empty = dataset_from_lists("e", 0, [], [], [])
     with pytest.raises(ValueError, match="empty"):
         data.sample_batch(empty, "train", 1, 6, np.random.default_rng(0))
 
@@ -297,25 +303,58 @@ def test_eval_batch_covers_all_users_ascending():
     ds = toy_dataset()
     batch = data.eval_batch(ds, "val", 8)
     assert batch.inputs.shape == (2, 8)
-    assert batch.targets.tolist() == ds.val
+    assert batch.targets.tolist() == TOY_VAL
 
 
-def test_eval_batch_is_memoized_read_only():
+def test_eval_batch_splits_window_lengths_and_bad_split():
     ds = toy_dataset()
-    assert not ds.eval_batches  # built on the first call, not before
     first = data.eval_batch(ds, "val", 10)
-    again = data.eval_batch(ds, "val", 10)
-    assert np.array_equal(again.inputs, first.inputs)
-    assert np.array_equal(again.targets, first.targets)
     # another split or window length is another batch
-    assert data.eval_batch(ds, "test", 10).targets.tolist() == ds.test
+    assert data.eval_batch(ds, "test", 10).targets.tolist() == TOY_TEST
     assert data.eval_batch(ds, "val", 3).inputs.shape == (2, 3)
-    for array in (first.inputs, first.targets):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1
-    assert first.inputs[0].tolist() == [6] * 6 + ds.train[0]
+    assert first.inputs[0].tolist() == [6] * 6 + TOY_TRAIN[0]
     with pytest.raises(ValueError, match="split"):
         data.eval_batch(ds, "train", 10)
+
+
+@st.composite
+def ragged_worlds(draw):
+    """(max_len, item count, train, val, test) per-user lists; sequence
+    lengths run from 3, a one-item train prefix that is never drawn, to
+    max_len + 4, a prefix longer than a window."""
+    max_len = draw(st.integers(1, 16))
+    count = draw(st.integers(1, 9))
+    seqs = draw(st.lists(st.lists(st.integers(0, count - 1), min_size=3,
+                                  max_size=max_len + 4), min_size=1, max_size=8))
+    return max_len, count, [s[:-2] for s in seqs], [s[-2] for s in seqs], \
+        [s[-1] for s in seqs]
+
+
+def as_bytes(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(deadline=None, max_examples=200)
+@given(ragged_worlds(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_windows_match_list_reference(world, batch_size, seed):
+    # windows cut from the flat items and offsets are the bytes of windows
+    # sliced from per-user lists, and sample_batch draws in the same order
+    max_len, count, train, val, test = world
+    ds = dataset_from_lists("d", count, train, val, test)
+    for split in ("val", "test"):
+        batch = data.eval_batch(ds, split, max_len)
+        assert as_bytes(batch.inputs, batch.targets) == as_bytes(
+            *list_eval_batch(train, val, test, ds.pad_id, split, max_len))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if all(len(prefix) < 2 for prefix in train):
+        with pytest.raises(ValueError, match="no train pairs"):
+            data.sample_batch(ds, "train", batch_size, max_len, rng)
+        return
+    for _ in range(3):
+        batch = data.sample_batch(ds, "train", batch_size, max_len, rng)
+        assert as_bytes(batch.inputs, batch.targets) == as_bytes(
+            *list_sample_batch(train, ds.pad_id, batch_size, max_len, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # --------------------------------------------------------------- synthetic
@@ -396,8 +435,8 @@ def test_generator_matches_scalar_oracle(spec):
     assert {d: ev.tolist() for d, ev in got.events.items()} == \
         {d: [list(e) for e in ev] for d, ev in want.events.items()}
     for a, b in zip(got.datasets, want.datasets, strict=True):
-        assert (a.domain_id, a.item_count, a.train, a.val, a.test) == \
-            (b.domain_id, b.item_count, b.train, b.val, b.test)
+        assert (a.domain_id, a.item_count, a.items.tolist(), a.offsets.tolist()) == \
+            (b.domain_id, b.item_count, b.items.tolist(), b.offsets.tolist())
 
 
 def test_rho_leaves_lengths_and_first_items_unchanged():
@@ -452,4 +491,5 @@ def test_synthetic_deterministic():
     assert {d: ev.tolist() for d, ev in a.events.items()} == \
         {d: ev.tolist() for d, ev in b.events.items()}
     for d0, d1 in zip(a.datasets, b.datasets):
-        assert (d0.train, d0.val, d0.test) == (d1.train, d1.val, d1.test)
+        assert (d0.items.tolist(), d0.offsets.tolist()) == \
+            (d1.items.tolist(), d1.offsets.tolist())

@@ -4,10 +4,10 @@ import pytest
 from crossrec import evaluation as ev
 from crossrec.autodiff import Tensor
 from crossrec.backbone import EncoderConfig, encode_steps, init_parameters
-from crossrec.data import DomainDataset, eval_batch
+from crossrec.data import eval_batch
 from crossrec.objective import ModelConfig, VQConfig
 
-from oracles import brute_force_rank
+from oracles import brute_force_rank, dataset_from_lists
 
 
 # ----------------------------------------------------------------- ranking
@@ -152,7 +152,7 @@ def oracle_model(item_count, train, val, test):
     the last input item: identity table, FF weights zeroed."""
     d = item_count + 1  # identity table including the padding row
     cfg = EncoderConfig(d_model=d, num_blocks=1, max_len=8)
-    ds = DomainDataset("target", item_count, train, val, test)
+    ds = dataset_from_lists("target", item_count, train, val, test)
     params = init_parameters(cfg, {"target": item_count}, seed=0)
     params["embed.target"] = Tensor(np.eye(d))
     params["block0.ff_w1"] = Tensor(np.zeros((d, d)))
@@ -194,9 +194,9 @@ def test_evaluate_averages_mixed_ranks():
 
 def test_evaluate_matches_bruteforce_on_random_model():
     cfg = EncoderConfig(d_model=6, num_blocks=1, max_len=8)
-    ds = DomainDataset("target", 9,
-                       train=[[0, 4, 2], [5, 1], [7, 8, 3, 0]],
-                       val=[6, 7, 2], test=[1, 0, 5])
+    ds = dataset_from_lists("target", 9,
+                            train=[[0, 4, 2], [5, 1], [7, 8, 3, 0]],
+                            val=[6, 7, 2], test=[1, 0, 5])
     params = init_parameters(cfg, {"target": 9}, seed=13)
     mc = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False),
                      target_domain="target")
@@ -211,10 +211,10 @@ def test_evaluate_matches_bruteforce_on_random_model():
 
 def test_evaluate_chunking_is_invisible():
     cfg = EncoderConfig(d_model=6, num_blocks=1, max_len=8)
-    ds = DomainDataset("target", 9,
-                       train=[[i % 9, (i + 3) % 9] for i in range(7)],
-                       val=[(i + 1) % 9 for i in range(7)],
-                       test=[(i + 2) % 9 for i in range(7)])
+    ds = dataset_from_lists("target", 9,
+                            train=[[i % 9, (i + 3) % 9] for i in range(7)],
+                            val=[(i + 1) % 9 for i in range(7)],
+                            test=[(i + 2) % 9 for i in range(7)])
     params = init_parameters(cfg, {"target": 9}, seed=3)
     mc = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False),
                      target_domain="target")
@@ -223,16 +223,16 @@ def test_evaluate_chunking_is_invisible():
     assert a == b
 
 
-def test_evaluate_memo_is_invisible():
+def test_evaluate_repeated_calls_match_fresh_datasets():
     cfg = EncoderConfig(d_model=6, num_blocks=1, max_len=4)
     params = init_parameters(cfg, {"target": 9}, seed=5)
     mc = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False), target_domain="target")
 
     def fresh():
-        return DomainDataset("target", 9,
-                             train=[[i % 9, (i + 4) % 9, (i + 1) % 9] for i in range(11)],
-                             val=[(i + 2) % 9 for i in range(11)],
-                             test=[(i + 5) % 9 for i in range(11)])
+        return dataset_from_lists("target", 9,
+                                  train=[[i % 9, (i + 4) % 9, (i + 1) % 9] for i in range(11)],
+                                  val=[(i + 2) % 9 for i in range(11)],
+                                  test=[(i + 5) % 9 for i in range(11)])
     ds = fresh()
     got = [ev.evaluate(params, ds, split, 3, mc, chunk=4)
            for split in ("val", "test", "val")]

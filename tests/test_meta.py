@@ -9,14 +9,14 @@ from crossrec import autodiff as ad
 from crossrec import meta
 from crossrec.autodiff import Tensor
 from crossrec.backbone import EncoderConfig, init_parameters
-from crossrec.data import DomainDataset, SyntheticSpec, generate_synthetic, sample_batch
+from crossrec.data import SyntheticSpec, generate_synthetic, sample_batch
 from crossrec.meta import (MetaConfig, inner_adapt, joint_train_iteration,
                            meta_gradient, rescale_and_update, train_iteration)
 from crossrec.objective import ModelConfig, VQConfig, batch_loss
 from crossrec.runconfig import RunConfig, effective_model_config
 
-from oracles import (draw_tasks, fd_grad, first_order_meta_gradient, full_sweep_grad,
-                     per_task_train_iteration, rel_err, task_layers)
+from oracles import (dataset_from_lists, draw_tasks, fd_grad, first_order_meta_gradient,
+                     full_sweep_grad, per_task_train_iteration, rel_err, task_layers)
 
 CFG = MetaConfig(inner_lr=0.1, outer_lr=0.1, inner_steps=1)
 
@@ -288,16 +288,6 @@ def test_zero_outer_lr_keeps_theta_bit_identical():
     assert new["w"].data.tobytes() == theta["w"].data.tobytes()
 
 
-def test_layer_name_mismatch_rejected():
-    theta = {"u": Tensor(np.zeros(2)), "w": Tensor(np.zeros(2))}
-    entry = (np.ones(2), np.ones(2))
-    # a missing layer fails and names it, as does one theta does not hold
-    with pytest.raises(ValueError, match="layer-name mismatch: u$"):
-        rescale_and_update(theta, {"w": [entry]}, CFG)
-    with pytest.raises(ValueError, match="layer-name mismatch: v$"):
-        rescale_and_update(theta, {"u": [entry], "w": [entry], "v": [entry]}, CFG)
-
-
 def test_none_entry_scores_zero_and_adds_nothing():
     # a task that left a layer as it was: score 0, weight from that score, and
     # no term in the update; the same bytes as a zero gradient and displacement
@@ -337,13 +327,13 @@ def tiny_world(seed=0):
     mc = ModelConfig(encoder=enc, vq=VQConfig(enabled=True, heads=2),
                      target_domain="target")
     sources = [
-        DomainDataset("src0", 5, train=[[0, 1, 2], [3, 4, 0]],
-                      val=[3, 1], test=[4, 2]),
-        DomainDataset("src1", 4, train=[[2, 0, 1], [1, 3]],
-                      val=[3, 0], test=[0, 2]),
+        dataset_from_lists("src0", 5, train=[[0, 1, 2], [3, 4, 0]],
+                           val=[3, 1], test=[4, 2]),
+        dataset_from_lists("src1", 4, train=[[2, 0, 1], [1, 3]],
+                           val=[3, 0], test=[0, 2]),
     ]
-    target = DomainDataset("target", 6, train=[[0, 1, 2, 3], [4, 5, 0]],
-                           val=[4, 1], test=[5, 2])
+    target = dataset_from_lists("target", 6, train=[[0, 1, 2, 3], [4, 5, 0]],
+                                val=[4, 1], test=[5, 2])
     counts = {d.domain_id: d.item_count for d in sources + [target]}
     params = init_parameters(enc, counts, seed)
     return params, sources, target, mc
