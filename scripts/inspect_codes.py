@@ -8,6 +8,7 @@ code counts (exp of their entropy; K when every code is used equally), the
 dead codes, which no item picked, and the smallest gap over the items between
 the cosine of their best code and of their second best. That gap bounds how far
 rounding in the code search's matmul may move a score before a code changes.
+A checkpoint of a run without VQ (variant no_vq) is refused.
 
 Example:
     python3 scripts/inspect_codes.py run/best.ckpt
@@ -75,6 +76,9 @@ def main():
         target = next(d for d, role, _ in load_manifest(cfg.data.manifest)
                       if role == "target")
     model_cfg = effective_model_config(cfg, target)
+    if not model_cfg.vq.enabled:
+        sys.exit(f"{args.checkpoint}: variant {cfg.variant!r} quantizes nothing, "
+                 f"so it has no codes to dump")
     params = {name: Tensor(arr) for name, arr in tensors.items()}
     fh = sys.stdout if args.out == "-" else open(args.out, "w")
     for name in sorted(params):

@@ -4,7 +4,6 @@ controllable source-target similarity knob."""
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,7 +60,7 @@ class SyntheticSpec:
         # a length-4 sequence leaves a train prefix of 2 items: one (input,
         # target) pair once val and test are held out
         for name, low in (("num_source_domains", 1), ("items_per_domain", 1),
-                          ("users_per_domain", 1), ("seq_len_min", 4)):
+                          ("users_per_domain", 1), ("seq_len_min", 4), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"synthetic.{name} must be >= {low}, "
                                  f"got {getattr(self, name)}")
@@ -93,26 +92,19 @@ class SyntheticResult:
 LINES_PER_SLICE = 1 << 10  # lines parsed at once: bounds the field strings alive
 
 
-@contextmanager
 def open_text(path):
-    """``open(path)`` for reading UTF-8 text; a byte that does not decode
-    raises ValueError naming the file and the line that holds it."""
+    """``open(path)`` for reading UTF-8 text: a byte that does not decode
+    becomes a lone surrogate in the line that holds it (see ``check_utf8``)."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def check_utf8(path, lineno, text):
+    """Raise ValueError naming ``path:lineno`` if ``text``, read through
+    ``open_text``, holds a byte that is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        lineno = len(_utf8_lines(path)) + 1
+        text.encode()
+    except UnicodeEncodeError:
         raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
-
-
-def _utf8_lines(path):
-    """The lines of ``path`` ahead of its first line that is not UTF-8, as
-    text mode reads them."""
-    with open(path, "rb") as fh:  # bytes.splitlines cuts lines as text mode does
-        lines = fh.read().splitlines()
-    # a line of valid UTF-8 round-trips through a lenient decode
-    return [line.decode() + "\n" for line in itertools.takewhile(
-        lambda line: line.decode("utf-8", "replace").encode() == line, lines)]
 
 
 def load_interactions(path):
@@ -128,17 +120,9 @@ def load_interactions(path):
     slices = []
     with open_text(path) as fh:
         start = 1
-        try:
-            while lines := list(itertools.islice(fh, LINES_PER_SLICE)):
-                slices.append(_parse_slice(path, start, lines, tag_codes))
-                start += len(lines)
-        except UnicodeDecodeError:
-            # the reader decodes ahead of the slice: check the lines before the
-            # undecodable one, so that an earlier malformed line is named first
-            ahead = _utf8_lines(path)[start - 1:]
-            for i in range(0, len(ahead), LINES_PER_SLICE):
-                _parse_slice(path, start + i, ahead[i:i + LINES_PER_SLICE], tag_codes)
-            raise
+        while lines := list(itertools.islice(fh, LINES_PER_SLICE)):
+            slices.append(_parse_slice(path, start, lines, tag_codes))
+            start += len(lines)
     if not tag_codes[0]:
         return {}
     domains, users, items, stamps = map(np.concatenate, zip(*slices))
@@ -157,11 +141,13 @@ def _parse_slice(path, start, lines, tag_codes):
     rows = [line for line in lines if line[0] not in "#\n"]
     fields = "\t".join(rows).split("\t") if rows else []  # int() drops a stamp's "\n"
     try:
+        "".join(lines).encode()  # a byte that is not UTF-8: UnicodeEncodeError
         if any(row.count("\t") != 3 for row in rows):
             raise ValueError  # found and named by the line-by-line scan below
         stamps = np.fromiter(map(int, fields[3::4]), np.int64, len(rows))
     except (ValueError, OverflowError):
         for lineno, line in enumerate(lines, start=start):
+            check_utf8(path, lineno, line)
             fields, where = line.rstrip("\n").split("\t"), f"{path}:{lineno}"
             if line[0] in "#\n":
                 continue

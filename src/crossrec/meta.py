@@ -29,6 +29,9 @@ class MetaConfig:
     vq_in_inner: bool = True  # include the vq term in inner-level losses too
 
     def __post_init__(self):
+        for name in ("inner_lr", "outer_lr", "temperature"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"meta.{name} must be finite, got {getattr(self, name)}")
         if self.temperature <= 0:
             raise ValueError(f"meta.temperature must be positive, got {self.temperature}")
         for name, low in (("inner_lr", 0), ("outer_lr", 0), ("n_tasks", 1),
@@ -73,13 +76,13 @@ def inner_adapt(theta, step_loss_fns, cfg):
 
     After each step the tape releases the arrays that no vjp reads
     (``Tape.release``): a tensor made inside a step keeps its array only if
-    a recorded vjp reads it, it is a step loss, or it is the new phi; theta
-    is never released. The meta-gradient and the values keep every bit.
+    a recorded vjp reads it or it is the new phi; theta is never released.
+    The meta-gradient and the values keep every bit.
     """
     if not step_loss_fns:
         raise ValueError("inner_adapt: no inner batches")
     names = list(theta)
-    losses, kept = [], []
+    losses = []
     tape = Tape()
     with tape:
         phi = dict(theta)
@@ -90,8 +93,7 @@ def inner_adapt(theta, step_loss_fns, cfg):
                             [phi[k] for k in names], create_graph=cfg.second_order)
             phi = {k: phi[k] if g is None else ad.step(phi[k], g, cfg.inner_lr)
                    for k, g in zip(names, grads)}
-            kept.append(loss)
-            tape.release([*kept, *phi.values()])
+            tape.release(phi.values())
     return AdaptResult(phi, losses, tape)
 
 

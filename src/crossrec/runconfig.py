@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 
 from .backbone import EncoderConfig
-from .data import SyntheticSpec, open_text
+from .data import SyntheticSpec, check_utf8, open_text
 from .meta import MetaConfig
 from .objective import ModelConfig, VQConfig
 
@@ -38,23 +39,21 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("iterations", "eval_every", "k", "k_core"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("seed", 0), ("iterations", 1), ("eval_every", 1), ("k", 1),
+                          ("k_core", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.encoder.d_model % self.vq.heads:
             raise ValueError(f"encoder.d_model={self.encoder.d_model} not divisible "
                              f"by vq.heads={self.vq.heads}")
 
 
-_SECTIONS = ("data", "synthetic", "encoder", "meta", "vq")
-
-
-_SCALAR_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
-
-
-def _field_type(f):
-    # annotations are strings under `from __future__ import annotations`
-    return f.type if isinstance(f.type, type) else _SCALAR_TYPES[f.type]
+# key -> type of the top-level scalars, and section -> (key -> type): a field
+# whose type is a dataclass is a section of that dataclass's fields
+_HINTS = typing.get_type_hints(RunConfig)
+_SECTIONS = {name: typing.get_type_hints(typ) for name, typ in _HINTS.items()
+             if dataclasses.is_dataclass(typ)}
+_SCALARS = {name: typ for name, typ in _HINTS.items() if name not in _SECTIONS}
 
 
 def _parse_value(raw, typ):
@@ -83,11 +82,7 @@ def parse_config(text):
     """Parse flat key=value text into a RunConfig; unknown and repeated keys
     are rejected, and errors name the line (and the key, if one was read). A
     value out of range names the line that set its key."""
-    top = {}
-    nested = {name: {} for name in _SECTIONS}
-    top_fields = {f.name: f for f in fields(RunConfig)}
-    scalar_fields = {k: f for k, f in top_fields.items() if k not in _SECTIONS}
-    seen = {}
+    top, nested, seen = {}, {name: {} for name in _SECTIONS}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
@@ -100,25 +95,23 @@ def parse_config(text):
             section, name = key.split(".", 1)
             if section not in _SECTIONS:
                 raise ValueError(f"{where}: unknown section {section!r}")
-            sub_type = top_fields[section].default_factory().__class__
-            known, values = {f.name: f for f in fields(sub_type)}, nested[section]
+            known, values = _SECTIONS[section], nested[section]
         else:
-            name, known, values = key, scalar_fields, top
+            name, known, values = key, _SCALARS, top
         if name not in known:
             raise ValueError(f"{where}: unknown key {key!r}")
         if key in seen:
             raise ValueError(f"{where}: key {key!r} already set on line {seen[key]}")
         seen[key] = lineno
         try:
-            values[name] = _parse_value(raw, _field_type(known[name]))
+            values[name] = _parse_value(raw, known[name])
         except ValueError as exc:
             raise ValueError(f"{where}: key {key!r}: {exc}") from None
-    kwargs = dict(top)
+    kwargs, defaults = dict(top), RunConfig()
     try:
-        for section in _SECTIONS:
-            if nested[section]:
-                base = top_fields[section].default_factory()
-                kwargs[section] = dataclasses.replace(base, **nested[section])
+        for section, values in nested.items():
+            if values:
+                kwargs[section] = dataclasses.replace(getattr(defaults, section), **values)
         return RunConfig(**kwargs)
     except ValueError as exc:  # a range error's message starts with its key
         key = re.match(r"[\w.]*", str(exc))[0]
@@ -128,9 +121,12 @@ def parse_config(text):
 
 
 def load_config(path):
-    """``parse_config`` of a file; errors name the path."""
+    """``parse_config`` of a file; errors name the path. A byte that is not
+    UTF-8 is reported ahead of any parse error."""
     with open_text(path) as fh:
         text = fh.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        check_utf8(path, lineno, line)
     try:
         return parse_config(text)
     except ValueError as exc:
@@ -139,14 +135,10 @@ def load_config(path):
 
 def serialize_config(cfg):
     """Stable flat text form; parse(serialize(cfg)) == cfg."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.name in _SECTIONS:
-            for sub in fields(value):
-                lines.append(f"{f.name}.{sub.name}={_format_value(getattr(value, sub.name))}")
-        else:
-            lines.append(f"{f.name}={_format_value(value)}")
+    lines = [f"{name}={_format_value(getattr(cfg, name))}" for name in _SCALARS]
+    for section, keys in _SECTIONS.items():
+        value = getattr(cfg, section)
+        lines += [f"{section}.{key}={_format_value(getattr(value, key))}" for key in keys]
     lines.sort()
     return "\n".join(lines) + "\n"
 

@@ -18,8 +18,8 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import init_parameters
 from .checkpoint import save_checkpoint
-from .data import (generate_synthetic, k_core_filter, leave_one_out_split,
-                   load_interactions, open_text)
+from .data import (check_utf8, generate_synthetic, k_core_filter,
+                   leave_one_out_split, load_interactions, open_text)
 from .evaluation import evaluate
 from .meta import joint_train_iteration, train_iteration
 from .runconfig import VARIANTS, effective_model_config, serialize_config
@@ -51,6 +51,7 @@ def load_manifest(path):
     target_line = None
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            check_utf8(path, lineno, line)
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue

@@ -13,7 +13,7 @@ from crossrec.autodiff import Tensor
 from crossrec.backbone import embed_key
 from crossrec.checkpoint import load_checkpoint, save_checkpoint
 from crossrec.data import SyntheticSpec, load_interactions, leave_one_out_split
-from crossrec.meta import MetaIterationReport
+from crossrec.meta import MetaConfig, MetaIterationReport
 from crossrec.runconfig import (DataConfig, RunConfig, VARIANTS, load_config,
                                 parse_config,
                                 serialize_config)
@@ -133,6 +133,7 @@ def test_out_of_range_config_is_one_line_error_before_training(tmp_path, capsys,
      "synthetic.seq_len_max must be >= synthetic.seq_len_min=4, got 3"),
     ("synthetic.rho=1.5", "synthetic.rho must be in [0, 1], got 1.5"),
     ("synthetic.rho=-0.1", "synthetic.rho must be in [0, 1], got -0.1"),
+    ("synthetic.seed=-3", "synthetic.seed must be >= 0, got -3"),
 ])
 @pytest.mark.parametrize("command", ["train", "generate"])
 def test_bad_synthetic_spec_is_one_line_error_before_any_data(tmp_path, capsys,
@@ -146,6 +147,44 @@ def test_bad_synthetic_spec_is_one_line_error_before_any_data(tmp_path, capsys,
     assert capsys.readouterr().err == \
         f"error: {cfg_path}: config line {line}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_negative_seed_is_one_line_error_before_any_data(tmp_path, capsys, command):
+    # a negative seed would reach numpy's default_rng: it is a config error,
+    # whether the config file or the --seed flag sets it
+    text = with_setting("seed=-1")
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, text), "--out", str(out)]
+    assert cli.main(argv) == 2
+    line = text.splitlines().index("seed=-1") + 1
+    assert capsys.readouterr().err == \
+        f"error: {argv[2]}: config line {line}: seed must be >= 0, got -1\n"
+    argv[2] = write_config(tmp_path, SMALL_CONFIG, "good.cfg")
+    assert cli.main(argv + ["--seed", "-2"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["inner_lr", "outer_lr", "temperature"])
+def test_non_finite_meta_float_rejected(key, value):
+    # a non-finite step size or temperature would only surface as a
+    # non-finite loss at the first iteration
+    message = f"meta.{key} must be finite, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MetaConfig(**{key: float(value)})
+    with pytest.raises(ValueError, match=f"^config line 2: {re.escape(message)}$"):
+        parse_config(f"seed=1\nmeta.{key}={value}\n")
+
+
+def test_config_bad_byte_is_named_before_a_parse_error(tmp_path):
+    # the whole config is checked for bytes that are not UTF-8 before it is
+    # parsed, so a byte on line 3 is named ahead of a bad line 1
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"bogus line\nseed=1\nout_dir=caf\xe9\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: not UTF-8 text$"):
+        load_config(str(path))
 
 
 # ---------------------------------------------------------------- generate
@@ -305,6 +344,21 @@ def test_inspect_codes_dumps_every_source_item(tmp_path):
     assert [text for text, _ in got] == [text for text, _ in summary]
     assert [float(gap) for _, gap in got] == \
         pytest.approx([gap for _, gap in summary], rel=1e-3)
+
+
+def test_inspect_codes_refuses_a_run_without_vq(tmp_path):
+    # a no_vq run quantized nothing: one line names the checkpoint and the
+    # variant, and no dump is written
+    out = str(tmp_path / "run")
+    cli.main(["train", "--config", write_config(tmp_path, SMALL_CONFIG + "variant=no_vq\n"),
+              "--out", out])
+    ckpt, dump = os.path.join(out, "best.ckpt"), tmp_path / "codes.txt"
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "inspect_codes.py"),
+                           ckpt, "--out", str(dump)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"{ckpt}: variant 'no_vq' quantizes nothing, so it has no codes to dump\n"
+    assert not dump.exists()
 
 
 def test_contract_hashes_prints_one_line_per_run():
@@ -507,6 +561,16 @@ def test_manifest_bad_row_rejected_with_line(tmp_path, text, line, message):
     path = tmp_path / "manifest.tsv"
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+        load_manifest(str(path))
+
+
+def test_manifest_names_a_malformed_line_ahead_of_a_bad_byte(tmp_path):
+    # each line is checked for bytes that are not UTF-8 as it is read, so a
+    # short line 2 is named ahead of the byte 0xff on line 3
+    path = tmp_path / "manifest.tsv"
+    path.write_bytes(SOURCE_ROW.encode() + b"target\ttarget\ns\xff\tsource\ts.tsv\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: expected 3 tab-separated fields, got 2")):
         load_manifest(str(path))
 
 

@@ -72,8 +72,9 @@ def test_load_reports_first_bad_line_across_slices(tmp_path, monkeypatch):
 @pytest.mark.parametrize("lines_per_slice", [None, 3])
 def test_load_names_malformed_line_before_undecodable_byte(tmp_path, monkeypatch,
                                                            lines_per_slice):
-    # the text reader decodes 8 KB ahead, past the slice being filled: a short
-    # line 11 is still named ahead of the byte 0xff on line 412
+    # a byte that is not UTF-8 is found in the line that holds it, in file
+    # order with the other faults: a short line 11 is named ahead of the byte
+    # 0xff on line 412
     if lines_per_slice:
         monkeypatch.setattr(data, "LINES_PER_SLICE", lines_per_slice)
     lines = [b"d\ta\tx\t1\n"] * 420
@@ -86,6 +87,22 @@ def test_load_names_malformed_line_before_undecodable_byte(tmp_path, monkeypatch
     path.write_bytes(b"".join(lines))
     with pytest.raises(ValueError, match=r":412: not UTF-8 text"):
         data.load_interactions(str(path))
+
+
+def test_load_opens_the_file_once_and_names_a_bad_last_line(tmp_path, monkeypatch):
+    # the byte 0xff on the last of 2501 lines is found in the one pass over
+    # the file: no second read to count the lines ahead of it
+    path = tmp_path / "log.tsv"
+    path.write_bytes(b"d\ta\tx\t1\n" * 2500 + b"d\ta\tx\xff\t1\n")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+    monkeypatch.setattr(data, "open", counting_open, raising=False)
+    with pytest.raises(ValueError, match=r":2501: not UTF-8 text"):
+        data.load_interactions(str(path))
+    assert opened == [str(path)]
 
 
 def _stamp(n, form):
