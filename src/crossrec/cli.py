@@ -41,7 +41,8 @@ def cmd_generate(args):
     cfg = _checked(_resolve_config, args)
     out = cfg.out_dir or "."
     os.makedirs(out, exist_ok=True)
-    spec = cfg.synthetic
+    spec = cfg.synthetic if args.seed is None else \
+        dataclasses.replace(cfg.synthetic, seed=args.seed)
     result = generate_synthetic(spec)
     lines = [f"# synthetic manifest: sources={spec.num_source_domains} "
              f"items={spec.items_per_domain} users={spec.users_per_domain} "
@@ -144,12 +145,13 @@ def build_parser():
                      ("eval", cmd_eval), ("ablate", cmd_ablate)):
         p = sub.add_parser(name)
         p.add_argument("--config", default="", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="overrides config seed")
         p.add_argument("--out", default="", help="output directory")
-        if name == "eval":
+        if name == "eval":  # draws nothing, so takes no seed
             p.add_argument("--checkpoint", required=True)
             p.add_argument("--k", type=int, default=None, help="metric cutoff override")
             p.add_argument("--split", default="test", choices=("val", "test"))
+        else:
+            p.add_argument("--seed", type=int, default=None, help="overrides config seed")
         p.set_defaults(fn=fn)
     return parser
 

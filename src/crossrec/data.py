@@ -69,6 +69,11 @@ class SyntheticSpec:
                              f"{self.seq_len_min}, got {self.seq_len_max}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"synthetic.rho must be in [0, 1], got {self.rho}")
+        for name, span in (("items_per_domain", self.items_per_domain), (
+                "seq_len_max - synthetic.seq_len_min + 1",
+                self.seq_len_max - self.seq_len_min + 1)):  # _user_draws' 32-bit draws
+            if span > 2**32 - 1:
+                raise ValueError(f"synthetic.{name} must be <= {2**32 - 1}, got {span}")
 
 
 @dataclass
@@ -90,6 +95,7 @@ class SyntheticResult:
 
 
 LINES_PER_SLICE = 1 << 10  # lines parsed at once: bounds the field strings alive
+USERS_PER_BLOCK = 1 << 10  # users drawn from one block of raw rng output
 
 
 def open_text(path):
@@ -270,12 +276,12 @@ def _random_transition(rng, n):
 
 def domain_chain(rng, base, rho):
     """One domain's (permutation, cumulative transition rows), in one n x n
-    buffer: the base chain is relabeled into it a row at a time."""
+    buffer: the base chain is relabeled into it in blocks of rows."""
     perm = rng.permutation(len(base))
     cum = _random_transition(rng, len(base))
     cum *= 1.0 - rho
-    for i, p in enumerate(perm):
-        cum[i] += base[p, perm] * rho
+    for i in range(0, len(base), rows := max(1, 2**16 // len(base))):  # <= 512 KB
+        cum[i:i + rows] += base[perm[i:i + rows, None], perm] * rho
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
     return perm, cum
@@ -292,6 +298,62 @@ def _next_items(cum, items, draws):
     return pos - items * cum.shape[1]
 
 
+def _user_draws(rng, users, seq_len_min, seq_len_max, n):
+    """(lengths, firsts, draws) as ``for u in range(users): lengths[u] =
+    rng.integers(seq_len_min, seq_len_max + 1); firsts[u] = rng.integers(n);
+    draws[:lengths[u], u] = rng.random(lengths[u])`` gives them, read from raw
+    output of ``rng``'s PCG64, which is left where that loop leaves it.
+    ``integers`` over s < 2**32 values is Lemire's draw (arXiv:1805.10941): a
+    32-bit word x gives ``x * s >> 32``, unless ``x * s % 2**32 < 2**32 % s``
+    rejects it for the next word. A word is the low half of a new raw output,
+    whose high half is kept as the next word; one value draws no word.
+    ``random()`` is one raw output r, ``(r >> 11) * 2**-53``."""
+    lengths, firsts = np.empty(users, np.int64), np.empty(users, np.int64)
+    draws = np.zeros((seq_len_max, users))
+    spans = seq_len_max - seq_len_min + 1, n
+    bits, copy = rng.bit_generator, np.random.PCG64()
+    for done in range(0, users, USERS_PER_BLOCK):
+        count = min(USERS_PER_BLOCK, users - done)
+        state = copy.state = bits.state
+        kept, half, placed = state["has_uint32"], state["uinteger"], 0
+        if min(spans) > 1:
+            # each user reads new raw s, then its uniforms; its length and item are
+            # s's low and high halves, or the kept half (raw 0's) and s's low half
+            raws = np.append(np.uint64(half) << 32,
+                             copy.random_raw(count * (seq_len_max + 1)))
+            low, high = raws & 0xFFFFFFFF, raws >> 32
+            length = (seq_len_min + ((high if kept else low) * spans[0] >> 32)).tolist()
+            s, j, starts = 1, 0, []
+            for _ in range(count):
+                starts.append(s)
+                s, j = s + 1 + length[j if kept else s], s
+            starts = np.array(starts)
+            words = (high[np.append(0, starts[:-1])], low[starts]) if kept \
+                else (low[starts], high[starts])
+            ok = np.logical_and(*(w * m % 2**32 >= 2**32 % m for w, m in zip(words, spans)))
+            placed = int(np.append(ok, False).argmin())  # users before a rejected word
+            bits.advance(int(np.append(starts, s)[placed]) - 1)  # the raws they read
+            half = int(high[np.append(0, starts)[placed]])  # the last one's high half
+            block, starts = slice(done, done + placed), starts[:placed]
+            lengths[block] = seq_len_min + (words[0][:placed] * spans[0] >> 32)
+            firsts[block] = words[1][:placed] * n >> 32
+            t = np.arange(seq_len_max)[:, None]
+            draws[:, block] = np.where(t < lengths[block],
+                                       (raws[starts + 1 + t] >> 11) * 2.0**-53, 0.0)
+        for u in range(done + placed, done + count):  # exact draws, a word at a time
+            for out, low_value, span in zip((lengths, firsts), (seq_len_min, 0), spans):
+                value, rest = 0, -1
+                while span > 1 and rest < 2**32 % span:
+                    if not kept:
+                        half, word = divmod(int(bits.random_raw()), 2**32)
+                    x, kept = (half, 0) if kept else (word, 1)
+                    value, rest = divmod(x * span, 2**32)
+                out[u] = low_value + value
+            draws[:lengths[u], u] = (bits.random_raw(lengths[u]) >> 11) * 2.0**-53
+        bits.state = {**bits.state, "has_uint32": kept, "uinteger": half}
+    return lengths, firsts, draws
+
+
 def generate_synthetic(spec):
     """M source domains plus one target, sampled from blended Markov chains.
 
@@ -300,9 +362,9 @@ def generate_synthetic(spec):
     magnitude fewer users than each source. Item-id spaces are domain-local by
     construction. Draws come in a fixed order, whatever ``rho``: the n x n base
     uniforms; per domain the permutation, then its n x n fresh uniforms; per
-    user the length, the first item, then one uniform per step (last unused).
-    The datasets are split from the sampled arrays; the result builds its
-    ``events`` arrays only when they are first read.
+    user the length, the first item, then one uniform per step (last unused),
+    read from blocks of raw rng output (``_user_draws``). The datasets are
+    split from the sampled arrays; ``events`` is built when first read.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.items_per_domain
@@ -313,13 +375,9 @@ def generate_synthetic(spec):
         _, cum = domain_chain(rng, base, spec.rho)
         users = spec.users_per_domain if domain != "target" \
             else max(1, spec.users_per_domain // 10)
-        lengths = np.empty(users, dtype=np.int64)
         items = np.empty((spec.seq_len_max, users), dtype=np.int64)
-        draws = np.zeros((spec.seq_len_max, users))
-        for u in range(users):
-            length = lengths[u] = rng.integers(spec.seq_len_min, spec.seq_len_max + 1)
-            items[0, u] = rng.integers(n)
-            draws[:length, u] = rng.random(length)
+        lengths, items[0], draws = _user_draws(rng, users, spec.seq_len_min,
+                                               spec.seq_len_max, n)
         for t in range(1, spec.seq_len_max):
             items[t] = _next_items(cum, items[t - 1], draws[t - 1])
         del cum, draws

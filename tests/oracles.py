@@ -187,6 +187,19 @@ def relabeled_chain(rng, base, rho):
     return perm, cum
 
 
+def scalar_user_draws(rng, users, seq_len_min, seq_len_max, n):
+    """Reference ``data._user_draws``: three rng calls per user, the length,
+    the first item, then one uniform per step."""
+    lengths = np.empty(users, dtype=np.int64)
+    firsts = np.empty(users, dtype=np.int64)
+    draws = np.zeros((seq_len_max, users))
+    for u in range(users):
+        length = lengths[u] = rng.integers(seq_len_min, seq_len_max + 1)
+        firsts[u] = rng.integers(n)
+        draws[:length, u] = rng.random(length)
+    return lengths, firsts, draws
+
+
 def scalar_synthetic(spec):
     """Reference ``data.generate_synthetic``: one scalar draw and one
     ``np.searchsorted`` per event, the step clamped to the last item, and

@@ -134,6 +134,10 @@ def test_out_of_range_config_is_one_line_error_before_training(tmp_path, capsys,
     ("synthetic.rho=1.5", "synthetic.rho must be in [0, 1], got 1.5"),
     ("synthetic.rho=-0.1", "synthetic.rho must be in [0, 1], got -0.1"),
     ("synthetic.seed=-3", "synthetic.seed must be >= 0, got -3"),
+    ("synthetic.items_per_domain=4294967296",
+     "synthetic.items_per_domain must be <= 4294967295, got 4294967296"),
+    ("synthetic.seq_len_max=4294967299", "synthetic.seq_len_max - "
+     "synthetic.seq_len_min + 1 must be <= 4294967295, got 4294967296"),
 ])
 @pytest.mark.parametrize("command", ["train", "generate"])
 def test_bad_synthetic_spec_is_one_line_error_before_any_data(tmp_path, capsys,
@@ -219,6 +223,27 @@ def test_generate_byte_identical_reruns(tmp_path):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
+
+
+def test_generate_seed_flag_sets_the_synthetic_seed(tmp_path):
+    # --seed S writes the world of synthetic.seed=S, whatever the config says
+    def generated(name, argv, text=SMALL_CONFIG):
+        out = tmp_path / name
+        cli.main(["generate", "--config", write_config(tmp_path, text, f"{name}.cfg"),
+                  "--out", str(out)] + argv)
+        return {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+    flag = generated("flag", ["--seed", "11"])
+    assert flag == generated("key", [], with_setting("synthetic.seed=11"))
+    assert flag != generated("other", ["--seed", "12"])
+    assert b"seed=11" in flag["manifest.tsv"].splitlines()[0]
+
+
+def test_eval_takes_no_seed_flag(tmp_path, capsys):
+    # evaluation draws nothing: a --seed flag is a usage error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--checkpoint", str(tmp_path / "best.ckpt"), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- train

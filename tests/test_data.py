@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from crossrec import data
 
 from oracles import (dataset_from_lists, list_eval_batch, list_sample_batch, peel_k_core,
                      per_event_split, per_line_interactions, relabeled_chain,
-                     scalar_synthetic)
+                     scalar_synthetic, scalar_user_draws)
 
 
 def write(tmp_path, text, name="log.tsv"):
@@ -435,6 +436,73 @@ def test_row_search_clamps_a_row_ending_below_one():
     assert data._next_items(cum, rows, draws).tolist() == [63] * rows.size
 
 
+BLOCK = data.USERS_PER_BLOCK
+# (users, seq_len_min, seq_len_max, items): 0, 1 and a block +- 1 users; a span
+# of 1 for the lengths, the items or both; 2**31 + 1 items, which reject about
+# half their words, also with lengths of 15 or 16, where a block reads more raw
+# output than its users * (seq_len_max + 1) estimate; 2**32 - 5 items
+USER_DRAWS = [(0, 8, 16, 64), (1, 8, 16, 64), (BLOCK - 1, 8, 16, 1024),
+              (BLOCK, 4, 6, 7), (BLOCK + 1, 8, 16, 1000), (2 * BLOCK + 3, 8, 16, 3),
+              (300, 4, 4, 64), (300, 8, 16, 1), (300, 5, 5, 1),
+              (300, 8, 16, 2**31 + 1), (BLOCK, 15, 16, 2**31 + 1), (300, 4, 9, 2**32 - 5)]
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def rng_at(start, seed):
+    """A generator whose next draw meets ``start``: no kept half ("fresh"), a
+    kept half ("kept"), a kept half of 0, or a next raw output whose low half
+    is 0; a zero word is rejected by every span that is not a power of two."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    if start == "kept":
+        rng.integers(7)
+    elif start == "zero kept":
+        rng.bit_generator.state = {**state, "has_uint32": 1, "uinteger": 0}
+    elif start == "zero low":
+        # invert one PCG64 step: the state after it outputs rotr64(high ^ low,
+        # high >> 58) from its 64-bit halves
+        high, word = 0x9E3779B97F4A7C15 ^ seed, 0xDEADBEEF << 32
+        rot = high >> 58
+        low = high ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1))
+        inc = state["state"]["inc"]
+        before = ((high << 64 | low) - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+        rng.bit_generator.state = {**state, "state": {"state": before, "inc": inc}}
+    return rng
+
+
+@pytest.mark.parametrize("start", ["fresh", "kept", "zero kept", "zero low"])
+@pytest.mark.parametrize("users,seq_len_min,seq_len_max,n", USER_DRAWS)
+def test_user_draws_match_scalar_loop(start, users, seq_len_min, seq_len_max, n):
+    # the raw-block reader gives the scalar loop's draws and leaves the
+    # generator where the loop leaves it, kept half and all
+    rng, ref = rng_at(start, users), rng_at(start, users)
+    got = data._user_draws(rng, users, seq_len_min, seq_len_max, n)
+    want = scalar_user_draws(ref, users, seq_len_min, seq_len_max, n)
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert (rng.random(), rng.integers(1000)) == (ref.random(), ref.integers(1000))
+
+
+def test_rng_at_reaches_each_start():
+    assert rng_at("fresh", 3).bit_generator.state["has_uint32"] == 0
+    assert rng_at("kept", 3).bit_generator.state["has_uint32"] == 1
+    assert rng_at("zero low", 3).bit_generator.random_raw() == 0xDEADBEEF << 32
+
+
+def test_user_draws_memory_is_bounded_by_the_block():
+    # beyond its outputs the reader holds one block of raw output at a time:
+    # one block of all 50,000 users would hold about 40 MB
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        out = data._user_draws(rng, 50_000, 8, 16, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in out) < 2 * 2**20, peak
+
+
 SPECS = [dict(items_per_domain=1, users_per_domain=10),
          dict(items_per_domain=7, users_per_domain=50, rho=0.0),
          dict(items_per_domain=64, users_per_domain=300, rho=1.0),
@@ -454,6 +522,20 @@ def test_generator_matches_scalar_oracle(spec):
     for a, b in zip(got.datasets, want.datasets, strict=True):
         assert (a.domain_id, a.item_count, a.items.tolist(), a.offsets.tolist()) == \
             (b.domain_id, b.item_count, b.items.tolist(), b.offsets.tolist())
+
+
+def test_generator_specs_reach_both_parities(monkeypatch):
+    # the specs above start user draws with and without a kept half
+    parities, draw = [], data._user_draws
+
+    def recording(rng, *args):
+        parities.append(rng.bit_generator.state["has_uint32"])
+        return draw(rng, *args)
+
+    monkeypatch.setattr(data, "_user_draws", recording)
+    for spec in SPECS:
+        data.generate_synthetic(data.SyntheticSpec(**spec))
+    assert set(parities) == {0, 1}
 
 
 def test_rho_leaves_lengths_and_first_items_unchanged():
