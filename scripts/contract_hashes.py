@@ -53,6 +53,9 @@ RUNS.update({
     "full vq_in_inner=false": "meta.vq_in_inner=false",
     "full items=512 inner_steps=3": "synthetic.items_per_domain=512\nmeta.inner_steps=3",
     "full num_blocks=2": "encoder.num_blocks=2",
+    # ragged sources: 504, 508 and 508 items
+    "no_meta items=512": "variant=no_meta\nsynthetic.items_per_domain=512",
+    "no_meta sources=1": "variant=no_meta\nsynthetic.num_source_domains=1",
 })
 
 # label -> the synthetic world of the benchmark workload of that name

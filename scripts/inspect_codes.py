@@ -25,7 +25,14 @@ from crossrec.autodiff import Tensor
 from crossrec.checkpoint import load_checkpoint
 from crossrec.runconfig import parse_config, effective_model_config
 from crossrec.train import load_manifest
-from crossrec.vq import COS_EPS, make_codebook, quantize_domain_matrix, write_code_dump
+from crossrec.vq import COS_EPS, make_codebook, quantize_domain_matrix
+
+
+def write_code_dump(fh, domain, codes):
+    """Text lines "domain item_id c_1 ... c_H" for offline inspection."""
+    for item_id, row in enumerate(codes):
+        fh.write(" ".join([str(domain), str(item_id)] + [str(int(c)) for c in row]))
+        fh.write("\n")
 
 
 def unit_slices(rows, heads):

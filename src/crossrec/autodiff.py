@@ -230,7 +230,8 @@ def expand(x, shape):
     return _out(out, "expand", (x,), lambda g: (_unbroadcast(g, old),))
 
 
-def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
+def sum(x, axis=None, keepdims=False, counts=None):  # noqa: A001 - mirrors numpy naming
+    """numpy's sum, or with ``counts`` the last axis kept as ``_row_sums`` sums it."""
     in_shape = x.data.shape
     if axis is not None:
         axis = tuple(int(a) % len(in_shape) for a in
@@ -241,7 +242,9 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
             g = reshape(g, tuple(1 if i in axis else d for i, d in enumerate(in_shape)))
         return (expand(g, in_shape) if in_shape else g,)
 
-    return _out(x.data.sum(axis=axis, keepdims=keepdims), "sum", (x,), vjp)
+    out = x.data.sum(axis=axis, keepdims=keepdims) if counts is None \
+        else _row_sums(x.data, counts)[..., None]
+    return _out(out, "sum", (x,), vjp)
 
 
 def slice_axis(x, axis, start, stop):
@@ -438,20 +441,29 @@ def rms_inv(y, eps):
     return out
 
 
-def softmax_rows(x):
-    """Softmax over the last axis."""
+def _row_sums(e, counts):
+    """Last-axis sums, leading index i over its first ``counts[i]`` columns
+    only: numpy's pairwise sum groups by row length, so padding would round."""
+    if counts is None:
+        return e.sum(axis=-1)
+    return np.stack([rows[..., :c].sum(axis=-1) for rows, c in zip(e, counts)])
+
+
+def softmax_rows(x, counts=None):
+    """Softmax over the last axis (see ``_row_sums`` for ``counts``)."""
     if x.data.ndim < 1:
         raise ValueError(f"softmax_rows: need a tensor with a last axis, got {x.data.shape}")
     e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-    out = _out(e / e.sum(axis=-1, keepdims=True), "softmax_rows", (x,),
-               lambda g: (mul(out, sub(g, sum(mul(g, out), axis=-1, keepdims=True))),))
+    out = _out(e / _row_sums(e, counts)[..., None], "softmax_rows", (x,),
+               lambda g: (mul(out, sub(g, sum(mul(g, out), -1, True, counts))),))
     return out
 
 
-def cross_entropy(logits, targets):
+def cross_entropy(logits, targets, counts=None):
     """Mean over rows of ``logsumexp(row) - row[target]`` for (..., B, N)
     logits and (..., B) target columns, as one record: one mean per leading
-    index. Its vjp is made of recorded ops."""
+    index. With ``counts``, leading index i reads its first ``counts[i]``
+    columns only, the rest being -inf. Its vjp is made of recorded ops."""
     if logits.data.ndim < 2:
         raise ValueError(f"cross_entropy: need logits of rank >= 2, got {logits.data.shape}")
     *lead, rows, cols = logits.data.shape
@@ -462,7 +474,7 @@ def cross_entropy(logits, targets):
     if idx.size and (idx.min() < 0 or idx.max() >= cols):
         raise IndexError(f"cross_entropy: target out of range [0, {cols})")
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
+    lse = np.log(_row_sums(np.exp(z), counts))
     # every row of every leading index, as one flat list of rows
     flat = (np.arange(idx.size), idx.ravel())
     picked = z.reshape(-1, cols)[flat].reshape(idx.shape)
@@ -473,7 +485,8 @@ def cross_entropy(logits, targets):
         onehot = onehot.reshape(logits.data.shape)
         if lead:
             g = reshape(g, tuple(lead) + (1, 1))
-        return (mul(scale(sub(softmax_rows(logits), Tensor(onehot)), 1.0 / rows), g),)
+        return (mul(scale(sub(softmax_rows(logits, counts), Tensor(onehot)), 1.0 / rows),
+                    g),)
 
     return _out((lse - picked).sum(axis=-1) * (1.0 / rows), "cross_entropy",
                 (logits,), vjp)

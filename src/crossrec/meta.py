@@ -4,6 +4,7 @@ gradient rescaling, and the rescaled outer update."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -159,34 +160,13 @@ def rescale_and_update(theta, layers, cfg, uniform=False):
     return new_theta, scores, weights
 
 
-def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
-    """One meta-transfer iteration.
-
-    Samples n source tasks plus n independent target meta-batches, runs
-    inner adaptation and the meta gradient for all n pairs from the same
-    starting theta, then applies one rescaled outer update. Returns (new
-    params, MetaIterationReport).
-
-    The n tasks run as one stack on one tape: each encoder weight gets a
-    leading task axis (vectors as (n, 1, d)), the picked source tables sit one
-    after another in one flat table, and n copies of the target table in
-    another. No task shares a parameter with another, so the gradient of the
-    summed loss is each task's own gradient. Each task's meta-gradient and
-    displacement are sliced back out for the layers it holds on the stack;
-    a source table the task did not pick gets no entry.
-    """
-    if not sources:
-        raise ValueError("train_iteration: no source domains")
-    m = len(sources)
-    replace = m < cfg.n_tasks
-    picks = [sources[int(i)] for i in rng.choice(m, size=cfg.n_tasks, replace=replace)]
-    max_len = model_cfg.encoder.max_len
-    inner, meta_batches = [], []
-    for src in picks:
-        inner.append([sample_batch(src, "train", cfg.inner_batch, max_len, rng)
-                      for _ in range(cfg.inner_steps)])
-        meta_batches.append(sample_batch(target, "train", cfg.meta_batch, max_len, rng))
-
+def _stack_tasks(theta, picks, sources, target, model_cfg):
+    """One task per source of ``picks`` as stacked parameters: each encoder
+    weight gets a leading task axis (vectors as (n, 1, d)), the picked tables
+    sit one after another in one flat table, and n copies of the target table
+    in another. No task shares a parameter with another, so the gradient of
+    the summed loss is each task's own. Returns (the stack's domain, the
+    leaves, per task its (layer, stacked leaf, the task's part of that leaf))."""
     n = len(picks)
     target_key = embed_key(model_cfg.target_domain)
     source_keys = [embed_key(src.domain_id) for src in picks]
@@ -201,17 +181,49 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
                for k in encoder_keys}
     stacked[stack_key] = Tensor(np.concatenate([theta[k].data for k in source_keys]))
     stacked[target_key] = Tensor(np.concatenate([theta[target_key].data] * n))
-    # per task: (layer, stacked leaf, the task's part of that leaf)
     starts = table_starts(counts)
     parts = [[(k, k, np.s_[i]) for k in encoder_keys]
              + [(source_keys[i], stack_key, np.s_[starts[i]:starts[i] + counts[i] + 1]),
                 (target_key, target_key, np.s_[i * target_rows:(i + 1) * target_rows])]
              for i in range(n)]
+    return stack_domain, stacked, parts
+
+
+def _stack_batch(batches, domain):
+    """Same-shaped batches as one TaskBatch on a leading task axis."""
+    return TaskBatch(domain, np.stack([b.inputs for b in batches]),
+                     np.stack([b.targets for b in batches]),
+                     sum((b.counts for b in batches), ()))
+
+
+def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
+    """One meta-transfer iteration.
+
+    Samples n source tasks plus n independent target meta-batches, runs
+    inner adaptation and the meta gradient for all n pairs from the same
+    starting theta, then applies one rescaled outer update. Returns (new
+    params, MetaIterationReport).
+
+    The n tasks run as one stack on one tape (``_stack_tasks``). Each task's
+    meta-gradient and displacement are sliced back out for the layers it
+    holds on the stack; a source table the task did not pick gets no entry.
+    """
+    if not sources:
+        raise ValueError("train_iteration: no source domains")
+    m = len(sources)
+    replace = m < cfg.n_tasks
+    picks = [sources[int(i)] for i in rng.choice(m, size=cfg.n_tasks, replace=replace)]
+    max_len = model_cfg.encoder.max_len
+    inner, meta_batches = [], []
+    for src in picks:
+        inner.append([sample_batch(src, "train", cfg.inner_batch, max_len, rng)
+                      for _ in range(cfg.inner_steps)])
+        meta_batches.append(sample_batch(target, "train", cfg.meta_batch, max_len, rng))
+
+    stack_domain, stacked, parts = _stack_tasks(theta, picks, sources, target, model_cfg)
 
     def stack_loss(batches, domain, include_vq):
-        stack = TaskBatch(domain, np.stack([b.inputs for b in batches]),
-                          np.stack([b.targets for b in batches]),
-                          sum((b.counts for b in batches), ()))
+        stack = _stack_batch(batches, domain)
         return lambda p: batch_loss(p, stack, model_cfg, include_vq=include_vq)[0]
 
     adapted = inner_adapt(stacked, [
@@ -220,9 +232,9 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
     grads, meta_losses = meta_gradient(stacked, adapted, stack_loss(
         meta_batches, model_cfg.target_domain, True), cfg)
 
-    layers = {k: [None] * n for k in theta}
-    for i in range(n):
-        for key, leaf, part in parts[i]:
+    layers = {k: [None] * len(picks) for k in theta}
+    for i, task in enumerate(parts):
+        for key, leaf, part in task:
             shape = theta[key].data.shape
             # a fresh copy: the rescale's norms and dot products then see the
             # memory layout a per-task gradient had
@@ -242,21 +254,32 @@ def joint_train_iteration(theta, sources, target, model_cfg, cfg, rng):
 
     The meta-transfer ablation baseline: no inner loop, no rescaling. Returns
     (new params, MetaIterationReport with the pooled loss and no tasks).
+
+    The source batches run as one task stack (``_stack_tasks``) and the target
+    batch, which has no VQ term, as a second ``batch_loss`` on theta. A layer
+    sums its terms in the order of a sweep over one loss per domain: the target
+    batch's, then the source tasks' from last to first (a sum over the task
+    axis rounds differently). A table no batch reaches keeps its bytes.
     """
-    domains = list(sources) + [target]
-    batches = [sample_batch(d, "train", cfg.inner_batch,
-                            model_cfg.encoder.max_len, rng)
-               for d in domains]
-    names = list(theta)
+    batches = [sample_batch(d, "train", cfg.inner_batch, model_cfg.encoder.max_len, rng)
+               for d in [*sources, target]]
+    stacked, parts = {}, []
     with Tape():
-        losses = [batch_loss(theta, b, model_cfg, include_vq=True)[0]
-                  for b in batches]
-        total = losses[0]
-        for extra in losses[1:]:
-            total = ad.add(total, extra)
-        total = ad.scale(total, 1.0 / len(losses))
-        grads = ad.grad(total, [theta[k] for k in names])
-    new_theta = {k: Tensor(theta[k].data - cfg.outer_lr *
-                           (np.zeros_like(theta[k].data) if g is None else g.data))
-                 for k, g in zip(names, grads)}
-    return new_theta, MetaIterationReport(overall_loss=float(total.data))
+        loss = batch_loss(theta, batches[-1], model_cfg)[0]
+        values, total = [loss.data], loss
+        if sources:
+            domain, stacked, parts = _stack_tasks(theta, sources, sources, target, model_cfg)
+            loss = batch_loss(stacked, _stack_batch(batches[:-1], domain), model_cfg)[0]
+            values[:0] = loss.data
+            total = ad.add(total, ad.sum(loss))
+        grads = ad.grad(ad.scale(total, 1.0 / len(batches)),
+                        [*theta.values(), *stacked.values()])
+    terms = {k: [g.data] for k, g in zip(theta, grads) if g is not None}
+    leaf_grads = dict(zip(stacked, grads[len(theta):]))
+    for key, leaf, part in (entry for task in reversed(parts) for entry in task):
+        if (g := leaf_grads[leaf]) is not None:
+            terms.setdefault(key, []).append(g.data[part].reshape(theta[key].data.shape))
+    new_theta = {k: Tensor(t.data - cfg.outer_lr * reduce(np.add, terms[k]))
+                 if k in terms else t for k, t in theta.items()}
+    pooled = reduce(np.add, values) * (1.0 / len(batches))
+    return new_theta, MetaIterationReport(overall_loss=float(pooled))

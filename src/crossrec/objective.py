@@ -93,7 +93,7 @@ def batch_loss(params, batch, model_cfg, include_vq=True):
     # the item gather after the encoder's: the meta sweep adds a table's
     # gradient terms in tape order, and this order keeps them bit-identical
     ce = ad.cross_entropy(item_scores(hidden, item_rows(matrix, counts), counts),
-                          batch.targets)
+                          batch.targets, counts if min(counts) < max(counts) else None)
     parts = {"ce": ce.data.tolist()}
     loss = ce
     if vq_term is not None:

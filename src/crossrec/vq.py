@@ -119,10 +119,3 @@ def quantize_domain_matrix(params, domain, book):
     z_q, codes = quantize_rows(raw, book)
     return (ad.straight_through(table, z_q, rows),
             ad.vq_loss(z_q, raw, book.counts, book.stacked), codes)
-
-
-def write_code_dump(fh, domain, codes):
-    """Text lines "domain item_id c_1 ... c_H" for offline inspection."""
-    for item_id, row in enumerate(codes):
-        fh.write(" ".join([str(domain), str(item_id)] + [str(int(c)) for c in row]))
-        fh.write("\n")

@@ -359,3 +359,27 @@ def per_task_train_iteration(theta, sources, target, model_cfg, cfg, rng,
     report.layer_weights = weights
     report.overall_loss = float(np.mean([t.meta_loss for t in report.tasks]))
     return new_theta, report
+
+
+def per_domain_joint_iteration(theta, sources, target, model_cfg, cfg, rng):
+    """Reference ``meta.joint_train_iteration``: one ``batch_loss`` per
+    domain on theta, sources then target, their mean differentiated on one
+    tape, and a zero update for a layer no batch reaches. Returns (new
+    params, MetaIterationReport with the pooled loss)."""
+    domains = list(sources) + [target]
+    batches = [sample_batch(d, "train", cfg.inner_batch,
+                            model_cfg.encoder.max_len, rng)
+               for d in domains]
+    names = list(theta)
+    with ad.Tape():
+        losses = [batch_loss(theta, b, model_cfg, include_vq=True)[0]
+                  for b in batches]
+        total = losses[0]
+        for extra in losses[1:]:
+            total = ad.add(total, extra)
+        total = ad.scale(total, 1.0 / len(losses))
+        grads = ad.grad(total, [theta[k] for k in names])
+    new_theta = {k: ad.Tensor(theta[k].data - cfg.outer_lr *
+                              (np.zeros_like(theta[k].data) if g is None else g.data))
+                 for k, g in zip(names, grads)}
+    return new_theta, MetaIterationReport(overall_loss=float(total.data))

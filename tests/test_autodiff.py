@@ -24,6 +24,9 @@ def scalar_of(build):
 
 
 C34 = np.random.default_rng(34).standard_normal((3, 4))  # a constant operand
+# logit padding for a ragged stack of two tasks, of 4 and of 3 columns
+RAGGED = np.zeros((2, 3, 4))
+RAGGED[1, :, 3:] = -np.inf
 
 # one builder per forward op, each reduced to a scalar for gradient checking
 OP_CASES = {
@@ -72,6 +75,10 @@ OP_CASES = {
     "cross_entropy": (lambda ts: ad.cross_entropy(ts[0], [1, 0, 3]), [(3, 4)]),
     "cross_entropy_stacked": (
         lambda ts: ad.sum(ad.mul(ad.cross_entropy(ts[0], [[1, 0, 3], [2, 2, 0]]), ts[1])),
+        [(2, 3, 4), (2,)]),
+    "cross_entropy_ragged": (
+        lambda ts: ad.sum(ad.mul(ad.cross_entropy(ad.add(ts[0], ad.Tensor(RAGGED)),
+                                                  [[1, 0, 3], [2, 2, 0]], (4, 3)), ts[1])),
         [(2, 3, 4), (2,)]),
     "rms_inv_stacked": (lambda ts: ad.sum(ad.mul(ad.rms_inv(ts[0], 0.1), ts[1])),
                         [(2, 3, 4), (2, 3, 1)]),
@@ -254,6 +261,10 @@ SECOND_ORDER_CASES = {
     "matmul_stacked": (lambda ts: ad.matmul(ts[0], ts[1], tb=True), [(2, 3, 4), (2, 2, 4)]),
     "cross_entropy_stacked": (lambda ts: ad.cross_entropy(ts[0], [[2, 0], [1, 1]]),
                               [(2, 2, 3)]),
+    "cross_entropy_ragged": (
+        lambda ts: ad.cross_entropy(ad.add(ts[0], ad.Tensor(RAGGED)),
+                                    [[2, 0, 3], [1, 2, 0]], (4, 3)),
+        [(2, 3, 4)]),
     "linear_scan_stacked": (lambda ts: ad.linear_scan(ts[0], ts[1], 2), [(2, 4, 3), (2, 1, 3)]),
 }
 
@@ -315,6 +326,36 @@ def test_leading_axis_ops_match_per_slice_ops():
                                                 4).data.tobytes()
     assert ad.rms_inv(ad.Tensor(a), 0.1).data.shape == (3, 5, 1)
     assert ad.softmax_rows(ad.Tensor(a)).data.sum(axis=-1) == pytest.approx(np.ones((3, 5)))
+
+
+def test_ragged_rows_round_like_their_own_rows():
+    # tasks of 9, 20 and 17 columns on one -inf-padded stack: with the counts,
+    # each task's loss, gradient and gradient of the gradient have the bytes
+    # of its own unpadded rows (numpy sums 9 and 20 entries in other groups)
+    rng = np.random.default_rng(22)
+    counts = (9, 20, 17)
+    rows = [rng.standard_normal((4, c)) for c in counts]
+    targets = np.stack([rng.integers(0, c, 4) for c in counts])
+    probes = [rng.standard_normal((4, c)) for c in counts]
+
+    def run(logits, target, probe, task_counts=None):
+        x = ad.Tensor(logits)
+        with ad.Tape():
+            loss = ad.cross_entropy(x, target, task_counts)
+            (g,) = ad.grad(ad.sum(loss), [x], create_graph=True)
+            (gg,) = ad.grad(ad.sum(ad.mul(g, ad.Tensor(probe))), [x])
+        return loss.data, g.data, gg.data
+
+    padded, probe = np.full((3, 4, 20), -np.inf), np.zeros((3, 4, 20))
+    for i, c in enumerate(counts):
+        padded[i, :, :c], probe[i, :, :c] = rows[i], probes[i]
+    loss, g, gg = run(padded, targets, probe, counts)
+    for i, c in enumerate(counts):
+        ref = run(rows[i], targets[i], probes[i])
+        assert loss[i] == ref[0], i
+        assert g[i, :, :c].tobytes() == ref[1].tobytes(), i
+        assert gg[i, :, :c].tobytes() == ref[2].tobytes(), i
+        assert not g[i, :, c:].any() and not gg[i, :, c:].any()
 
 
 def test_leading_axis_shape_errors():

@@ -46,10 +46,11 @@ def test_traced_iteration_keeps_its_counts():
     totals = spans.Totals(tracer)
     assert totals.records_ok and totals.nested_ok
     assert totals.roots == {"train.iteration": 2}
-    # both iterations: one stacked meta iteration and one joint step
+    # both iterations: one stacked meta iteration and one joint step, whose
+    # source batches are one stacked call and its target batch a second
     assert totals.exit_records["train.iteration"] == PINNED_RECORDS + PINNED_JOINT_RECORDS
     for name, calls in [("meta.inner_adapt", 1), ("meta.meta_gradient", 1),
-                        ("objective.batch_loss", 2 + 1 + 3), ("vq.quantize", 2 + 2),
+                        ("objective.batch_loss", 2 + 1 + 2), ("vq.quantize", 2 + 1),
                         ("data.sample_batch", 9 + 3)]:
         assert totals.sums[("train.iteration", name)][0] == calls, name
 

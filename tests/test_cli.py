@@ -387,23 +387,24 @@ def test_inspect_codes_refuses_a_run_without_vq(tmp_path):
 
 
 def test_contract_hashes_prints_one_line_per_run():
-    # 16 runs: the 5 variants, 3 more inner-step counts, 2 variants at 2 task
-    # counts and 4 single settings; then one line of evaluate results, one of
-    # dataset digests per workload-shaped world and one of the TSV-read datasets
+    # 18 runs: the 5 variants, 3 more inner-step counts, 2 variants at 2 task
+    # counts, 4 single settings and 2 more no_meta worlds; then one line of
+    # evaluate results, one of dataset digests per workload-shaped world and
+    # one of the TSV-read datasets
     proc = subprocess.run([sys.executable,
                            os.path.join(ROOT, "scripts", "contract_hashes.py")],
                           check=True, capture_output=True, text=True, timeout=300)
     lines = proc.stdout.splitlines()
-    assert len(lines) == 21
+    assert len(lines) == 23
     hashes = r"[\w .=]+: csv=[0-9a-f]{16} final=[0-9a-f]{16} best=[0-9a-f]{16}"
-    assert all(re.fullmatch(hashes, line) for line in lines[:16])
-    assert len({line.split(":")[0] for line in lines[:16]}) == 16
-    assert lines[16].startswith("evaluate 4000 users: EvalResult(")
+    assert all(re.fullmatch(hashes, line) for line in lines[:18])
+    assert len({line.split(":")[0] for line in lines[:18]}) == 18
+    assert lines[18].startswith("evaluate 4000 users: EvalResult(")
     worlds = r"data ([\w-]+): (?:\w+=[0-9a-f]{16} )+events=[0-9a-f]{16}"
-    assert [re.fullmatch(worlds, line)[1] for line in lines[17:20]] == \
+    assert [re.fullmatch(worlds, line)[1] for line in lines[19:22]] == \
         ["meta-default", "meta-deep-wide", "eval-wide"]
     digests = r"(?: \w+=[0-9a-f]{16})+"
-    assert re.fullmatch(rf"tsv joint-default:{digests} shared:{digests}", lines[20])
+    assert re.fullmatch(rf"tsv joint-default:{digests} shared:{digests}", lines[22])
 
 
 def test_eval_k_override(tmp_path):

@@ -16,7 +16,8 @@ from crossrec.objective import ModelConfig, VQConfig, batch_loss
 from crossrec.runconfig import RunConfig, effective_model_config
 
 from oracles import (dataset_from_lists, draw_tasks, fd_grad, first_order_meta_gradient,
-                     full_sweep_grad, per_task_train_iteration, rel_err, task_layers)
+                     full_sweep_grad, per_domain_joint_iteration, per_task_train_iteration,
+                     rel_err, task_layers)
 
 CFG = MetaConfig(inner_lr=0.1, outer_lr=0.1, inner_steps=1)
 
@@ -172,6 +173,17 @@ def test_inner_adapt_tape_grows_linearly():
         lengths.append(len(adapted.tape.records))
     # each step adds its forward, its create_graph backward and the updates
     assert lengths == [86, 172, 258, 344]
+
+
+@pytest.mark.parametrize("steps", [8, 16])
+def test_inner_adapt_tape_stays_linear_at_depth(steps):
+    # the 86 records of a step, past the 4 steps pinned above
+    params, sources, _, mc = tiny_world()
+    batch = sample_batch(sources[0], "train", 4, mc.encoder.max_len,
+                         np.random.default_rng(0))
+    cfg = dataclasses.replace(CFG, inner_steps=steps)
+    adapted = inner_adapt(params, [lambda p: batch_loss(p, batch, mc)[0]] * steps, cfg)
+    assert len(adapted.tape.records) == 86 * steps  # 688 and 1376
 
 
 def test_pruned_meta_gradient_bit_identical_to_full_sweep(monkeypatch):
@@ -341,7 +353,7 @@ def tiny_world(seed=0):
 
 # records of one run_once(7) iteration and of one tiny_world joint step
 PINNED_RECORDS = 200
-PINNED_JOINT_RECORDS = 74
+PINNED_JOINT_RECORDS = 49
 
 
 def run_once(seed, **over):
@@ -527,6 +539,70 @@ def test_joint_training_loss_decreases():
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
+def synthetic_world(heads=4, vq=True, **spec):
+    """A generated world and its model config: (params, sources, target, mc)."""
+    cfg = RunConfig(synthetic=SyntheticSpec(**{"users_per_domain": 100, **spec}),
+                    vq=VQConfig(enabled=vq, heads=heads))
+    *sources, target = generate_synthetic(cfg.synthetic).datasets
+    params = init_parameters(cfg.encoder, {d.domain_id: d.item_count
+                                           for d in sources + [target]}, 0)
+    return params, sources, target, effective_model_config(cfg, target.domain_id)
+
+
+def tiny_sources(m):
+    """tiny_world with its first m sources; theta keeps every table."""
+    params, sources, target, mc = tiny_world()
+    return params, sources[:m], target, mc
+
+
+JOINT_WORLDS = {
+    "tiny": lambda: tiny_sources(2),
+    "tiny_one_source": lambda: tiny_sources(1),
+    "tiny_no_source": lambda: tiny_sources(0),
+    "64_items": lambda: synthetic_world(),
+    "64_items_one_head": lambda: synthetic_world(heads=1),
+    "64_items_no_vq": lambda: synthetic_world(vq=False),
+    "300_items_two_sources": lambda: synthetic_world(items_per_domain=300,
+                                                     num_source_domains=2),
+    # sources of 64, 61 and 63 items: ragged across the 8-wide blocks that
+    # numpy's sums add in
+    "ragged_64_items": lambda: synthetic_world(users_per_domain=20),
+}
+
+
+@pytest.mark.parametrize("world", sorted(JOINT_WORLDS))
+def test_joint_stack_equals_per_domain_step(world):
+    # the stacked joint step against one loss per domain on theta: the same
+    # parameter bytes and pooled loss at every step
+    params, sources, target, mc = JOINT_WORLDS[world]()
+    cfg = MetaConfig(inner_batch=8)
+    for seed in range(3):
+        new = ref = params
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for step in range(30):
+            new, report = joint_train_iteration(new, sources, target, mc, cfg, rng)
+            ref, ref_report = per_domain_joint_iteration(ref, sources, target, mc, cfg,
+                                                         ref_rng)
+            assert sorted(new) == sorted(ref)
+            for k in ref:
+                assert new[k].data.tobytes() == ref[k].data.tobytes(), (seed, step, k)
+            assert report.overall_loss == ref_report.overall_loss, (seed, step)
+
+
+def test_joint_records_do_not_grow_with_sources(monkeypatch):
+    # the source batches share one stacked forward, so a step records the same
+    # count for 1, 2, 3 and 5 sources
+    tapes = counting_tapes(monkeypatch)
+    counts = []
+    for m in (1, 2, 3, 5):
+        params, sources, target, mc = synthetic_world(num_source_domains=m)
+        tapes.clear()
+        joint_train_iteration(params, sources, target, mc, MetaConfig(),
+                              np.random.default_rng(0))
+        counts.append(sum(len(t.records) for t in tapes))
+    assert counts == [48] * 4
+
+
 # ----------------------------------------------------------- config checks
 
 def test_meta_config_validation():
@@ -612,3 +688,65 @@ def test_stacked_meta_gradient_matches_pipeline_fd(steps, monkeypatch):
             assert rel_err(layers[k][i][0], fd) <= 1e-5, (src.domain_id, k)
         for k in set(names) - set(checked):
             assert layers[k][i] is None, (src.domain_id, k)
+
+
+@pytest.mark.parametrize("second_order", [True, False])
+def test_ragged_stack_equals_per_task_loop(second_order):
+    # sources of 64, 61 and 63 items: each task's -inf-padded logit rows are
+    # summed over its own columns only, so the stack keeps the loop's bytes
+    params, sources, target, mc = synthetic_world(users_per_domain=20)
+    for seed in range(3):
+        for steps in (1, 2):
+            cfg = MetaConfig(inner_steps=steps, second_order=second_order)
+            new, report = train_iteration(params, sources, target, mc, cfg,
+                                          np.random.default_rng(seed))
+            ref, ref_report = per_task_train_iteration(params, sources, target, mc, cfg,
+                                                       np.random.default_rng(seed))
+            for k in ref:
+                assert new[k].data.tobytes() == ref[k].data.tobytes(), (seed, steps, k)
+            assert report == ref_report, (seed, steps)
+
+
+@pytest.mark.parametrize("steps", [8, 16])
+def test_deep_meta_gradient_matches_directional_differences(steps, monkeypatch):
+    # <meta-gradient, v> against the central difference of a task's meta loss
+    # along v, for seeded random directions over every layer the task holds:
+    # two pipelines per direction, whatever the parameter count. At this
+    # inner_lr the first-order gradient fails the same check by far
+    params, sources, target, mc = variant_world("no_vq")
+    cfg = MetaConfig(inner_steps=steps, inner_batch=4, meta_batch=4, inner_lr=0.3)
+    captured = []
+    real = meta.rescale_and_update
+
+    def capture(theta, layers, *args, **kwargs):
+        captured.append(layers)
+        return real(theta, layers, *args, **kwargs)
+
+    monkeypatch.setattr(meta, "rescale_and_update", capture)
+    for second_order in (True, False):
+        train_iteration(params, sources, target, mc,
+                        dataclasses.replace(cfg, second_order=second_order),
+                        np.random.default_rng(steps))
+    exact, first = captured
+    value_cfg = dataclasses.replace(cfg, second_order=False)  # same phi, less tape
+    rng = np.random.default_rng(steps)
+    tasks = draw_tasks(sources, target, mc, cfg, np.random.default_rng(steps))
+    for i, (src, inner, meta_b) in enumerate(tasks):
+        step_fns = [lambda p, b=b: batch_loss(p, b, mc)[0] for b in inner]
+        checked = [k for k in sorted(params) if not k.startswith("embed.")
+                   or k in (f"embed.{src.domain_id}", f"embed.{target.domain_id}")]
+
+        def value(direction, h):
+            theta = dict(params)
+            theta.update((k, Tensor(params[k].data + h * direction[k])) for k in checked)
+            adapted = inner_adapt(theta, step_fns, value_cfg)
+            with ad.Tape():
+                return float(batch_loss(adapted.phi, meta_b, mc)[0].data)
+
+        for _ in range(3):
+            v = {k: rng.standard_normal(params[k].data.shape) for k in checked}
+            fd = (value(v, 1e-6) - value(v, -1e-6)) / 2e-6
+            for layers, ok in ((exact, True), (first, False)):
+                along = sum(float(np.vdot(layers[k][i][0], v[k])) for k in checked)
+                err = abs(along - fd) / max(1.0, abs(fd))
+                assert (err <= 1e-6) if ok else (err > 1e-3), (src.domain_id, ok, err)

@@ -359,10 +359,3 @@ def test_quantize_rows_matches_per_head_loop(heads):
     got, ref = run(vq.quantize_rows), run(per_head_quantize_rows)
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[0][1], got[0][3])
     assert got[1:] == ref[1:]
-
-
-def test_code_dump_format(tmp_path):
-    path = tmp_path / "codes.txt"
-    with open(path, "w") as fh:
-        vq.write_code_dump(fh, "src0", np.array([[0, 2], [1, 1]]))
-    assert path.read_text() == "src0 0 0 2\nsrc0 1 1 1\n"
