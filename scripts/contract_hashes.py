@@ -11,8 +11,9 @@ benchmark workload, at seed 0: the digest of each domain's dataset
 (item_count, train, val, test) and one of all its events. The last line reads
 the joint-default world back from TSVs through a manifest, one file per domain,
 then src0 and target again from one shared file that interleaves src0's lines
-with target's in reverse, and digests each dataset. BLAS runs on one thread,
-since the thread count can change the rounding of long reductions.
+with target's in reverse, and digests each dataset. BLAS runs on one thread:
+the VQ code search and evaluate's scores are the largest matrix products, and
+their bytes are not yet shown to be the same under every thread count.
 
 Run it at the parent commit and at the change, then diff the two outputs:
     python3 scripts/contract_hashes.py > after.txt

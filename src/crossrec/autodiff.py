@@ -10,6 +10,10 @@ row-wise ops take leading (task) axes, and the fused ops (``step``,
 recorded ops. Everything is double precision. Tapes nest on one
 module-level stack: the innermost entered tape (or ``None`` inside
 ``no_record``) receives the records.
+
+A record names tensors by their ``node``, a bare object (a record as node
+would make a cycle through any vjp that reads its own output), so an array
+lives only while the caller or a recorded vjp holds its tensor.
 """
 from __future__ import annotations
 
@@ -22,10 +26,11 @@ import numpy as np
 class Tensor:
     """Double-precision array value, optionally recorded on the active tape."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
+        self.node = object()
 
     @property
     def size(self):
@@ -36,6 +41,8 @@ class Tensor:
 
 
 class Record:
+    """One op: the nodes of its inputs and output, and its vjp."""
+
     __slots__ = ("op", "inputs", "out", "vjp")
 
     def __init__(self, op, inputs, out, vjp):
@@ -57,9 +64,6 @@ class Tape:
 
     def __init__(self):
         self.records = []
-        self._scanned = 0  # records whose reads ``release`` has taken in
-        self._read = set()  # tensors that the vjps of those records read
-        self._kept = []  # outputs of those records that only ``keep`` spared
 
     def __enter__(self):
         _stack.append(self)
@@ -68,28 +72,6 @@ class Tape:
     def __exit__(self, *exc):
         _stack.pop()
         return False
-
-    def release(self, keep=()):
-        """Set ``.data`` to None on every recorded output that no recorded
-        vjp reads (see ``_READS``) and that is not in ``keep``. Every later
-        ``grad`` gives the same bits; reading a released array fails. A call
-        scans only the records added since the last one: the reads of the
-        earlier records are already held, and no later record can read a
-        released array."""
-        new = self.records[self._scanned:]
-        self._scanned = len(self.records)
-        for rec in new:
-            for i in _READS.get(rec.op, ()):
-                self._read.add(rec.out if i < 0 else rec.inputs[i])
-        keep, spared = set(keep), self._kept
-        self._kept = []
-        for t in [*spared, *(rec.out for rec in new)]:
-            if t in self._read:
-                continue
-            if t in keep:
-                self._kept.append(t)
-            else:
-                t.data = None
 
 
 @contextmanager
@@ -101,20 +83,12 @@ def no_record():
         _stack.pop()
 
 
-# the tensors each op's vjp reads beyond shapes and indices: input positions,
-# and -1 for the op's own output; an op not listed reads none
-_READS = {"mul": (0, 1), "matmul": (0, 1), "vq_loss": (0, 1), "scaled_diff": (0, 1),
-          "square": (0,), "cross_entropy": (0,), "rms_inv": (0, -1),
-          "linear_scan": (1, -1), "sigmoid": (-1,), "softmax_rows": (-1,)}
-
-
 def _out(data, op, inputs, vjp):
-    # ``vjp`` may read the tensor returned here, as ``_READS`` lists for ``op``:
-    # grad calls it only later
     t = Tensor.__new__(Tensor)
     t.data = data
+    t.node = object()
     if _stack and _stack[-1] is not None:
-        _stack[-1].records.append(Record(op, inputs, t, vjp))
+        _stack[-1].records.append(Record(op, [x.node for x in inputs], t.node, vjp))
     return t
 
 
@@ -520,15 +494,14 @@ def grad(output, wrt, create_graph=False):
     tape = _active()
     if tape is None:
         raise RuntimeError("grad: no active tape")
-    # tensors hash by identity, so both maps key on the tensor itself
-    live = set(wrt)
+    live = {w.node for w in wrt}
+    keep = set(live)
     path = []
     for rec in tape.records:
         if not live.isdisjoint(rec.inputs):
             live.add(rec.out)
             path.append(rec)
-    grads = {output: Tensor(np.ones_like(output.data))}
-    keep = set(wrt)
+    grads = {output.node: Tensor(np.ones_like(output.data))}
     with nullcontext() if create_graph else no_record():
         for rec in reversed(path):
             # every consumer of rec.out comes later on the tape, so its
@@ -536,9 +509,9 @@ def grad(output, wrt, create_graph=False):
             g = grads.get(rec.out) if rec.out in keep else grads.pop(rec.out, None)
             if g is None:
                 continue
-            for t, gi in zip(rec.inputs, rec.vjp(g)):
-                if gi is None or t not in live:
+            for n, gi in zip(rec.inputs, rec.vjp(g)):
+                if gi is None or n not in live:
                     continue
-                prev = grads.get(t)
-                grads[t] = gi if prev is None else add(prev, gi)
-    return [grads.get(w) for w in wrt]
+                prev = grads.get(n)
+                grads[n] = gi if prev is None else add(prev, gi)
+    return [grads.get(w.node) for w in wrt]

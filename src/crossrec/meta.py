@@ -75,10 +75,8 @@ def inner_adapt(theta, step_loss_fns, cfg):
     constant, so the meta-gradient passes through the updates unchanged (Finn
     et al. 2017, arXiv:1703.03400).
 
-    After each step the tape releases the arrays that no vjp reads
-    (``Tape.release``): a tensor made inside a step keeps its array only if
-    a recorded vjp reads it or it is the new phi; theta is never released.
-    The meta-gradient and the values keep every bit.
+    The tape records nodes, not tensors, so an array made inside a step
+    outlives it only if a recorded vjp reads it or it is the new phi.
     """
     if not step_loss_fns:
         raise ValueError("inner_adapt: no inner batches")
@@ -94,7 +92,6 @@ def inner_adapt(theta, step_loss_fns, cfg):
                             [phi[k] for k in names], create_graph=cfg.second_order)
             phi = {k: phi[k] if g is None else ad.step(phi[k], g, cfg.inner_lr)
                    for k, g in zip(names, grads)}
-            tape.release(phi.values())
     return AdaptResult(phi, losses, tape)
 
 
@@ -144,10 +141,12 @@ def rescale_and_update(theta, layers, cfg, uniform=False):
             if entry is None:
                 continue
             g, d = entry[0].ravel(), entry[1].ravel()
-            gn = np.linalg.norm(g)
-            dn = np.linalg.norm(d)
+            # pairwise sums, not BLAS: the bytes then do not depend on the
+            # BLAS build or its thread count
+            gn = np.sqrt(np.add.reduce(g * g))
+            dn = np.sqrt(np.add.reduce(d * d))
             if not (gn < NORM_EPS or dn < NORM_EPS):
-                s[i] = float(g @ d) / (gn * dn)
+                s[i] = float(np.add.reduce(g * d)) / (gn * dn)
         w = np.full(n, 1.0 / n) if uniform else _softmax(s / cfg.temperature)
         scores[name] = s.tolist()
         weights[name] = w.tolist()
@@ -236,11 +235,8 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
     for i, task in enumerate(parts):
         for key, leaf, part in task:
             shape = theta[key].data.shape
-            # a fresh copy: the rescale's norms and dot products then see the
-            # memory layout a per-task gradient had
             phi = adapted.phi[leaf].data[part].reshape(shape)
-            layers[key][i] = (grads[leaf][part].reshape(shape).copy(),
-                              phi - theta[key].data)
+            layers[key][i] = (grads[leaf][part].reshape(shape), phi - theta[key].data)
     new_theta, scores, weights = rescale_and_update(
         theta, layers, cfg, uniform=not rescale)
     tasks = [TaskReport(src.domain_id, [s[i] for s in adapted.inner_losses],

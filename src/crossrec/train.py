@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class TrainResult:
     best_iteration: int
     final_params: dict
     csv_rows: list
-    reports: list = field(default_factory=list)
     config_text: str = ""
 
 
@@ -147,7 +146,6 @@ def run_training(cfg, datasets=None):
     params = init_parameters(cfg.encoder, item_counts, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     rows = [CSV_HEADER]
-    reports = []
     best_params = None
     best_ndcg = -1.0
     best_iter = -1
@@ -164,7 +162,6 @@ def run_training(cfg, datasets=None):
         weights = report.layer_weights.values()
         mmw = _fmt(np.mean([max(w) for w in weights])) if weights else ""
         rows.append(f"iter,{it},{_fmt(report.overall_loss)},{task_losses},{mmw},,,")
-        reports.append(report)
         if it % cfg.eval_every == 0 or it == cfg.iterations:
             res = evaluate(params, target, "val", cfg.k, model_cfg)
             rows.append(f"eval,{it},,,,{_fmt(res.ndcg_at_k)},"
@@ -175,8 +172,7 @@ def run_training(cfg, datasets=None):
                 best_params = {k: v.data.copy() for k, v in params.items()}
     return TrainResult(best_params=best_params, best_ndcg=best_ndcg,
                        best_iteration=best_iter, final_params=params,
-                       csv_rows=rows, reports=reports,
-                       config_text=serialize_config(cfg))
+                       csv_rows=rows, config_text=serialize_config(cfg))
 
 
 def write_outputs(result, cfg, out_dir):

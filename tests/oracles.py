@@ -230,17 +230,17 @@ def full_sweep_grad(output, wrt, create_graph=False):
     """Reference without pruning: the reverse sweep visits every record."""
     tape = ad._active()
     records = list(tape.records)
-    grads = {output: ad.Tensor(np.ones_like(output.data))}
+    grads = {output.node: ad.Tensor(np.ones_like(output.data))}
     with nullcontext() if create_graph else ad.no_record():
         for rec in reversed(records):
             g = grads.get(rec.out)
             if g is None or rec.vjp is None:
                 continue
-            for t, gi in zip(rec.inputs, rec.vjp(g)):
+            for n, gi in zip(rec.inputs, rec.vjp(g)):
                 if gi is not None:
-                    prev = grads.get(t)
-                    grads[t] = gi if prev is None else ad.add(prev, gi)
-    return [grads.get(w) for w in wrt]
+                    prev = grads.get(n)
+                    grads[n] = gi if prev is None else ad.add(prev, gi)
+    return [grads.get(w.node) for w in wrt]
 
 
 def concat(parts, axis):

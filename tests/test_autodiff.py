@@ -1,5 +1,7 @@
 import warnings
+import weakref
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -424,12 +426,6 @@ def test_grad_frees_adjoints_it_has_swept():
     assert np.array_equal(gy.data, [3.0, 3.0]) and np.array_equal(gx.data, [6.0, 12.0])
 
 
-# the ops whose records are insulated below; scale does the insulating
-INSULATED_OPS = ("add", "sub", "mul", "step", "add_scalar", "matmul", "reshape",
-                 "expand", "sum", "slice_axis", "pad_axis", "straight_through",
-                 "vq_loss", "scaled_diff", "gather", "scatter_rows", "linear_scan",
-                 "sigmoid", "relu", "square", "rms_inv", "softmax_rows",
-                 "cross_entropy")
 RELEASE_CASES = {
     **OP_CASES,
     "vq_loss": (lambda ts: ad.sum(ad.vq_loss(ts[0], ts[1], (2, 1))), [(3, 4), (3, 4)]),
@@ -439,45 +435,75 @@ RELEASE_CASES = {
 }
 
 
-def second_grad_bytes(build, arrays, probes, release):
-    """Bytes of d <probes, d build / d leaves> / d leaves; with ``release``
-    the tape releases all but the leaves and the output before each grad."""
-    with ad.Tape() as tape:
+@contextmanager
+def made_arrays():
+    """(op, weak reference) for the array of every tensor an op makes meanwhile."""
+    made, record = [], ad._out
+
+    def out(data, op, inputs, vjp):
+        t = record(data, op, inputs, vjp)
+        if isinstance(t.data, np.ndarray):  # a full sum's numpy scalar takes no weakref
+            made.append((op, weakref.ref(t.data)))
+        return t
+
+    ad._out = out
+    try:
+        yield made
+    finally:
+        ad._out = record
+
+
+def unread_arrays(made, tape, held):
+    """(op, shape) of each array in ``made`` that is still alive although no
+    vjp on ``tape`` reads it and no tensor in ``held`` holds it or a view of it.
+    Fails if a record holds a tensor."""
+    assert not any(isinstance(x, ad.Tensor) for r in tape.records for x in [*r.inputs, r.out])
+    ids = set()
+    for v in [*(c.cell_contents for r in tape.records for c in r.vjp.__closure__ or ()),
+              *held]:
+        a = v.data if isinstance(v, ad.Tensor) else v
+        while isinstance(a, np.ndarray):
+            ids.add(id(a))
+            a = a.base
+    return [(op, a.shape) for op, ref in made if (a := ref()) is not None and id(a) not in ids]
+
+
+def second_grad_bytes(build, arrays, probes):
+    """Bytes of d <probes, d build / d leaves> / d leaves, and what
+    ``unread_arrays`` finds alive before the second grad."""
+    with ad.Tape() as tape, made_arrays() as made:
         leaves = [ad.Tensor(a) for a in arrays]
         out = build([ad.scale(t, 1.0) for t in leaves])
-        if release:
-            tape.release([out])
-            assert any(r.out.data is None for r in tape.records)
         firsts = [ad.sum(ad.mul(g, ad.Tensor(c))) for g, c in
                   zip(ad.grad(out, leaves, create_graph=True), probes) if g is not None]
         total = firsts[0]
         for term in firsts[1:]:
             total = ad.add(total, term)
-        if release:
-            tape.release([total])
-        return [None if g is None else g.data.tobytes() for g in ad.grad(total, leaves)]
+        unread = unread_arrays(made, tape, [*leaves, out, *firsts, total])
+        return [None if g is None else g.data.tobytes() for g in ad.grad(total, leaves)], unread
 
 
 @pytest.mark.parametrize("name", sorted(RELEASE_CASES))
 def test_release_keeps_what_every_vjp_reads(monkeypatch, name):
-    # every op's output and inputs pass through a scale, which reads nothing,
-    # so an array survives a release only through the entry of the op that
-    # made it or consumes it: a missing entry leaves a vjp reading None
-    for op in INSULATED_OPS:
-        monkeypatch.setattr(ad, op, lambda *a, _op=getattr(ad, op), **k:
-                            ad.scale(_op(*a, **k), 1.0))
+    # reference counting is the release: records hold no tensor, so after the
+    # forward and a create_graph grad an array that an op made is alive only
+    # if a recorded vjp reads it or the caller holds it, and the second grad
+    # gives the bytes it gives when every tensor is kept alive
     build, shapes = RELEASE_CASES[name]
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     arrays = [rng.standard_normal(s) for s in shapes]
     probes = [rng.standard_normal(s) for s in shapes]
-    assert second_grad_bytes(build, arrays, probes, True) == \
-        second_grad_bytes(build, arrays, probes, False)
+    released, unread = second_grad_bytes(build, arrays, probes)
+    assert unread == []
+    kept, record = [], ad._out
+    monkeypatch.setattr(ad, "_out", lambda *a: kept.append(record(*a)) or kept[-1])
+    assert second_grad_bytes(build, arrays, probes)[0] == released
 
 
 def test_release_after_every_step_drops_what_one_full_scan_drops():
-    # the arrays released step by step are those that no vjp on the whole
-    # tape reads and that the last keep does not hold: the phi of an earlier
-    # step is released once a later step no longer keeps it, and so is every
+    # after several inner steps the arrays still alive are exactly those that
+    # a vjp on the whole tape reads or that theta and phi hold: the phi of an
+    # earlier step is dropped once no later step reads it, and so is every
     # step loss
     rng = np.random.default_rng(4)
     theta = {"table": ad.Tensor(rng.standard_normal((5, 3))),
@@ -487,13 +513,10 @@ def test_release_after_every_step_drops_what_one_full_scan_drops():
         rows = ad.sigmoid(ad.gather(p["table"], [4, 0, 2, 0]))
         return ad.sum(ad.square(ad.matmul(rows, p["w"])))
 
-    adapted = meta.inner_adapt(theta, [step_loss] * 3, MetaConfig(inner_steps=3))
-    records = adapted.tape.records
-    read = {r.out if i < 0 else r.inputs[i] for r in records
-            for i in ad._READS.get(r.op, ())}
-    kept = read | {*theta.values(), *adapted.phi.values()}
-    assert [r.out.data is None for r in records] == [r.out not in kept for r in records]
-    assert any(r.op == "step" and r.out.data is None for r in records)
+    with made_arrays() as made:
+        adapted = meta.inner_adapt(theta, [step_loss] * 3, MetaConfig(inner_steps=3))
+    assert unread_arrays(made, adapted.tape, [*theta.values(), *adapted.phi.values()]) == []
+    assert any(op == "step" and ref() is None for op, ref in made)
 
 
 def test_non_scalar_grad_rejected():
@@ -557,16 +580,26 @@ def test_grad_records_nothing_upstream_of_wrt():
     assert pruned_ops == leaf_ops
 
 
-def test_tape_determinism_and_replay():
+def test_tape_determinism_and_replay(monkeypatch):
+    outs, record = [], ad._out
+
+    def out(data, op, inputs, vjp):
+        if ad._active() is not None:  # the op goes on the tape
+            outs.append((op, data.tobytes()))
+        return record(data, op, inputs, vjp)
+
+    monkeypatch.setattr(ad, "_out", out)
+
     def run():
+        outs.clear()
         with ad.Tape() as tape:
             x = ad.Tensor([[0.3], [-0.7], [1.1]])
             w = ad.Tensor(np.arange(9, dtype=float).reshape(3, 3) / 10)
             y = ad.sum(ad.square(ad.sigmoid(ad.matmul(w, x))))
             gs = ad.grad(y, [x, w], create_graph=True)
             (g2,) = ad.grad(ad.sum(ad.square(gs[1])), [x])
-        return ([(r.op, r.out.data.tobytes()) for r in tape.records],
-                [g.data.tobytes() for g in gs + [g2]])
+        assert [op for op, _ in outs] == [r.op for r in tape.records]
+        return list(outs), [g.data.tobytes() for g in gs + [g2]]
 
     first, second = run(), run()
     assert len(first[0]) > 10

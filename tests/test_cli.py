@@ -265,11 +265,40 @@ def test_train_outputs_and_determinism(tmp_path):
     assert len(iters) == 6 and len(evals) == 2  # evals at 3 and 6
 
 
-def test_no_meta_reports_carry_the_loss_and_rows_keep_eight_fields():
+THREADS_RUN = """
+import hashlib
+from crossrec.runconfig import parse_config
+from crossrec.train import run_training
+result = run_training(parse_config(
+    "variant=full\\niterations=2\\neval_every=2\\n"
+    "synthetic.items_per_domain=1024\\nsynthetic.users_per_domain=200\\n"))
+params = hashlib.sha256()
+for name in sorted(result.final_params):
+    params.update(result.final_params[name].data.tobytes())
+print("\\n".join(result.csv_rows))
+print(params.hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_the_blas_thread_count():
+    # at 1024 items a layer holds enough entries for OpenBLAS to split a
+    # reduction over threads, which would round differently under 2 threads
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outs = [subprocess.run([sys.executable, "-c", THREADS_RUN], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n}).stdout
+            for n in ("1", "2")]
+    assert outs[0].count("\n") == 5  # header, 2 iterations, 1 eval, parameter digest
+    assert outs[0] == outs[1]
+
+
+def test_no_meta_reports_carry_the_loss_and_rows_keep_eight_fields(iteration_reports):
     result = run_training(small_cfg(variant="no_meta"))
-    assert len(result.reports) == 6
+    reports = iteration_reports["joint"]
+    assert len(reports) == 6 and not iteration_reports["rescaled"]
     iters = [l for l in result.csv_rows if l.startswith("iter,")]
-    for it, (row, report) in enumerate(zip(iters, result.reports), start=1):
+    for it, (row, report) in enumerate(zip(iters, reports), start=1):
         assert isinstance(report, MetaIterationReport)
         assert report.tasks == [] and report.layer_weights == {}
         assert row == f"iter,{it},{report.overall_loss!r},,,,,"
@@ -489,7 +518,7 @@ def test_eval_checks_every_tensor_name_and_shape(tmp_path, capsys, edit, name):
 
 # ------------------------------------------------------------------ ablate
 
-def test_ablate_table_and_uniform_weights(tmp_path):
+def test_ablate_table_and_uniform_weights(tmp_path, iteration_reports):
     cfg_text = SMALL_CONFIG.replace("iterations=6", "iterations=4")
     out = str(tmp_path / "abl")
     rc = cli.main(["ablate", "--config", write_config(tmp_path, cfg_text),
@@ -501,12 +530,10 @@ def test_ablate_table_and_uniform_weights(tmp_path):
     assert [l.split(",")[0] for l in lines[2:]] == list(VARIANTS)
     for variant in VARIANTS:
         assert os.path.exists(os.path.join(out, f"{variant}.ckpt"))
-    # no_rescale logs exactly uniform weights in every iteration
-    result = run_training(dataclasses.replace(
-        parse_config(cfg_text), variant="no_rescale"))
+    # the ablation's no_rescale run logs exactly uniform weights in every iteration
     n = parse_config(cfg_text).meta.n_tasks
-    assert result.reports
-    for report in result.reports:
+    assert len(iteration_reports["uniform"]) == 4
+    for report in iteration_reports["uniform"]:
         for w in report.layer_weights.values():
             assert w == [1.0 / n] * n
 

@@ -209,7 +209,7 @@ def test_evaluate_matches_bruteforce_on_random_model():
         assert res.mrr == pytest.approx(per[:, 2].mean())
 
 
-def test_evaluate_chunking_is_invisible():
+def test_evaluate_chunking_is_invisible(monkeypatch):
     cfg = EncoderConfig(d_model=6, num_blocks=1, max_len=8)
     ds = dataset_from_lists("target", 9,
                             train=[[i % 9, (i + 3) % 9] for i in range(7)],
@@ -218,12 +218,13 @@ def test_evaluate_chunking_is_invisible():
     params = init_parameters(cfg, {"target": 9}, seed=3)
     mc = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False),
                      target_domain="target")
-    a = ev.evaluate(params, ds, "test", 3, mc, chunk=2)
-    b = ev.evaluate(params, ds, "test", 3, mc, chunk=512)
-    assert a == b
+    monkeypatch.setattr(ev, "EVAL_CHUNK", 2)
+    a = ev.evaluate(params, ds, "test", 3, mc)
+    monkeypatch.setattr(ev, "EVAL_CHUNK", 512)
+    assert ev.evaluate(params, ds, "test", 3, mc) == a
 
 
-def test_evaluate_repeated_calls_match_fresh_datasets():
+def test_evaluate_repeated_calls_match_fresh_datasets(monkeypatch):
     cfg = EncoderConfig(d_model=6, num_blocks=1, max_len=4)
     params = init_parameters(cfg, {"target": 9}, seed=5)
     mc = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False), target_domain="target")
@@ -234,8 +235,8 @@ def test_evaluate_repeated_calls_match_fresh_datasets():
                                   val=[(i + 2) % 9 for i in range(11)],
                                   test=[(i + 5) % 9 for i in range(11)])
     ds = fresh()
-    got = [ev.evaluate(params, ds, split, 3, mc, chunk=4)
-           for split in ("val", "test", "val")]
-    assert got == [ev.evaluate(params, fresh(), split, 3, mc, chunk=4)
+    monkeypatch.setattr(ev, "EVAL_CHUNK", 4)
+    got = [ev.evaluate(params, ds, split, 3, mc) for split in ("val", "test", "val")]
+    assert got == [ev.evaluate(params, fresh(), split, 3, mc)
                    for split in ("val", "test", "val")]
     assert got[0] != got[1]
