@@ -6,8 +6,10 @@ Prints one line per run: its label, then the sha256 (first 16 hex digits) of
 its metrics CSV rows, of its final parameters and of its best parameters.
 Every run has 200 users per source domain and 20 iterations. The next line
 gives the val and test EvalResult of freshly initialized parameters on a
-4000-user, 1024-item target. Then one line per synthetic world shaped like a
-benchmark workload, at seed 0: the digest of each domain's dataset
+4000-user, 1024-item target. The next gives, at inner steps 1 to 4, the digest
+of one task adapted on one source batch and differentiated through one target
+batch, each a single 2-D batch. Then one line per synthetic world shaped like
+a benchmark workload, at seed 0: the digest of each domain's dataset
 (item_count, train, val, test) and one of all its events. The last line reads
 the joint-default world back from TSVs through a manifest, one file per domain,
 then src0 and target again from one shared file that interleaves src0's lines
@@ -31,9 +33,13 @@ from itertools import zip_longest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+import numpy as np
+
 from crossrec.backbone import init_parameters
-from crossrec.data import SyntheticSpec, generate_synthetic, write_domain_tsv
+from crossrec.data import SyntheticSpec, generate_synthetic, sample_batch, write_domain_tsv
 from crossrec.evaluation import evaluate
+from crossrec.meta import inner_adapt, meta_gradient
+from crossrec.objective import batch_loss
 from crossrec.runconfig import (VARIANTS, DataConfig, RunConfig, effective_model_config,
                                 parse_config)
 from crossrec.train import build_datasets, run_training
@@ -124,6 +130,31 @@ def tsv_digests(spec):
     return per_file, shared
 
 
+def single_batch_digests():
+    """Per inner step count 1-4, the digest of the inner losses, the meta loss
+    and every meta-gradient of the default world adapted on one src0 batch and
+    differentiated through one target batch, both from rng seed 0."""
+    cfg = parse_config(BASE)
+    sources, target = build_datasets(cfg)
+    params = init_parameters(cfg.encoder, {d.domain_id: d.item_count
+                                           for d in sources + [target]}, cfg.seed)
+    model_cfg = effective_model_config(cfg, target.domain_id)
+    rng = np.random.default_rng(0)
+    max_len = cfg.encoder.max_len
+    batch = sample_batch(sources[0], "train", cfg.meta.inner_batch, max_len, rng)
+    meta_batch = sample_batch(target, "train", cfg.meta.meta_batch, max_len, rng)
+    parts = []
+    for steps in range(1, 5):
+        mcfg = dataclasses.replace(cfg.meta, inner_steps=steps)
+        adapted = inner_adapt(params, [lambda p: batch_loss(p, batch, model_cfg)[0]] * steps,
+                              mcfg)
+        grads, meta_loss = meta_gradient(
+            params, adapted, lambda p: batch_loss(p, meta_batch, model_cfg)[0], mcfg)
+        losses = repr((adapted.inner_losses, meta_loss)).encode()
+        parts.append(f"s{steps}={digest([losses, params_digest(grads).encode()])}")
+    return parts
+
+
 def main():
     for label, extra in RUNS.items():
         result = run_training(parse_config(BASE + extra))
@@ -142,6 +173,7 @@ def main():
                for split in ("val", "test")]
     print(f"evaluate {target.num_users} users: " + " ".join(map(repr, results)),
           flush=True)
+    print(f"single batch: {' '.join(single_batch_digests())}", flush=True)
     for label, spec in WORLDS.items():
         result = generate_synthetic(spec)
         parts = [f"{d.domain_id}={dataset_digest(d)}" for d in result.datasets]
