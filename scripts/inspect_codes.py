@@ -25,7 +25,7 @@ from crossrec.autodiff import Tensor
 from crossrec.checkpoint import load_checkpoint
 from crossrec.runconfig import parse_config, effective_model_config
 from crossrec.train import load_manifest
-from crossrec.vq import COS_EPS, make_codebook, quantize_domain_matrix
+from crossrec.vq import COS_EPS, Codebook, quantize_domain_matrix
 
 
 def write_code_dump(fh, domain, codes):
@@ -94,8 +94,8 @@ def main():
             continue
         domain = name.split(".", 1)[1]
         items = params[name].data.shape[0] - 1  # the padding row is not quantized
-        book = make_codebook(params, model_cfg.target_domain, model_cfg.vq.heads,
-                             (items,))
+        book = Codebook(params[f"embed.{model_cfg.target_domain}"], model_cfg.vq.heads,
+                        (items,))
         _, _, codes = quantize_domain_matrix(params, domain, book)
         write_code_dump(fh, domain, codes)
         summarize(domain, codes, book.size,

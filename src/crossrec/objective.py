@@ -4,7 +4,7 @@ the quantization loss where the VQ path is active.
 A loss is taken over one ``TaskBatch``: one batch, or n same-shaped batches
 on a leading task axis, each scored with its own encoder weights against its
 own table. Both run the same code; one table is sliced where several are
-gathered.
+gathered, and ``batch_loss`` alone gives one batch a scalar loss.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import EncoderConfig, embed_key, encode_steps, table_starts
-from .vq import make_codebook, quantize_domain_matrix
+from .vq import Codebook, quantize_domain_matrix
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,16 @@ class ModelConfig:
     target_domain: str = "target"
 
 
-def domain_item_matrix(params, domain, model_cfg, counts, stacked=False):
+def domain_item_matrix(params, domain, model_cfg, counts):
     """(item matrix with padding rows, vq loss term or None) for the tables of
     ``counts`` items that ``params[embed_key(domain)]`` holds one after
-    another (one vq loss each on a task axis when ``stacked``, a scalar for
-    one table otherwise)."""
+    another; the vq term holds one loss per table."""
     key = embed_key(domain)
     if key not in params:
         raise KeyError(f"unknown domain {domain!r}")
     if not model_cfg.vq.enabled or domain == model_cfg.target_domain:
         return params[key], None
-    book = make_codebook(params, model_cfg.target_domain, model_cfg.vq.heads, counts,
-                         stacked)
+    book = Codebook(params[embed_key(model_cfg.target_domain)], model_cfg.vq.heads, counts)
     full, loss, _ = quantize_domain_matrix(params, domain, book)
     return full, loss
 
@@ -77,15 +75,15 @@ def batch_loss(params, batch, model_cfg, include_vq=True):
     applicable).
 
     Returns (loss tensor, dict of parts). The loss is a scalar for one batch
-    and one value per task for a stack, a stack of one task included. The
-    parts are "ce" and, with a vq term, "vq", each a float for one batch and
-    a list of per-task floats for a stack.
+    and one value per task for a stack, a stack of one task included: the vq
+    term holds one loss per table, and one batch's is reshaped to a scalar
+    here. The parts are "ce" and, with a vq term, "vq", each a float for one
+    batch and a list of per-task floats for a stack.
     """
     if batch.inputs.shape[-2] == 0:
         raise ValueError("batch_loss: empty batch")
     counts = batch.counts
-    matrix, vq_term = domain_item_matrix(params, batch.domain_id, model_cfg, counts,
-                                         stacked=batch.inputs.ndim == 3)
+    matrix, vq_term = domain_item_matrix(params, batch.domain_id, model_cfg, counts)
     rows = batch.inputs
     if len(counts) > 1:  # a stack's ids are local to each task's table
         rows = rows + table_starts(counts)[:, None, None]
@@ -97,6 +95,8 @@ def batch_loss(params, batch, model_cfg, include_vq=True):
     parts = {"ce": ce.data.tolist()}
     loss = ce
     if vq_term is not None:
+        if batch.inputs.ndim == 2:  # one batch: its one table's loss as a scalar
+            vq_term = ad.reshape(vq_term, ())
         parts["vq"] = vq_term.data.tolist()
         if include_vq:
             loss = ad.add(ce, vq_term)

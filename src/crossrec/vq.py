@@ -28,9 +28,12 @@ class Codebook:
     one after another: copy i is the codebook of the i-th block of rows."""
     table: Tensor  # the target embedding table(s), padding rows included
     heads: int
-    size: int      # K = |I_target|, excludes the padding row
     counts: tuple  # per copy, the rows quantized against it
-    stacked: bool = False  # one vq loss per copy on a task axis, even for one
+
+    @property
+    def size(self):
+        """K = |I_target| codes per copy; the padding row is not a code."""
+        return self.table.data.shape[0] // len(self.counts) - 1
 
     @property
     def head_width(self):
@@ -38,15 +41,6 @@ class Codebook:
         if d % self.heads:
             raise ValueError(f"embedding width {d} not divisible by {self.heads} heads")
         return d // self.heads
-
-
-def make_codebook(params, target_domain, heads, counts, stacked=False):
-    """The codebook over ``params[embed_key(target_domain)]``, which holds one
-    copy of the target table per entry of ``counts``."""
-    table = params[embed_key(target_domain)]
-    return Codebook(table=table, heads=heads,
-                    size=table.data.shape[0] // len(counts) - 1, counts=counts,
-                    stacked=stacked)
 
 
 def _head_codes(z, book):
@@ -100,22 +94,15 @@ def quantize_domain_matrix(params, domain, book):
     ``params[embed_key(domain)]`` holds one after another (each with its
     padding row last).
 
-    Returns (item matrix with the raw padding rows, per-table vq loss (see
-    ``autodiff.vq_loss`` for its shape), codes).
+    Returns (item matrix with the raw padding rows, one vq loss per table
+    (see ``autodiff.vq_loss``), codes).
     The returned matrix routes straight-through gradients to the whole table
     while the vq loss trains the codebook (target table) and the embeddings.
     """
-    key = embed_key(domain)
-    if key not in params:
-        raise KeyError(f"unknown domain {domain!r}")
-    table = params[key]
-    if len(book.counts) == 1:  # one table's item rows: a slice is cheaper than a gather
-        rows = np.arange(table.data.shape[0] - 1)
-        raw = ad.slice_axis(table, 0, 0, len(rows))
-    else:
-        rows = np.concatenate([np.arange(c) + start for c, start in
-                               zip(book.counts, table_starts(book.counts))])
-        raw = ad.gather(table, rows)
+    table = params[embed_key(domain)]
+    rows = np.concatenate([np.arange(c) + start for c, start in
+                           zip(book.counts, table_starts(book.counts))])
+    raw = ad.gather(table, rows)
     z_q, codes = quantize_rows(raw, book)
     return (ad.straight_through(table, z_q, rows),
-            ad.vq_loss(z_q, raw, book.counts, book.stacked), codes)
+            ad.vq_loss(z_q, raw, book.counts), codes)

@@ -117,8 +117,8 @@ def test_criterion_3_vq_properties():
             ad.Tensor(float(rng.uniform(0.1, 9)) * z[None]), book)
         ok &= np.array_equal(scaled, codes)
         # loss zero iff z_q == z_e
-        ok &= float(ad.vq_loss(ad.Tensor(z[None]), ad.Tensor(z[None]), (1,)).data) == 0.0
-        ok &= float(ad.vq_loss(z_q, ad.Tensor(z[None]), (1,)).data) > 0.0 or \
+        ok &= ad.vq_loss(ad.Tensor(z[None]), ad.Tensor(z[None]), (1,)).data[0] == 0.0
+        ok &= ad.vq_loss(z_q, ad.Tensor(z[None]), (1,)).data[0] > 0.0 or \
             np.array_equal(z_q.data[0], z)
         # straight-through == identity-mapping gradient
         w = rng.standard_normal((width, width))

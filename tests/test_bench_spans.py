@@ -83,6 +83,6 @@ def test_record_probe_keeps_its_counts(monkeypatch):
     cfg = RunConfig(seed=7, encoder=mc.encoder, vq=mc.vq,
                     meta=MetaConfig(inner_batch=4, meta_batch=4))
     counts = harness.record_probe(cfg, workloads.State(sources, target, params))
-    for phase, pinned in [("inner_adapt", [86, 172, 258, 344]),
-                          ("meta_gradient", [105, 191, 277, 363])]:
+    for phase, pinned in [("inner_adapt", [88, 176, 264, 352]),
+                          ("meta_gradient", [107, 195, 283, 371])]:
         assert [counts[f"meta.{phase}.records.s{s}"] for s in range(1, 5)] == pinned

@@ -18,7 +18,7 @@ from crossrec.runconfig import (DataConfig, RunConfig, VARIANTS, load_config,
                                 parse_config,
                                 serialize_config)
 from crossrec.train import build_datasets, load_manifest, run_training
-from crossrec.vq import make_codebook, quantize_domain_matrix
+from crossrec.vq import Codebook, quantize_domain_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -373,7 +373,7 @@ def test_inspect_codes_dumps_every_source_item(tmp_path):
     sources, _ = build_datasets(small_cfg())
     want, summary = [], []
     for ds in sources:
-        book = make_codebook(params, "target", heads, (ds.item_count,))
+        book = Codebook(params[embed_key("target")], heads, (ds.item_count,))
         codes = quantize_domain_matrix(params, ds.domain_id, book)[2]
         assert codes.shape == (ds.item_count, heads)
         want += [" ".join([ds.domain_id, str(i)] + [str(c) for c in row])

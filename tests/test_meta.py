@@ -172,18 +172,18 @@ def test_inner_adapt_tape_grows_linearly():
             params, [lambda p: batch_loss(p, batch, mc)[0]] * steps, cfg)
         lengths.append(len(adapted.tape.records))
     # each step adds its forward, its create_graph backward and the updates
-    assert lengths == [86, 172, 258, 344]
+    assert lengths == [88, 176, 264, 352]
 
 
 @pytest.mark.parametrize("steps", [8, 16])
 def test_inner_adapt_tape_stays_linear_at_depth(steps):
-    # the 86 records of a step, past the 4 steps pinned above
+    # the 88 records of a step, past the 4 steps pinned above
     params, sources, _, mc = tiny_world()
     batch = sample_batch(sources[0], "train", 4, mc.encoder.max_len,
                          np.random.default_rng(0))
     cfg = dataclasses.replace(CFG, inner_steps=steps)
     adapted = inner_adapt(params, [lambda p: batch_loss(p, batch, mc)[0]] * steps, cfg)
-    assert len(adapted.tape.records) == 86 * steps  # 688 and 1376
+    assert len(adapted.tape.records) == 88 * steps  # 704 and 1408
 
 
 def test_pruned_meta_gradient_bit_identical_to_full_sweep(monkeypatch):
