@@ -120,7 +120,7 @@ def cmd_eval(args):
 def cmd_ablate(args):
     cfg = _checked(_resolve_config, args)
     # every variant runs, so the data must serve a meta-transfer one
-    datasets = _checked(build_datasets, dataclasses.replace(cfg, variant="full"))
+    datasets = _checked(lambda: build_datasets(dataclasses.replace(cfg, variant="full")))
     out = cfg.out_dir or "ablation"
     os.makedirs(out, exist_ok=True)
     results = run_ablation(cfg, datasets=datasets)

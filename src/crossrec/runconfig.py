@@ -43,9 +43,10 @@ class RunConfig:
                           ("k_core", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.encoder.d_model % self.vq.heads:
+        vq = effective_model_config(self).vq  # the heads this variant splits into
+        if vq.enabled and self.encoder.d_model % vq.heads:
             raise ValueError(f"encoder.d_model={self.encoder.d_model} not divisible "
-                             f"by vq.heads={self.vq.heads}")
+                             f"by vq.heads={vq.heads}")
 
 
 # key -> type of the top-level scalars, and section -> (key -> type): a field

@@ -106,6 +106,24 @@ def test_variant_divisibility_validation():
         parse_config("vq.heads=5\n")
 
 
+@pytest.mark.parametrize("variant", ["no_vq", "no_multihead_vq"])
+def test_divisibility_checks_the_heads_the_variant_uses(tmp_path, capsys, variant):
+    # neither variant splits d_model into vq.heads=4 heads, so both train
+    text = SMALL_CONFIG.replace("iterations=6", "iterations=2").replace(
+        "encoder.d_model=8", "encoder.d_model=10").replace("vq.heads=2", "vq.heads=4")
+    text += f"variant={variant}\n"
+    assert run_training(parse_config(text)).csv_rows
+    full = text.replace(f"variant={variant}", "variant=full")
+    line = full.splitlines().index("encoder.d_model=10") + 1
+    with pytest.raises(ValueError, match=f"^config line {line}: encoder.d_model=10 "
+                                         f"not divisible by vq.heads=4$"):
+        parse_config(full)
+    # the ablation also runs full
+    argv = ["ablate", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: encoder.d_model=10 not divisible by vq.heads=4\n"
+
+
 @pytest.mark.parametrize("setting", [
     "eval_every=0", "k=0", "k_core=0", "iterations=-1", "iterations=0",
     "meta.n_tasks=0", "meta.inner_steps=0", "meta.inner_batch=0",
