@@ -15,7 +15,7 @@ the joint-default world back from TSVs through a manifest, one file per domain,
 then src0 and target again from one shared file that interleaves src0's lines
 with target's in reverse, and digests each dataset. BLAS runs on one thread:
 the VQ code search and evaluate's scores are the largest matrix products, and
-their bytes are not yet shown to be the same under every thread count.
+their bytes are shown to be the same under 1 and 2 threads only.
 
 Run it at the parent commit and at the change, then diff the two outputs:
     python3 scripts/contract_hashes.py > after.txt

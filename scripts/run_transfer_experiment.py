@@ -3,7 +3,8 @@
 
 Trains the selected variants on freshly generated synthetic data for each
 seed, evaluates the best checkpoint on the target test split, and prints a
-per-seed table plus seed-averaged means.
+per-seed table plus seed-averaged means, next to the expected NDCG@k of a
+uniformly random ranking of the target's items.
 
 Example:
     python3 scripts/run_transfer_experiment.py --seeds 0 1 2 3 4 \
@@ -11,6 +12,7 @@ Example:
 """
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -21,6 +23,13 @@ from crossrec.autodiff import Tensor
 from crossrec.evaluation import evaluate
 from crossrec.runconfig import RunConfig, VARIANTS, effective_model_config
 from crossrec.train import build_datasets, run_training, write_outputs
+
+
+def random_ndcg(k, n):
+    """Expected NDCG@k of a uniformly random ranking of ``n`` items with one
+    relevant item, in closed form: the relevant item is at each rank r with
+    probability 1/n, and scores 1/log2(r+1) there if r <= k."""
+    return sum(1.0 / math.log2(r + 1) for r in range(1, min(k, n) + 1)) / n
 
 
 def main():
@@ -37,6 +46,7 @@ def main():
     args = parser.parse_args()
 
     means = {v: 0.0 for v in args.variants}
+    random_mean = 0.0
     print("seed\tvariant\ttest_ndcg\ttest_recall\ttest_mrr\tseconds")
     for seed in args.seeds:
         base = RunConfig(seed=seed, iterations=args.iterations,
@@ -45,6 +55,7 @@ def main():
             base, synthetic=dataclasses.replace(base.synthetic, seed=seed,
                                                 rho=args.rho))
         data = build_datasets(base)
+        random_mean += random_ndcg(args.k, data[1].item_count) / len(args.seeds)
         for variant in args.variants:
             cfg = dataclasses.replace(base, variant=variant)
             t0 = time.time()
@@ -62,6 +73,7 @@ def main():
     print("\nmean test NDCG@{} over {} seeds:".format(args.k, len(args.seeds)))
     for variant in args.variants:
         print(f"  {variant}: {means[variant]:.4f}")
+    print(f"  random ranking (closed form): {random_mean:.4f}")
 
 
 if __name__ == "__main__":

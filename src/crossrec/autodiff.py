@@ -276,13 +276,13 @@ def vq_loss(z_q, z_e, counts):
     weights = 1.0 / np.asarray(sizes, dtype=np.float64)
     diff = q - e
     sq = diff * diff
-    # a task's rows are contiguous, so each sum adds in np.sum's order for them
+    # a table's rows are contiguous, so each sum adds in np.sum's order for them
     parts = np.array([sq[hi - n:hi].sum() for n, hi in zip(sizes, ends)])
     value = (parts + parts) * weights
     one = len(sizes) == 1
 
     def vjp(g):
-        # the scale both square terms share: g of the row's task over its count
+        # the scale both square terms share: g of the row's table over its count
         task = np.repeat(np.arange(len(sizes)), sizes)
         w = Tensor(weights[task][:, None])
         # one table's g broadcasts over its rows without a gather record

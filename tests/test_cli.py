@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import os
 import re
 import struct
@@ -13,6 +14,7 @@ from crossrec.autodiff import Tensor
 from crossrec.backbone import embed_key
 from crossrec.checkpoint import load_checkpoint, save_checkpoint
 from crossrec.data import SyntheticSpec, load_interactions, leave_one_out_split
+from crossrec.evaluation import metrics_from_rank
 from crossrec.meta import MetaConfig, MetaIterationReport
 from crossrec.runconfig import (DataConfig, RunConfig, VARIANTS, load_config,
                                 parse_config,
@@ -298,16 +300,64 @@ print(params.hexdigest())
 """
 
 
-def test_training_bytes_do_not_depend_on_the_blas_thread_count():
-    # at 1024 items a layer holds enough entries for OpenBLAS to split a
-    # reduction over threads, which would round differently under 2 threads
+# evaluate on an eval-wide-shaped target, with a digest of every score array
+# that reaches rank_of_truth, then the code search's codes at N = K = 2048 and
+# at N = 300, K = 16384, where each block is one row, which numpy scores by gemv
+THREADS_EVAL = """
+import hashlib
+import numpy as np
+from crossrec import evaluation, vq
+from crossrec.autodiff import Tensor
+from crossrec.backbone import init_parameters
+from crossrec.runconfig import effective_model_config, parse_config
+from crossrec.train import build_datasets
+scores, rank = hashlib.sha256(), evaluation.rank_of_truth
+def hashed_rank(s, truths):
+    scores.update(s.tobytes())
+    return rank(s, truths)
+evaluation.rank_of_truth = hashed_rank
+cfg = parse_config("synthetic.num_source_domains=1\\nsynthetic.users_per_domain=20000\\n"
+                   "synthetic.items_per_domain=1024\\n")
+sources, target = build_datasets(cfg)
+params = init_parameters(cfg.encoder, {d.domain_id: d.item_count
+                                       for d in sources + [target]}, cfg.seed)
+for split in ("val", "test"):
+    print(evaluation.evaluate(params, target, split, cfg.k, effective_model_config(cfg)))
+print(target.num_users, target.item_count, scores.hexdigest())
+rng = np.random.default_rng(0)
+for n, k in ((2048, 2048), (300, 16384)):
+    book = vq.Codebook(Tensor(rng.standard_normal((k + 1, 16))), 4, (n,))
+    codes = vq._head_codes(rng.standard_normal((n, 16)), book)
+    print(n, k, hashlib.sha256(codes.tobytes()).hexdigest())
+"""
+
+
+def outputs_under_blas_threads(code):
+    """The stdout of ``code`` in a fresh interpreter under 1 and under 2
+    OpenBLAS threads."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    outs = [subprocess.run([sys.executable, "-c", THREADS_RUN], capture_output=True,
+    return [subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, check=True,
                            env={**os.environ, "PYTHONPATH": src,
                                 "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n}).stdout
             for n in ("1", "2")]
+
+
+def test_training_bytes_do_not_depend_on_the_blas_thread_count():
+    # at 1024 items a layer holds enough entries for OpenBLAS to split a
+    # reduction over threads, which would round differently under 2 threads
+    outs = outputs_under_blas_threads(THREADS_RUN)
     assert outs[0].count("\n") == 5  # header, 2 iterations, 1 eval, parameter digest
+    assert outs[0] == outs[1]
+
+
+def test_eval_and_code_search_bytes_do_not_depend_on_the_blas_thread_count():
+    # the matrix products training does not reach: evaluate's scores and the
+    # code search, at catalog sizes
+    outs = outputs_under_blas_threads(THREADS_EVAL)
+    lines = outs[0].splitlines()
+    assert len(lines) == 5 and lines[2].startswith("2000 1024 ")
+    assert all(line.startswith("EvalResult(") for line in lines[:2])
     assert outs[0] == outs[1]
 
 
@@ -431,6 +481,17 @@ def test_inspect_codes_refuses_a_run_without_vq(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"{ckpt}: variant 'no_vq' quantizes nothing, so it has no codes to dump\n"
     assert not dump.exists()
+
+
+def test_random_ranking_reference_is_the_mean_over_ranks(monkeypatch):
+    # the transfer script's closed form equals the mean NDCG@k over the n
+    # equally likely ranks of the one relevant item
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    script = importlib.import_module("run_transfer_experiment")
+    for k, n in [(10, 64), (10, 7), (1, 1), (5, 1024)]:
+        assert script.random_ndcg(k, n) == pytest.approx(
+            metrics_from_rank(np.arange(1, n + 1), k)[0].mean(), rel=1e-12)
+    assert round(script.random_ndcg(10, 64), 4) == 0.0710  # the default target
 
 
 def test_contract_hashes_prints_one_line_per_run():
