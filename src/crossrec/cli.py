@@ -20,16 +20,16 @@ class InputError(Exception):
     one ``error:`` line and exits with code 2."""
 
 
-def _checked(fn, *args):
-    """``fn(*args)``, with the errors of reading user input as ``InputError``."""
+def _checked(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with errors reading user input as ``InputError``."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (ValueError, OSError, CheckpointError) as exc:
         raise InputError(exc) from exc
 
 
-def _resolve_config(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
+def _resolve_config(args, **overrides):
+    cfg = load_config(args.config, **overrides) if args.config else RunConfig(**overrides)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "out", None):
@@ -118,9 +118,9 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    cfg = _checked(_resolve_config, args)
-    # every variant runs, so the data must serve a meta-transfer one
-    datasets = _checked(lambda: build_datasets(dataclasses.replace(cfg, variant="full")))
+    # every variant runs, so the config and data must serve the full one
+    cfg = _checked(_resolve_config, args, variant="full")
+    datasets = _checked(build_datasets, cfg)
     out = cfg.out_dir or "ablation"
     os.makedirs(out, exist_ok=True)
     results = run_ablation(cfg, datasets=datasets)

@@ -268,20 +268,27 @@ def _windows(dataset, starts, ends, max_len):
     return TaskBatch(dataset.domain_id, inputs, dataset.items[ends], (dataset.item_count,))
 
 
-def _random_transition(rng, n):
-    m = rng.uniform(0.05, 1.0, (n, n))
+def _random_transition(rng, rows, n):
+    """``rows`` rows of a random n-state transition matrix: ``rows * n``
+    uniforms on [0.05, 1), row-major, each row divided by its sum."""
+    m = rng.uniform(0.05, 1.0, (rows, n))
     m /= m.sum(axis=1, keepdims=True)
     return m
 
 
-def domain_chain(rng, base, rho):
+def domain_chain(rng, base, n, rho):
     """One domain's (permutation, cumulative transition rows), in one n x n
-    buffer: the base chain is relabeled into it in blocks of rows."""
-    perm = rng.permutation(len(base))
-    cum = _random_transition(rng, len(base))
+    buffer. ``base`` is a generator at the base chain's first uniform; the
+    base rows are drawn from it again in blocks of rows, each relabeled into
+    the rows and columns of ``perm``, and ``base`` is left where it was."""
+    perm = rng.permutation(n)
+    inv, start = np.argsort(perm), base.bit_generator.state  # base row b is row inv[b]
+    cum = _random_transition(rng, n, n)
     cum *= 1.0 - rho
-    for i in range(0, len(base), rows := max(1, 2**16 // len(base))):  # <= 512 KB
-        cum[i:i + rows] += base[perm[i:i + rows, None], perm] * rho
+    for i in range(0, n, rows := max(1, 2**16 // n)):  # <= 512 KB
+        block = _random_transition(base, min(rows, n - i), n)
+        cum[inv[i:i + rows]] += block.take(perm, axis=1) * rho
+    base.bit_generator.state = start
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
     return perm, cum
@@ -361,18 +368,18 @@ def generate_synthetic(spec):
     (fresh random matrix), row-normalized; the target gets an order of
     magnitude fewer users than each source. Item-id spaces are domain-local by
     construction. Draws come in a fixed order, whatever ``rho``: the n x n base
-    uniforms; per domain the permutation, then its n x n fresh uniforms; per
+    uniforms, skipped, then drawn again per domain in row blocks by a second
+    generator; per domain the permutation, then its n x n fresh uniforms; per
     user the length, the first item, then one uniform per step (last unused),
-    read from blocks of raw rng output (``_user_draws``). The datasets are
-    split from the sampled arrays; ``events`` is built when first read.
+    from raw rng blocks (``_user_draws``). ``events`` is built when first read.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng, base = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
     n = spec.items_per_domain
-    base = _random_transition(rng, n)
+    rng.bit_generator.advance(n * n)  # past the base uniforms, one raw output each
     domains = [f"src{i}" for i in range(spec.num_source_domains)] + ["target"]
     result = SyntheticResult(datasets=[], sequences={})
     for domain in domains:
-        _, cum = domain_chain(rng, base, spec.rho)
+        _, cum = domain_chain(rng, base, n, spec.rho)
         users = spec.users_per_domain if domain != "target" \
             else max(1, spec.users_per_domain // 10)
         items = np.empty((spec.seq_len_max, users), dtype=np.int64)

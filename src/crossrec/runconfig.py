@@ -79,10 +79,11 @@ def _format_value(value):
     return str(value)
 
 
-def parse_config(text):
-    """Parse flat key=value text into a RunConfig; unknown and repeated keys
-    are rejected, and errors name the line (and the key, if one was read). A
-    value out of range names the line that set its key."""
+def parse_config(text, **overrides):
+    """Parse flat key=value text into a RunConfig, then ``dataclasses.replace``
+    it with ``overrides``; unknown and repeated keys are rejected, and errors
+    name the line (and the key, if one was read). A value out of range, for
+    the text or after the overrides, names the line that set its key."""
     top, nested, seen = {}, {name: {} for name in _SECTIONS}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
@@ -113,7 +114,7 @@ def parse_config(text):
         for section, values in nested.items():
             if values:
                 kwargs[section] = dataclasses.replace(getattr(defaults, section), **values)
-        return RunConfig(**kwargs)
+        return dataclasses.replace(RunConfig(**kwargs), **overrides)
     except ValueError as exc:  # a range error's message starts with its key
         key = re.match(r"[\w.]*", str(exc))[0]
         if key not in seen:
@@ -121,7 +122,7 @@ def parse_config(text):
         raise ValueError(f"config line {seen[key]}: {exc}") from None
 
 
-def load_config(path):
+def load_config(path, **overrides):
     """``parse_config`` of a file; errors name the path. A byte that is not
     UTF-8 is reported ahead of any parse error."""
     with open_text(path) as fh:
@@ -129,7 +130,7 @@ def load_config(path):
     for lineno, line in enumerate(text.split("\n"), start=1):
         check_utf8(path, lineno, line)
     try:
-        return parse_config(text)
+        return parse_config(text, **overrides)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

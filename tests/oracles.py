@@ -6,8 +6,7 @@ import numpy as np
 
 from crossrec import autodiff as ad
 from crossrec.backbone import _rms_norm
-from crossrec.data import (DomainDataset, _random_transition, domain_chain,
-                           sample_batch)
+from crossrec.data import DomainDataset, _random_transition, sample_batch
 from crossrec.meta import (MetaIterationReport, TaskReport, inner_adapt,
                            meta_gradient, rescale_and_update)
 from crossrec.objective import batch_loss
@@ -178,7 +177,7 @@ def relabeled_chain(rng, base, rho):
     array, ``base[np.ix_(perm, perm)]``, blended into the fresh matrix."""
     perm = rng.permutation(len(base))
     relabeled = base[np.ix_(perm, perm)]
-    cum = _random_transition(rng, len(base))
+    cum = _random_transition(rng, len(base), len(base))
     cum *= 1.0 - rho
     relabeled *= rho
     cum += relabeled
@@ -201,16 +200,17 @@ def scalar_user_draws(rng, users, seq_len_min, seq_len_max, n):
 
 
 def scalar_synthetic(spec):
-    """Reference ``data.generate_synthetic``: one scalar draw and one
+    """Reference ``data.generate_synthetic``: the whole base chain drawn once
+    and blended by ``relabeled_chain``, one scalar draw and one
     ``np.searchsorted`` per event, the step clamped to the last item, and
     the events split by ``per_event_split``."""
     rng = np.random.default_rng(spec.seed)
     n = spec.items_per_domain
-    base = _random_transition(rng, n)
+    base = _random_transition(rng, n, n)
     domains = [f"src{i}" for i in range(spec.num_source_domains)] + ["target"]
     result = SimpleNamespace(datasets=[], events={})
     for domain in domains:
-        _, cum = domain_chain(rng, base, spec.rho)
+        _, cum = relabeled_chain(rng, base, spec.rho)
         users = spec.users_per_domain if domain != "target" \
             else max(1, spec.users_per_domain // 10)
         events = []

@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from crossrec import cli, train
+from crossrec import cli, data, train
 from crossrec.autodiff import Tensor
 from crossrec.backbone import embed_key
 from crossrec.checkpoint import load_checkpoint, save_checkpoint
-from crossrec.data import SyntheticSpec, load_interactions, leave_one_out_split
+from crossrec.data import (SyntheticSpec, domain_chain, load_interactions,
+                           leave_one_out_split)
 from crossrec.evaluation import metrics_from_rank
 from crossrec.meta import MetaConfig, MetaIterationReport
 from crossrec.runconfig import (DataConfig, RunConfig, VARIANTS, load_config,
@@ -120,10 +121,12 @@ def test_divisibility_checks_the_heads_the_variant_uses(tmp_path, capsys, varian
     with pytest.raises(ValueError, match=f"^config line {line}: encoder.d_model=10 "
                                          f"not divisible by vq.heads=4$"):
         parse_config(full)
-    # the ablation also runs full
-    argv = ["ablate", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]
+    # the ablation also runs full, and names the config file and line
+    path = write_config(tmp_path, text)
+    argv = ["ablate", "--config", path, "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: encoder.d_model=10 not divisible by vq.heads=4\n"
+    assert capsys.readouterr().err == (f"error: {path}: config line {line}: "
+                                       f"encoder.d_model=10 not divisible by vq.heads=4\n")
 
 
 @pytest.mark.parametrize("setting", [
@@ -492,6 +495,22 @@ def test_random_ranking_reference_is_the_mean_over_ranks(monkeypatch):
         assert script.random_ndcg(k, n) == pytest.approx(
             metrics_from_rank(np.arange(1, n + 1), k)[0].mean(), rel=1e-12)
     assert round(script.random_ndcg(10, 64), 4) == 0.0710  # the default target
+
+
+def test_popularity_and_chain_oracle_references(monkeypatch):
+    # on the default world at seeds 0-4 the two data-only reference points
+    # give the means recorded in the roadmap's Baseline, and the wrapper
+    # leaves domain_chain as it found it
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    script = importlib.import_module("run_transfer_experiment")
+    popularity = oracle = 0.0
+    for seed in range(5):
+        result, cum = script.generate_with_target_chain(SyntheticSpec(seed=seed))
+        target = result.datasets[-1]
+        popularity += script.popularity_ndcg(target, 10) / 5
+        oracle += script.oracle_ndcg(target, result.sequences["target"][0], cum, 10) / 5
+    assert (round(popularity, 4), round(oracle, 4)) == (0.0799, 0.1199)
+    assert data.domain_chain is domain_chain
 
 
 def test_contract_hashes_prints_one_line_per_run():

@@ -383,28 +383,32 @@ SMALL = data.SyntheticSpec(num_source_domains=2, items_per_domain=12,
 
 
 def chains(seed, n, rho, count):
-    """``count`` domain chains over one base, as (permutation, transition
-    matrix) pairs; the matrix is recovered from the cumulative one."""
-    rng = np.random.default_rng(seed)
-    base = data._random_transition(rng, n)
+    """``count`` domain chains over one base, drawn as ``generate_synthetic``
+    draws them, as (permutation, transition matrix) pairs; the matrix is
+    recovered from the cumulative one. The base matrix comes first."""
+    rng, base = np.random.default_rng(seed), np.random.default_rng(seed)
+    matrix = data._random_transition(rng, n, n)  # moves rng past the base uniforms
     out = []
     for _ in range(count):
-        perm, cum = data.domain_chain(rng, base, rho)
+        perm, cum = data.domain_chain(rng, base, n, rho)
         out.append((perm, np.diff(cum, axis=1, prepend=0.0)))
-    return base, out
+    return matrix, out
 
 
-@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("n", [1, 7, 64, 300])
 @pytest.mark.parametrize("rho", [0.0, 0.9, 1.0])
 def test_domain_chain_matches_whole_matrix_relabeling(n, rho):
-    # relabeling a row at a time gives the bytes of the whole-matrix formula
-    base = data._random_transition(np.random.default_rng(n), n)
+    # drawing the base again and relabeling it a block of rows at a time gives
+    # the bytes of the whole-matrix formula; 300 items end in a partial block
+    base = np.random.default_rng(n)
+    matrix = data._random_transition(np.random.default_rng(n), n, n)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(2):
-        perm, cum = data.domain_chain(rng, base, rho)
-        ref_perm, ref_cum = relabeled_chain(ref_rng, base, rho)
+        perm, cum = data.domain_chain(rng, base, n, rho)
+        ref_perm, ref_cum = relabeled_chain(ref_rng, matrix, rho)
         assert np.array_equal(perm, ref_perm)
         assert cum.tobytes() == ref_cum.tobytes()
+        assert base.bit_generator.state == np.random.default_rng(n).bit_generator.state
 
 
 @settings(deadline=None, max_examples=80)
@@ -427,8 +431,9 @@ def test_row_search_matches_clamped_searchsorted(seed, n):
 def test_row_search_clamps_a_row_ending_below_one():
     # a draw at or past a row's last entry stays on the last item instead of
     # indexing past the end of the chain
-    rng = np.random.default_rng(0)
-    _, cum = data.domain_chain(rng, data._random_transition(rng, 64), 0.9)
+    rng, base = np.random.default_rng(0), np.random.default_rng(0)
+    rng.bit_generator.advance(64 * 64)  # past the base uniforms
+    _, cum = data.domain_chain(rng, base, 64, 0.9)
     rows = np.flatnonzero(cum[:, -1] < 1.0)
     assert rows.size
     draws = np.full(rows.size, 1.0 - 2**-53)
@@ -503,13 +508,28 @@ def test_user_draws_memory_is_bounded_by_the_block():
     assert peak - sum(a.nbytes for a in out) < 2 * 2**20, peak
 
 
+def test_generator_holds_one_chain_at_a_time():
+    # set-up holds a domain's n x n cumulative chain and blocks of at most
+    # 512 KB, never the whole base chain beside it: two chains are 16 MiB here
+    n = 1024
+    tracemalloc.start()
+    try:
+        data.generate_synthetic(data.SyntheticSpec(
+            items_per_domain=n, num_source_domains=1, users_per_domain=200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8, peak
+
+
 SPECS = [dict(items_per_domain=1, users_per_domain=10),
          dict(items_per_domain=7, users_per_domain=50, rho=0.0),
          dict(items_per_domain=64, users_per_domain=300, rho=1.0),
          dict(items_per_domain=64, users_per_domain=200, seq_len_min=4,
               seq_len_max=4, seed=3),
          dict(items_per_domain=512, users_per_domain=500, num_source_domains=1,
-              seed=1)]
+              seed=1),
+         dict(items_per_domain=300, users_per_domain=100, rho=0.5, seed=2)]
 
 
 @pytest.mark.parametrize("spec", SPECS)
