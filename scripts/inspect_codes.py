@@ -83,7 +83,7 @@ def main():
         target = next(d for d, role, _ in load_manifest(cfg.data.manifest)
                       if role == "target")
     model_cfg = effective_model_config(cfg, target)
-    if not model_cfg.vq.enabled:
+    if model_cfg.vq is None:
         sys.exit(f"{args.checkpoint}: variant {cfg.variant!r} quantizes nothing, "
                  f"so it has no codes to dump")
     params = {name: Tensor(arr) for name, arr in tensors.items()}

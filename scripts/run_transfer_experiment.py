@@ -2,11 +2,12 @@
 """Seed-averaged transfer experiment: full vs. ablated variants.
 
 Trains the selected variants on freshly generated synthetic data for each
-seed, evaluates the best checkpoint on the target test split, and prints a
-per-seed table plus seed-averaged means, next to three reference points on
-the same test users: the expected NDCG@k of a uniformly random ranking of
-the target's items, a popularity ranking, and the true-chain oracle, which
-ranks each user's next item by the target's own transition row.
+seed, evaluates the best-validation and the last checkpoint on the target
+test split, and prints a per-seed table plus seed-averaged means of both,
+next to three reference points on the same test users: the expected NDCG@k
+of a uniformly random ranking of the target's items, a popularity ranking,
+and the true-chain oracle, which ranks each user's next item by the target's
+own transition row.
 
 Example:
     python3 scripts/run_transfer_experiment.py --seeds 0 1 2 3 4 \
@@ -99,9 +100,9 @@ def main():
                         "per-run metrics CSVs and checkpoints")
     args = parser.parse_args()
 
-    means = {v: 0.0 for v in args.variants}
+    means = {v: np.zeros(2) for v in args.variants}  # best, last
     random_mean = popularity_mean = oracle_mean = 0.0
-    print("seed\tvariant\ttest_ndcg\ttest_recall\ttest_mrr\tseconds")
+    print("seed\tvariant\ttest_ndcg\ttest_recall\ttest_mrr\tlast_ndcg\tseconds")
     for seed in args.seeds:
         base = RunConfig(seed=seed, iterations=args.iterations,
                          eval_every=args.eval_every, k=args.k)
@@ -118,19 +119,20 @@ def main():
             cfg = dataclasses.replace(base, variant=variant)
             t0 = time.time()
             result = run_training(cfg, datasets=data)
+            model_cfg = effective_model_config(cfg)
             best = {k: Tensor(a) for k, a in result.best_params.items()}
-            res = evaluate(best, data[1], "test", cfg.k,
-                           effective_model_config(cfg))
-            means[variant] += res.ndcg_at_k / len(args.seeds)
+            res = evaluate(best, data[1], "test", cfg.k, model_cfg)
+            last = evaluate(result.final_params, data[1], "test", cfg.k,
+                            model_cfg).ndcg_at_k
+            means[variant] += np.array([res.ndcg_at_k, last]) / len(args.seeds)
             print(f"{seed}\t{variant}\t{res.ndcg_at_k:.4f}\t"
-                  f"{res.recall_at_k:.4f}\t{res.mrr:.4f}\t"
+                  f"{res.recall_at_k:.4f}\t{res.mrr:.4f}\t{last:.4f}\t"
                   f"{time.time() - t0:.0f}", flush=True)
             if args.out:
-                write_outputs(result, cfg,
-                              os.path.join(args.out, f"{variant}-s{seed}"))
+                write_outputs(result, os.path.join(args.out, f"{variant}-s{seed}"))
     print("\nmean test NDCG@{} over {} seeds:".format(args.k, len(args.seeds)))
     for variant in args.variants:
-        print(f"  {variant}: {means[variant]:.4f}")
+        print(f"  {variant}: best {means[variant][0]:.4f}, last {means[variant][1]:.4f}")
     print(f"  random ranking (closed form): {random_mean:.4f}")
     print(f"  popularity (train + val counts): {popularity_mean:.4f}")
     print(f"  true-chain oracle: {oracle_mean:.4f}")

@@ -65,7 +65,7 @@ def cmd_train(args):
     datasets = _checked(build_datasets, cfg)
     out = cfg.out_dir or "run"
     result = run_training(cfg, datasets=datasets)
-    csv_path, ckpt_path = write_outputs(result, cfg, out)
+    csv_path, ckpt_path = write_outputs(result, out)
     print(f"variant={cfg.variant} best val ndcg@{cfg.k}="
           f"{result.best_ndcg:.4f} at iteration {result.best_iteration}")
     print(f"metrics: {csv_path}")

@@ -20,7 +20,6 @@ from .vq import Codebook, quantize_domain_matrix
 
 @dataclass(frozen=True)
 class VQConfig:
-    enabled: bool = True
     heads: int = 4
 
     def __post_init__(self):
@@ -31,7 +30,7 @@ class VQConfig:
 @dataclass(frozen=True)
 class ModelConfig:
     encoder: EncoderConfig
-    vq: VQConfig = field(default_factory=VQConfig)
+    vq: VQConfig | None = field(default_factory=VQConfig)  # None: no source quantized
     target_domain: str = "target"
 
 
@@ -42,7 +41,7 @@ def domain_item_matrix(params, domain, model_cfg, counts):
     key = embed_key(domain)
     if key not in params:
         raise KeyError(f"unknown domain {domain!r}")
-    if not model_cfg.vq.enabled or domain == model_cfg.target_domain:
+    if model_cfg.vq is None or domain == model_cfg.target_domain:
         return params[key], None
     book = Codebook(params[embed_key(model_cfg.target_domain)], model_cfg.vq.heads, counts)
     full, loss, _ = quantize_domain_matrix(params, domain, book)

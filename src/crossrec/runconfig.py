@@ -44,7 +44,7 @@ class RunConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         vq = effective_model_config(self).vq  # the heads this variant splits into
-        if vq.enabled and self.encoder.d_model % vq.heads:
+        if vq is not None and self.encoder.d_model % vq.heads:
             raise ValueError(f"encoder.d_model={self.encoder.d_model} not divisible "
                              f"by vq.heads={vq.heads}")
 
@@ -146,11 +146,9 @@ def serialize_config(cfg):
 
 
 def effective_model_config(cfg, target_domain="target"):
-    """ModelConfig with the variant's VQ adjustments applied; the codebook
-    aliases the table of ``target_domain``."""
-    vq = cfg.vq
+    """ModelConfig with the variant's VQ adjustments applied (no ``vq`` for
+    ``no_vq``); the codebook aliases the table of ``target_domain``."""
+    vq = None if cfg.variant == "no_vq" else cfg.vq
     if cfg.variant == "no_multihead_vq":
         vq = dataclasses.replace(vq, heads=1)
-    elif cfg.variant == "no_vq":
-        vq = dataclasses.replace(vq, enabled=False)
     return ModelConfig(encoder=cfg.encoder, vq=vq, target_domain=target_domain)

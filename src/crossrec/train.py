@@ -82,8 +82,8 @@ def build_datasets(cfg):
     """(source datasets, target dataset) from manifest files or inline synthesis.
 
     A manifest domain with no rows in its TSV, or that k-core filtering leaves
-    without users, is rejected, and so is a manifest without a source row
-    under a meta-transfer variant.
+    without users or without a train pair, is rejected, and so is a manifest
+    without a source row under a meta-transfer variant.
     """
     if cfg.data.manifest:
         sources, target, parsed = [], None, {}  # parsed: path -> its one parse
@@ -99,6 +99,10 @@ def build_datasets(cfg):
             if ds.num_users == 0:
                 raise ValueError(f"{path}: domain {domain!r} has no users left "
                                  f"after k-core filtering with k_core={cfg.k_core}")
+            if not len(ds.eligible_users):
+                raise ValueError(f"{path}: domain {domain!r} has no user with a train pair "
+                                 f"(4 or more interactions) after k-core filtering "
+                                 f"with k_core={cfg.k_core}")
             if role == "target":
                 target = ds
             else:
@@ -175,7 +179,7 @@ def run_training(cfg, datasets=None):
                        csv_rows=rows, config_text=serialize_config(cfg))
 
 
-def write_outputs(result, cfg, out_dir):
+def write_outputs(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

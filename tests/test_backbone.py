@@ -6,7 +6,7 @@ import pytest
 from crossrec import autodiff as ad
 from crossrec import backbone as bb
 from crossrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from crossrec.objective import ModelConfig, VQConfig, domain_item_matrix
+from crossrec.objective import ModelConfig, domain_item_matrix
 
 from oracles import fd_grad, reference_encode_last, rel_err
 
@@ -30,8 +30,7 @@ def test_embed_is_row_lookup():
 def test_embed_errors():
     params = tiny_params()
     with pytest.raises(KeyError):
-        domain_item_matrix(params, "nope", ModelConfig(CFG, VQConfig(enabled=False), "d0"),
-                           (3,))
+        domain_item_matrix(params, "nope", ModelConfig(CFG, None, "d0"), (3,))
     with pytest.raises(IndexError):
         ad.gather(params["embed.d0"], [99])
 

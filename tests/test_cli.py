@@ -95,10 +95,21 @@ def test_config_comments_and_errors():
                                     "expected boolean, got 'maybe'"),
     ("seed=1\n# again\nseed=2\n", "config line 3: key 'seed' already set on line 1"),
     ("vq.heads=2\nvq.heads=2\n", "config line 2: key 'vq.heads' already set on line 1"),
-], ids=["bad_int", "bad_float", "bad_bool", "repeated_key", "repeated_dotted_key"])
+    ("vq.enabled=false\n", "config line 1: unknown key 'vq.enabled'"),
+], ids=["bad_int", "bad_float", "bad_bool", "repeated_key", "repeated_dotted_key",
+        "removed_key"])
 def test_config_errors_name_line_and_key(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_config(text)
+
+
+def test_readme_example_config_parses():
+    # the first code block under README's "### Config format" is a config
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("### Config format\n", 1)[1]
+    example = re.search(r"^```\n(.*?)^```", section, re.S | re.M)[1]
+    cfg = parse_config(example)
+    assert (cfg.iterations, cfg.synthetic.users_per_domain, cfg.vq.heads) == (500, 2000, 4)
 
 
 def test_variant_divisibility_validation():
@@ -588,14 +599,19 @@ def test_eval_mismatched_config_rejected(tmp_path, capsys):
     assert "d_model" in capsys.readouterr().err
 
 
-def test_eval_old_checkpoint_config_needs_config_flag(tmp_path, capsys):
+@pytest.mark.parametrize("line,named", [
+    ("train.parallel=false", "unknown section 'train'"),
+    ("vq.enabled=true", "unknown key 'vq.enabled'"),
+], ids=["train_parallel", "vq_enabled"])
+def test_eval_old_checkpoint_config_needs_config_flag(tmp_path, capsys, line, named):
+    # keys since removed: a checkpoint written before keeps its config text
     out = trained_run(tmp_path)
     tensors, text = load_checkpoint(os.path.join(out, "best.ckpt"))
     old = os.path.join(out, "old.ckpt")
-    save_checkpoint(old, tensors, text + "train.parallel=false\n")
+    save_checkpoint(old, tensors, text + line + "\n")
     assert cli.main(["eval", "--checkpoint", old]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {old}: embedded config: ") and "'train'" in err
+    assert err.startswith(f"error: {old}: embedded config: ") and named in err
     # --config replaces the embedded config, which is then not parsed at all
     assert cli.main(["eval", "--checkpoint", old, "--out", out, "--config",
                      write_config(tmp_path, SMALL_CONFIG)]) == 0
@@ -747,6 +763,40 @@ def test_domain_emptied_by_k_core_rejected_at_load(tmp_path):
             f"{target_tsv}: domain 'target' has no users left after k-core "
             f"filtering with k_core=2")):
         build_datasets(cfg)
+
+
+def no_train_pair_manifest(tmp_path, short):
+    """A manifest over one TSV in which every user of the domains ``short``
+    has 3 interactions (val and test items, no train pair), the rest 4."""
+    rows = [f"{d}\tu{u}\ti{(u + t) % 5}\t{t}" for d in ("src0", "target")
+            for u in range(6) for t in range(3 if d in short else 4)]
+    (tmp_path / "both.tsv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "manifest.tsv").write_text("src0\tsource\tboth.tsv\n"
+                                           "target\ttarget\tboth.tsv\n")
+    return str(tmp_path / "manifest.tsv"), os.path.join(str(tmp_path), "both.tsv")
+
+
+def no_train_pair_message(tsv, domain):
+    return (f"{tsv}: domain {domain!r} has no user with a train pair (4 or more "
+            f"interactions) after k-core filtering with k_core=1")
+
+
+@pytest.mark.parametrize("domain", ["src0", "target"])
+def test_domain_without_train_pair_rejected_at_load(tmp_path, domain):
+    manifest, tsv = no_train_pair_manifest(tmp_path, (domain,))
+    cfg = small_cfg(data=DataConfig(manifest=manifest), k_core=1)
+    with pytest.raises(ValueError, match=re.escape(no_train_pair_message(tsv, domain))):
+        build_datasets(cfg)
+
+
+def test_domain_without_train_pair_is_one_line_error(tmp_path, capsys):
+    # refused at load, not at iteration 1 inside sample_batch
+    manifest, tsv = no_train_pair_manifest(tmp_path, ("src0", "target"))
+    cfg_path = write_config(tmp_path, SMALL_CONFIG + f"data.manifest={manifest}\n"
+                            "k_core=1\n")
+    assert cli.main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {no_train_pair_message(tsv, 'src0')}\n"
 
 
 def test_shared_tsv_is_parsed_once(tmp_path, monkeypatch):

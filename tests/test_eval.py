@@ -5,7 +5,7 @@ from crossrec import evaluation as ev
 from crossrec.autodiff import Tensor
 from crossrec.backbone import EncoderConfig, encode_steps, init_parameters
 from crossrec.data import eval_batch
-from crossrec.objective import ModelConfig, VQConfig
+from crossrec.objective import ModelConfig
 
 from oracles import brute_force_rank, dataset_from_lists
 
@@ -156,7 +156,7 @@ def oracle_model(item_count, train, val, test):
     params = init_parameters(cfg, {"target": item_count}, seed=0)
     params["embed.target"] = Tensor(np.eye(d))
     params["block0.ff_w1"] = Tensor(np.zeros((d, d)))
-    model_cfg = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False),
+    model_cfg = ModelConfig(encoder=cfg, vq=None,
                             target_domain="target")
     return params, ds, model_cfg
 
@@ -198,7 +198,7 @@ def test_evaluate_matches_bruteforce_on_random_model():
                             train=[[0, 4, 2], [5, 1], [7, 8, 3, 0]],
                             val=[6, 7, 2], test=[1, 0, 5])
     params = init_parameters(cfg, {"target": 9}, seed=13)
-    mc = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False),
+    mc = ModelConfig(encoder=cfg, vq=None,
                      target_domain="target")
     for split in ("val", "test"):
         res = ev.evaluate(params, ds, split, 2, mc)
@@ -216,7 +216,7 @@ def test_evaluate_chunking_is_invisible(monkeypatch):
                             val=[(i + 1) % 9 for i in range(7)],
                             test=[(i + 2) % 9 for i in range(7)])
     params = init_parameters(cfg, {"target": 9}, seed=3)
-    mc = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False),
+    mc = ModelConfig(encoder=cfg, vq=None,
                      target_domain="target")
     monkeypatch.setattr(ev, "EVAL_CHUNK", 2)
     a = ev.evaluate(params, ds, "test", 3, mc)
@@ -227,7 +227,7 @@ def test_evaluate_chunking_is_invisible(monkeypatch):
 def test_evaluate_repeated_calls_match_fresh_datasets(monkeypatch):
     cfg = EncoderConfig(d_model=6, num_blocks=1, max_len=4)
     params = init_parameters(cfg, {"target": 9}, seed=5)
-    mc = ModelConfig(encoder=cfg, vq=VQConfig(enabled=False), target_domain="target")
+    mc = ModelConfig(encoder=cfg, vq=None, target_domain="target")
 
     def fresh():
         return dataset_from_lists("target", 9,

@@ -336,7 +336,7 @@ def test_untouched_layer_keeps_theta_bytes():
 
 def tiny_world(seed=0):
     enc = EncoderConfig(d_model=4, num_blocks=1, max_len=5)
-    mc = ModelConfig(encoder=enc, vq=VQConfig(enabled=True, heads=2),
+    mc = ModelConfig(encoder=enc, vq=VQConfig(heads=2),
                      target_domain="target")
     sources = [
         dataset_from_lists("src0", 5, train=[[0, 1, 2], [3, 4, 0]],
@@ -549,10 +549,10 @@ def test_joint_training_loss_decreases():
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
-def synthetic_world(heads=4, vq=True, **spec):
+def synthetic_world(heads=4, variant="full", **spec):
     """A generated world and its model config: (params, sources, target, mc)."""
     cfg = RunConfig(synthetic=SyntheticSpec(**{"users_per_domain": 100, **spec}),
-                    vq=VQConfig(enabled=vq, heads=heads))
+                    variant=variant, vq=VQConfig(heads=heads))
     *sources, target = generate_synthetic(cfg.synthetic).datasets
     params = init_parameters(cfg.encoder, {d.domain_id: d.item_count
                                            for d in sources + [target]}, 0)
@@ -571,7 +571,7 @@ JOINT_WORLDS = {
     "tiny_no_source": lambda: tiny_sources(0),
     "64_items": lambda: synthetic_world(),
     "64_items_one_head": lambda: synthetic_world(heads=1),
-    "64_items_no_vq": lambda: synthetic_world(vq=False),
+    "64_items_no_vq": lambda: synthetic_world(variant="no_vq"),
     "300_items_two_sources": lambda: synthetic_world(items_per_domain=300,
                                                      num_source_domains=2),
     # sources of 64, 61 and 63 items: ragged across the 8-wide blocks that
@@ -627,8 +627,8 @@ def test_meta_config_validation():
 
 VARIANT_CONFIGS = {
     "full": {},
-    "no_multihead_vq": {"vq": VQConfig(enabled=True, heads=1)},
-    "no_vq": {"vq": VQConfig(enabled=False)},
+    "no_multihead_vq": {"vq": VQConfig(heads=1)},
+    "no_vq": {"vq": None},
     "no_rescale": {},
 }
 

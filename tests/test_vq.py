@@ -327,7 +327,7 @@ def test_quantized_item_matrix_paths():
     assert any(np.array_equal(row[2:], r[2:]) for r in target_rows)
     # the padding row stays raw
     assert np.array_equal(src.data[1], params["embed.src0"].data[1])
-    off = dataclasses.replace(mc, vq=VQConfig(enabled=False))
+    off = dataclasses.replace(mc, vq=None)
     assert domain_item_matrix(params, "src0", off, (1,)) == (params["embed.src0"], None)
     with pytest.raises(KeyError):
         domain_item_matrix(params, "nope", mc, (1,))
