@@ -9,8 +9,9 @@ gives the val and test EvalResult of freshly initialized parameters on a
 4000-user, 1024-item target. The next gives, at inner steps 1 to 4, the digest
 of one task adapted on one source batch and differentiated through one target
 batch, each a single 2-D batch. Then one line per synthetic world shaped like
-a benchmark workload, and one at 1000 items, whose base-chain row blocks do
-not divide the catalog, all at seed 0: the digest of each domain's dataset
+a benchmark workload, one at 1000 items, whose base-chain row blocks do not
+divide the catalog, and one whose one-value length span sends every user past
+the raw-block reader, all at seed 0: the digest of each domain's dataset
 (item_count, train, val, test) and one of all its events. The last line reads
 the joint-default world back from TSVs through a manifest, one file per domain,
 then src0 and target again from one shared file that interleaves src0's lines
@@ -67,13 +68,17 @@ RUNS.update({
 })
 
 # label -> the synthetic world of the benchmark workload of that name; then a
-# world whose base rows come in 15 blocks of 65 and a last one of 25
+# world whose base rows come in 15 blocks of 65 and a last one of 25, and one
+# whose users _user_draws cannot place from a raw block, over 1100 users per
+# source: a USERS_PER_BLOCK boundary
 WORLDS = {
     "meta-default": SyntheticSpec(),
     "meta-deep-wide": SyntheticSpec(items_per_domain=512),
     "eval-wide": SyntheticSpec(num_source_domains=1, users_per_domain=20000,
                                items_per_domain=1024),
     "partial-block": SyntheticSpec(items_per_domain=1000, users_per_domain=500),
+    "numpy-draws": SyntheticSpec(items_per_domain=64, users_per_domain=1100,
+                                 seq_len_min=6, seq_len_max=6),
 }
 
 

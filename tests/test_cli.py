@@ -528,13 +528,13 @@ def test_contract_hashes_prints_one_line_per_run():
     # 18 runs: the 5 variants, 3 more inner-step counts, 2 variants at 2 task
     # counts, 4 single settings and 2 more no_meta worlds; then one line of
     # evaluate results, one of single-batch meta-gradients, one of dataset
-    # digests per workload-shaped world and the partial-block world, and one
-    # of the TSV-read datasets
+    # digests per workload-shaped world, the partial-block world and the
+    # numpy-draws world, and one of the TSV-read datasets
     proc = subprocess.run([sys.executable,
                            os.path.join(ROOT, "scripts", "contract_hashes.py")],
                           check=True, capture_output=True, text=True, timeout=300)
     lines = proc.stdout.splitlines()
-    assert len(lines) == 25
+    assert len(lines) == 26
     hashes = r"[\w .=]+: csv=[0-9a-f]{16} final=[0-9a-f]{16} best=[0-9a-f]{16}"
     assert all(re.fullmatch(hashes, line) for line in lines[:18])
     assert len({line.split(":")[0] for line in lines[:18]}) == 18
@@ -542,10 +542,10 @@ def test_contract_hashes_prints_one_line_per_run():
     assert re.fullmatch(r"single batch: s1=[0-9a-f]{16} s2=[0-9a-f]{16} "
                         r"s3=[0-9a-f]{16} s4=[0-9a-f]{16}", lines[19])
     worlds = r"data ([\w-]+): (?:\w+=[0-9a-f]{16} )+events=[0-9a-f]{16}"
-    assert [re.fullmatch(worlds, line)[1] for line in lines[20:24]] == \
-        ["meta-default", "meta-deep-wide", "eval-wide", "partial-block"]
+    assert [re.fullmatch(worlds, line)[1] for line in lines[20:25]] == \
+        ["meta-default", "meta-deep-wide", "eval-wide", "partial-block", "numpy-draws"]
     digests = r"(?: \w+=[0-9a-f]{16})+"
-    assert re.fullmatch(rf"tsv joint-default:{digests} shared:{digests}", lines[24])
+    assert re.fullmatch(rf"tsv joint-default:{digests} shared:{digests}", lines[25])
 
 
 def test_eval_k_override(tmp_path):
