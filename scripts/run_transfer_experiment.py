@@ -129,7 +129,9 @@ def main():
                   f"{res.recall_at_k:.4f}\t{res.mrr:.4f}\t{last:.4f}\t"
                   f"{time.time() - t0:.0f}", flush=True)
             if args.out:
-                write_outputs(result, os.path.join(args.out, f"{variant}-s{seed}"))
+                run_dir = os.path.join(args.out, f"{variant}-s{seed}")
+                os.makedirs(run_dir, exist_ok=True)
+                write_outputs(result, run_dir)
     print("\nmean test NDCG@{} over {} seeds:".format(args.k, len(args.seeds)))
     for variant in args.variants:
         print(f"  {variant}: best {means[variant][0]:.4f}, last {means[variant][1]:.4f}")

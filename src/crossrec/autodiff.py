@@ -240,8 +240,6 @@ def pad_axis(x, axis, start, dim):
     stop = start + x.data.shape[axis]
     if not (0 <= start <= stop <= dim):
         raise ValueError(f"pad_axis: range [{start}, {stop}) out of bounds for dim {dim}")
-    if stop - start == dim:
-        return x
     shape = list(x.data.shape)
     shape[axis] = dim
     out = np.zeros(shape)

@@ -40,7 +40,7 @@ def _resolve_config(args, **overrides):
 def cmd_generate(args):
     cfg = _checked(_resolve_config, args)
     out = cfg.out_dir or "."
-    os.makedirs(out, exist_ok=True)
+    _checked(os.makedirs, out, exist_ok=True)
     spec = cfg.synthetic if args.seed is None else \
         dataclasses.replace(cfg.synthetic, seed=args.seed)
     result = generate_synthetic(spec)
@@ -62,8 +62,9 @@ def cmd_generate(args):
 
 def cmd_train(args):
     cfg = _checked(_resolve_config, args)
-    datasets = _checked(build_datasets, cfg)
     out = cfg.out_dir or "run"
+    _checked(os.makedirs, out, exist_ok=True)
+    datasets = _checked(build_datasets, cfg)
     result = run_training(cfg, datasets=datasets)
     csv_path, ckpt_path = write_outputs(result, out)
     print(f"variant={cfg.variant} best val ndcg@{cfg.k}="
@@ -101,6 +102,8 @@ def cmd_eval(args):
             raise InputError(f"{args.checkpoint}: embedded config: {exc}; pass "
                              f"--config to evaluate it under another config") from exc
     k = args.k if args.k is not None else cfg.k
+    out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
+    _checked(os.makedirs, out, exist_ok=True)
     sources, target = _checked(build_datasets, cfg)
     _check_tensors(args.checkpoint, tensors, cfg, sources + [target])
     model_cfg = effective_model_config(cfg, target.domain_id)
@@ -109,8 +112,6 @@ def cmd_eval(args):
     print(f"ndcg@{k}={res.ndcg_at_k:.6f}")
     print(f"recall@{k}={res.recall_at_k:.6f}")
     print(f"mrr={res.mrr:.6f}")
-    out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "eval.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"metric,value\nndcg@{k},{res.ndcg_at_k!r}\n"
                  f"recall@{k},{res.recall_at_k!r}\nmrr,{res.mrr!r}\n")
@@ -120,9 +121,9 @@ def cmd_eval(args):
 def cmd_ablate(args):
     # every variant runs, so the config and data must serve the full one
     cfg = _checked(_resolve_config, args, variant="full")
-    datasets = _checked(build_datasets, cfg)
     out = cfg.out_dir or "ablation"
-    os.makedirs(out, exist_ok=True)
+    _checked(os.makedirs, out, exist_ok=True)
+    datasets = _checked(build_datasets, cfg)
     results = run_ablation(cfg, datasets=datasets)
     table = ablation_csv(results, cfg)
     path = os.path.join(out, "ablation.csv")

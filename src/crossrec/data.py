@@ -151,6 +151,13 @@ def _parse_slice(path, start, lines, tag_codes):
         if any(row.count("\t") != 3 for row in rows):
             raise ValueError  # found and named by the line-by-line scan below
         stamps = np.fromiter(map(int, fields[3::4]), np.int64, len(rows))
+        columns = []
+        for tags, codes in zip((fields[0::4], fields[1::4], fields[2::4]), tag_codes):
+            if "" in (unique := dict.fromkeys(tags)):
+                raise ValueError  # an empty tag: named by the scan below
+            for tag in unique:
+                codes.setdefault(tag, len(codes))
+            columns.append(np.fromiter(map(codes.__getitem__, tags), np.int64, len(rows)))
     except (ValueError, OverflowError):
         for lineno, line in enumerate(lines, start=start):
             check_utf8(path, lineno, line)
@@ -160,6 +167,9 @@ def _parse_slice(path, start, lines, tag_codes):
             if len(fields) != 4:
                 raise ValueError(f"{where}: expected 4 tab-separated fields, "
                                  f"got {len(fields)}") from None
+            for name, tag in zip(("domain", "user", "item"), fields):
+                if not tag:
+                    raise ValueError(f"{where}: empty {name} field") from None
             try:
                 ts = int(fields[3])
             except ValueError:
@@ -167,11 +177,6 @@ def _parse_slice(path, start, lines, tag_codes):
             if not -2**63 <= ts < 2**63:
                 raise ValueError(f"{where}: timestamp {ts} outside int64") from None
         raise
-    columns = []
-    for tags, codes in zip((fields[0::4], fields[1::4], fields[2::4]), tag_codes):
-        for tag in dict.fromkeys(tags):
-            codes.setdefault(tag, len(codes))
-        columns.append(np.fromiter(map(codes.__getitem__, tags), np.int64, len(rows)))
     return columns + [stamps]
 
 
@@ -308,9 +313,10 @@ def _next_items(cum, items, draws):
 def _user_draws(rng, users, seq_len_min, seq_len_max, n):
     """(lengths, firsts, draws) as ``for u in range(users): lengths[u] =
     rng.integers(seq_len_min, seq_len_max + 1); firsts[u] = rng.integers(n);
-    draws[:lengths[u], u] = rng.random(lengths[u])`` gives them, read from raw
-    output of ``rng``'s PCG64, which is left where that loop leaves it.
-    ``integers`` over s < 2**32 values is Lemire's draw (arXiv:1805.10941): a
+    draws[:lengths[u], u] = rng.random(lengths[u])`` gives them, ``rng`` left
+    where that loop leaves it: read from blocks of raw PCG64 output, but drawn
+    by the loop's own calls for a user after a rejected word or in a one-value
+    span. ``integers`` over s < 2**32 values is Lemire's draw (arXiv:1805.10941): a
     32-bit word x gives ``x * s >> 32``, unless ``x * s % 2**32 < 2**32 % s``
     rejects it for the next word. A word is the low half of a new raw output,
     whose high half is kept as the next word; one value draws no word.
@@ -342,22 +348,16 @@ def _user_draws(rng, users, seq_len_min, seq_len_max, n):
             bits.advance(int(np.append(starts, s)[placed]) - 1)  # the raws they read
             half = int(high[np.append(0, starts)[placed]])  # the last one's high half
             block, starts = slice(done, done + placed), starts[:placed]
+            bits.state = {**bits.state, "has_uint32": kept, "uinteger": half}
             lengths[block] = seq_len_min + (words[0][:placed] * spans[0] >> 32)
             firsts[block] = words[1][:placed] * n >> 32
             t = np.arange(seq_len_max)[:, None]
             draws[:, block] = np.where(t < lengths[block],
                                        (raws[starts + 1 + t] >> 11) * 2.0**-53, 0.0)
-        for u in range(done + placed, done + count):  # exact draws, a word at a time
-            for out, low_value, span in zip((lengths, firsts), (seq_len_min, 0), spans):
-                value, rest = 0, -1
-                while span > 1 and rest < 2**32 % span:
-                    if not kept:
-                        half, word = divmod(int(bits.random_raw()), 2**32)
-                    x, kept = (half, 0) if kept else (word, 1)
-                    value, rest = divmod(x * span, 2**32)
-                out[u] = low_value + value
-            draws[:lengths[u], u] = (bits.random_raw(lengths[u]) >> 11) * 2.0**-53
-        bits.state = {**bits.state, "has_uint32": kept, "uinteger": half}
+        for u in range(done + placed, done + count):  # numpy's own draws
+            lengths[u] = rng.integers(seq_len_min, seq_len_max + 1)
+            firsts[u] = rng.integers(n)
+            draws[:lengths[u], u] = rng.random(lengths[u])
     return lengths, firsts, draws
 
 

@@ -159,7 +159,7 @@ def rescale_and_update(theta, layers, cfg, uniform=False):
     return new_theta, scores, weights
 
 
-def _stack_tasks(theta, picks, sources, target, model_cfg):
+def _stack_tasks(theta, picks, model_cfg):
     """One task per source of ``picks`` as stacked parameters: each encoder
     weight gets a leading task axis (vectors as (n, 1, d)), the picked tables
     sit one after another in one flat table, and n copies of the target table
@@ -169,8 +169,7 @@ def _stack_tasks(theta, picks, sources, target, model_cfg):
     n = len(picks)
     target_key = embed_key(model_cfg.target_domain)
     source_keys = [embed_key(src.domain_id) for src in picks]
-    tables = {embed_key(d.domain_id) for d in [*sources, target]}
-    encoder_keys = [k for k in theta if k not in tables]
+    encoder_keys = [k for k in theta if not k.startswith(embed_key(""))]
     # any name but the target's keeps the stacked source tables on the VQ path
     stack_domain = model_cfg.target_domain + ".sources"
     stack_key = embed_key(stack_domain)
@@ -219,7 +218,7 @@ def train_iteration(theta, sources, target, model_cfg, cfg, rng, rescale=True):
                       for _ in range(cfg.inner_steps)])
         meta_batches.append(sample_batch(target, "train", cfg.meta_batch, max_len, rng))
 
-    stack_domain, stacked, parts = _stack_tasks(theta, picks, sources, target, model_cfg)
+    stack_domain, stacked, parts = _stack_tasks(theta, picks, model_cfg)
 
     def stack_loss(batches, domain, include_vq):
         stack = _stack_batch(batches, domain)
@@ -264,7 +263,7 @@ def joint_train_iteration(theta, sources, target, model_cfg, cfg, rng):
         loss = batch_loss(theta, batches[-1], model_cfg)[0]
         values, total = [loss.data], loss
         if sources:
-            domain, stacked, parts = _stack_tasks(theta, sources, sources, target, model_cfg)
+            domain, stacked, parts = _stack_tasks(theta, sources, model_cfg)
             loss = batch_loss(stacked, _stack_batch(batches[:-1], domain), model_cfg)[0]
             values[:0] = loss.data
             total = ad.add(total, ad.sum(loss))

@@ -60,6 +60,8 @@ def load_manifest(path):
                 raise ValueError(f"{where}: expected 3 tab-separated fields, "
                                  f"got {len(fields)}")
             domain, role, rel = fields
+            if not (domain and rel):
+                raise ValueError(f"{where}: empty {'path' if domain else 'domain'} field")
             if role not in ("source", "target"):
                 raise ValueError(f"{where}: role must be 'source' or 'target', "
                                  f"got {role!r}")
@@ -180,7 +182,6 @@ def run_training(cfg, datasets=None):
 
 
 def write_outputs(result, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(result.csv_rows) + "\n")

@@ -65,6 +65,9 @@ def per_line_interactions(path):
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, "
                                  f"got {len(fields)}")
+            for name, tag in zip(("domain", "user", "item"), fields):
+                if not tag:
+                    raise ValueError(f"{path}:{lineno}: empty {name} field")
             domain, user, item, ts = fields
             try:
                 ts = int(ts)

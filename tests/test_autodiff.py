@@ -393,7 +393,11 @@ def test_pad_axis_and_slice_axis_are_each_others_vjp():
     x = ad.Tensor(np.arange(6.0).reshape(2, 3))
     padded = ad.pad_axis(x, 0, 1, 4)
     assert np.array_equal(padded.data, [[0, 0, 0], [0, 1, 2], [3, 4, 5], [0, 0, 0]])
-    assert ad.pad_axis(x, 1, 0, 3) is x  # nothing to pad: no record
+    with ad.Tape() as tape:  # nothing to pad: equal bytes in a new tensor
+        full = ad.pad_axis(x, 1, 0, 3)
+    assert full is not x and full.data is not x.data
+    assert (full.data.shape, full.data.tobytes()) == (x.data.shape, x.data.tobytes())
+    assert [r.op for r in tape.records] == ["pad_axis"]
     with ad.Tape() as tape:
         t = ad.Tensor(np.ones((3, 4)))
         (g,) = ad.grad(ad.sum(ad.slice_axis(t, -1, 1, 3)), [t], create_graph=True)

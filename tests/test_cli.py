@@ -187,6 +187,30 @@ def test_bad_synthetic_spec_is_one_line_error_before_any_data(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate"])
+def test_out_path_that_is_a_file_is_one_line_error_before_any_data(tmp_path, capsys,
+                                                                    monkeypatch, command):
+    # the output directory is made before any data is read, generated or
+    # trained on, so a file in its place stops the command at once
+    def no_data(*args, **kwargs):
+        raise AssertionError("data read before the output directory was made")
+    monkeypatch.setattr(cli, "build_datasets", no_data)
+    monkeypatch.setattr(cli, "generate_synthetic", no_data)
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    argv = [command, "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]
+    if command == "eval":
+        ckpt = str(tmp_path / "any.ckpt")
+        save_checkpoint(ckpt, {"w": np.ones(2)}, serialize_config(small_cfg()))
+        argv += ["--checkpoint", ckpt]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: \[Errno \d+\] File exists: '{re.escape(str(out))}'\n",
+                        captured.err)
+    assert out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["train", "generate"])
 def test_negative_seed_is_one_line_error_before_any_data(tmp_path, capsys, command):
     # a negative seed would reach numpy's default_rng: it is a config error,
@@ -725,8 +749,10 @@ TARGET_ROW = "target\ttarget\ttarget.tsv\n"
      "domain 'src0' already listed on line 1"),
     (TARGET_ROW + SOURCE_ROW + "t2\ttarget\tt2.tsv\n", 3,
      "second target row, the first is on line 1"),
+    ("\tsource\ts.tsv\n" + TARGET_ROW, 1, "empty domain field"),
+    (SOURCE_ROW + "target\ttarget\t\n", 2, "empty path field"),
 ], ids=["too_few_fields", "too_many_fields", "bad_role", "duplicate_domain",
-        "two_targets"])
+        "two_targets", "empty_domain", "empty_path"])
 def test_manifest_bad_row_rejected_with_line(tmp_path, text, line, message):
     path = tmp_path / "manifest.tsv"
     path.write_text(text)

@@ -51,6 +51,10 @@ def test_load_malformed_lines_report_position(tmp_path):
         data.load_interactions(write(tmp_path, "d\ta\tx\tnoon\n"))
     with pytest.raises(ValueError, match=r":2: timestamp 9223372036854775808 outside"):
         data.load_interactions(write(tmp_path, f"d\ta\tx\t1\nd\ta\tx\t{2**63}\n"))
+    for line, name in [("\ta\tx\t1", "domain"), ("d\t\ti1\t1", "user"),
+                       ("d\tu1\t\t2", "item")]:
+        with pytest.raises(ValueError, match=rf":2: empty {name} field$"):
+            data.load_interactions(write(tmp_path, f"d\ta\tx\t1\n{line}\n"))
 
 
 def test_load_reports_first_bad_line_across_slices(tmp_path, monkeypatch):
@@ -123,7 +127,8 @@ def tsv_files(draw):
                       st.sampled_from(["plain", "spaced", "signed", "underscored"]))
     other = st.sampled_from(["", "#", "# comment\twith\ttabs", "#a\tb\tc\t1"])
     bad = st.sampled_from(["a\tu0\ti0", "a\tu0\ti0\t1\t2", "a\tu0\ti0\tnoon",
-                           f"a\tu0\ti0\t{2**63}", "a\tu0\ti0\t", " "])
+                           f"a\tu0\ti0\t{2**63}", "a\tu0\ti0\t", " ", "a\t\ti0\t1",
+                           "a\tu0\t\t1"])
     end = st.sampled_from(["\n", "\r\n", "\r"])
     n = draw(st.integers(0, 60))  # sizes drawn evenly: long files bring many ties
     lines = draw(st.lists(st.tuples(event | event | other, end), min_size=n, max_size=n))
@@ -445,11 +450,14 @@ BLOCK = data.USERS_PER_BLOCK
 # (users, seq_len_min, seq_len_max, items): 0, 1 and a block +- 1 users; a span
 # of 1 for the lengths, the items or both; 2**31 + 1 items, which reject about
 # half their words, also with lengths of 15 or 16, where a block reads more raw
-# output than its users * (seq_len_max + 1) estimate; 2**32 - 5 items
+# output than its users * (seq_len_max + 1) estimate; 2**32 - 5 items; past a
+# block boundary, one length drawn by numpy's own calls for every user, and
+# rejected words whose kept half is handed on to the next block
 USER_DRAWS = [(0, 8, 16, 64), (1, 8, 16, 64), (BLOCK - 1, 8, 16, 1024),
               (BLOCK, 4, 6, 7), (BLOCK + 1, 8, 16, 1000), (2 * BLOCK + 3, 8, 16, 3),
               (300, 4, 4, 64), (300, 8, 16, 1), (300, 5, 5, 1),
-              (300, 8, 16, 2**31 + 1), (BLOCK, 15, 16, 2**31 + 1), (300, 4, 9, 2**32 - 5)]
+              (300, 8, 16, 2**31 + 1), (BLOCK, 15, 16, 2**31 + 1), (300, 4, 9, 2**32 - 5),
+              (BLOCK + 5, 6, 6, 64), (BLOCK + 5, 8, 16, 2**31 + 1)]
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
